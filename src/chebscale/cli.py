@@ -4,7 +4,8 @@ Commands: ``analyze`` (hierarchy / Wronskian / Levin verification),
 ``factorize`` (both chains, canonicity, structural constants, algorithm
 cross-check), ``expand`` (both coefficient-extraction routes) and ``verify``
 (theorem report suites).  Exit codes: 0 all consistent, 1 a decisive
-inconsistency or failed verdict, 2 input error.
+inconsistency or failed verdict, 2 input error or a computation that left
+double range (an ``error:`` line on stderr).
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ import json
 import math
 import sys
 import time
+
+import numpy as np
 
 from .errors import ChebscaleError
 from .expansion import (
@@ -50,6 +53,8 @@ def _fmt(value):
 
 
 def _jsonable(obj):
+    if isinstance(obj, np.generic):
+        obj = obj.item()
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -272,7 +277,7 @@ def run(argv=None):
     except ChebscaleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     report["timings"] = {"seconds": _fmt(time.time() - t0)}

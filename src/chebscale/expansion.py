@@ -9,19 +9,28 @@ contradict a claimed equivalence: that is the artifact's primary
 bug-detector, since the theory guarantees it cannot happen for correct code
 on valid inputs.  Marginal numerical evidence yields "inconclusive", never a
 forced verdict.
+
+Cache policy: a :class:`ScaleArtifacts` bundle owns what depends on the
+scale alone (chains, constants, grid, weight tabulations and the
+target-independent P-weight nest).  Everything computed from a target
+belongs to that target's record, which the bundle holds only as long as the
+target lives, so a later target can never be served an earlier one's
+results.  A ``source`` passed to a checker is a promise that
+L[f] = q_n * source: a target's nests are keyed by label only, and
+whichever call builds one first fixes it for every later call.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DivergentTail, EvaluationError, LimitDiverged
-from .extrapolate import classify_sequence, extrapolate_limit, is_bounded_tail
+from .extrapolate import _median, classify_sequence, extrapolate_limit, is_bounded_tail
 from .factorization import (
-    _CachedJetFn,
     _NestJetFn,
     apply_chain,
     apply_full_operator,
@@ -32,9 +41,9 @@ from .factorization import (
     well_conditioned_probes,
 )
 from .operators import operator_constants
-from .quadrature import NestedIntegral, WorkGrid, classify_toward
+from .quadrature import NestedIntegral, WorkGrid
 from .scale import make_schedule, ratio_decreases_to_zero, require_verified
-from .wronskian import bordered_wronskian, wronskian
+from .wronskian import bordered_wronskian
 
 _LIMIT_TOL = 1e-6  # "a limit exists" when confidence < tol * (1 + |value|)
 
@@ -70,8 +79,31 @@ def _finite_reach(fns, start, cap=3e5):
 # -- artifacts bundle ------------------------------------------------------------
 
 
+class _TargetRecord:
+    """Everything a bundle computed from one target."""
+
+    __slots__ = ("images", "limits", "lf_zero", "nests")
+
+    def __init__(self):
+        self.images = {}  # ("M" | "L", k, x) -> weighted derivative
+        self.limits = {}  # k -> (status, value, confidence) of M_k[f]
+        self.lf_zero = None  # L[f] vanishes along the probes
+        self.nests = {}  # label -> NestedIntegral
+
+
 class ScaleArtifacts:
-    """Chains, constants, principal system and shared grids for one scale."""
+    """Chains, constants, principal system and shared grid for one scale.
+
+    The bundle owns the chains, constants and grid (whose value cache keeps
+    the weight tabulations, since the bundle holds the weights) and the
+    target-independent ``("P-weight",)`` nest.  A target owns everything
+    computed from it: ``_targets`` maps it, by weak reference, to a record
+    of its M/L values, its limits, its L[f] = 0 test and its nests, keyed by
+    label only.  The record goes when the target goes, so a new target at a
+    dead one's address inherits none of its results.  A ``source`` passed to a
+    checker is a promise that L[f] = q_n * source: a target's nests are
+    built from whichever L[f] evaluator reaches them first.
+    """
 
     def __init__(self, scale, schedule, build_system=True):
         require_verified(scale)
@@ -97,8 +129,8 @@ class ScaleArtifacts:
         self.constants = operator_constants(
             scale, self.chain_q, self.chain_p, self.system, schedule
         )
-        self._apply_cache = {}
-        self._nest_cache = {}
+        self._targets = weakref.WeakKeyDictionary()
+        self._nests = {}
         # classification points: the probe schedule extended geometrically to
         # the grid's reach (table lookups there are free, and integrals need
         # the extra range to classify decisively)
@@ -127,21 +159,25 @@ class ScaleArtifacts:
     def n(self):
         return self.scale.n
 
-    def M(self, k, f, x):
-        key = ("M", k, id(f), x)
-        out = self._apply_cache.get(key)
+    def _record(self, f):
+        rec = self._targets.get(f)
+        if rec is None:
+            rec = self._targets[f] = _TargetRecord()
+        return rec
+
+    def _image(self, tag, chain, k, f, x):
+        images = self._record(f).images
+        key = (tag, k, x)
+        out = images.get(key)
         if out is None:
-            out = apply_chain(self.chain_q, f, x, level=k)
-            self._apply_cache[key] = out
+            out = images[key] = apply_chain(chain, f, x, level=k)
         return out
 
+    def M(self, k, f, x):
+        return self._image("M", self.chain_q, k, f, x)
+
     def L(self, k, f, x):
-        key = ("L", k, id(f), x)
-        out = self._apply_cache.get(key)
-        if out is None:
-            out = apply_chain(self.chain_p, f, x, level=k)
-            self._apply_cache[key] = out
-        return out
+        return self._image("L", self.chain_p, k, f, x)
 
     def M_phi(self, k, i, x):
         return self.M(k, self.scale.functions[i - 1], x)
@@ -150,33 +186,18 @@ class ScaleArtifacts:
         return self.L(k, self.scale.functions[i - 1], x)
 
     def limit(self, f, k):
-        """Deflated operator-limit status of M_k[f] along the probes.
-
-        Probes where the rounding-noise estimate of the weighted derivative
-        rivals the values themselves are masked; beyond that point the
-        sequence is numerically dead."""
-        key = ("lim", k, id(f))
-        out = self._apply_cache.get(key)
+        """Deflated operator-limit status of M_k[f] along the
+        classification points that ``_level_sequence`` keeps."""
+        limits = self._record(f).limits
+        out = limits.get(k)
         if out is None:
-            pairs = [
-                apply_chain(self.chain_q, f, x, level=k, with_noise=True)
-                for x in self.class_points
-            ]
-            vals = [v for v, _ in pairs]
-            typical = _median([abs(v) for v in vals[: max(4, len(vals) // 2)]])
-            usable = len(vals)
-            for j, (v, nz) in enumerate(pairs):
-                if j >= 6 and nz > 1e-3 * max(abs(v), typical, 1e-300):
-                    usable = j
-                    break
-            usable = min(usable, _sane_prefix(vals))
-            pts = self.class_points[:usable]
+            vals = _level_sequence(self, f, k)
+            pts = self.class_points[: len(vals)]
             basis = [
                 [self.M_phi(k, i, x) for x in pts]
                 for i in range(k + 2, self.n + 1)
             ]
-            out = _deflated_limit_status(vals[:usable], basis)
-            self._apply_cache[key] = out
+            out = limits[k] = _deflated_limit_status(vals, basis)
         return out
 
     def lf_evaluator(self, f, source=None):
@@ -197,21 +218,49 @@ class ScaleArtifacts:
 
     def lf_is_zero(self, f):
         """Constant-zero detection for L[f] along the schedule."""
-        idx = tuple(range(1, self.n + 1))
-        for x in self.probes:
-            num, _, det_scale = bordered_wronskian(self.scale, idx, f, x)
-            if abs(num) > 1e-8 * det_scale:
-                return False
-        return True
+        rec = self._record(f)
+        if rec.lf_zero is None:
+            idx = tuple(range(1, self.n + 1))
+            zero = True
+            for x in self.probes:
+                num, _, det_scale = bordered_wronskian(self.scale, idx, f, x)
+                if abs(num) > 1e-8 * det_scale:
+                    zero = False
+                    break
+            rec.lf_zero = zero
+        return rec.lf_zero
 
-    def nest(self, weights, orientations, density, key=None):
-        """Memoized NestedIntegral on the shared grid."""
-        if key is not None and key in self._nest_cache:
-            return self._nest_cache[key]
-        nest = NestedIntegral(self.grid, weights, orientations, density)
-        if key is not None:
-            self._nest_cache[key] = nest
-        return nest
+    def nest(self, weights, orientations, density, key=None, target=None):
+        """NestedIntegral on the shared grid, memoized under ``key`` in
+        ``target``'s record, or in the bundle's own table when the nest
+        depends on no target."""
+        if key is None:
+            return NestedIntegral(self.grid, weights, orientations, density)
+        nests = self._nests if target is None else self._record(target).nests
+        out = nests.get(key)
+        if out is None:
+            out = nests[key] = NestedIntegral(self.grid, weights, orientations, density)
+        return out
+
+
+def _level_sequence(art, f, k):
+    """M_k[f] along the classification points, cut where it dies numerically.
+
+    Probes where the rounding-noise estimate of the weighted derivative
+    rivals the values themselves are masked; beyond that point, or past a
+    collapse or explosion (``_sane_prefix``), the sequence is dead."""
+    pairs = [
+        apply_chain(art.chain_q, f, x, level=k, with_noise=True)
+        for x in art.class_points
+    ]
+    vals = [v for v, _ in pairs]
+    typical = _median([abs(v) for v in vals[: max(4, len(vals) // 2)]])
+    usable = len(vals)
+    for j, (v, nz) in enumerate(pairs):
+        if j >= 6 and nz > 1e-3 * max(abs(v), typical, 1e-300):
+            usable = j
+            break
+    return vals[: min(usable, _sane_prefix(vals))]
 
 
 def artifacts_for(scale, schedule=None, build_system=True):
@@ -255,14 +304,6 @@ def _sane_prefix(values, minimum=6):
         if dead or wild or not math.isfinite(v):
             return j
     return n
-
-
-def _median(xs):
-    s = sorted(xs)
-    if not s:
-        return 0.0
-    mid = len(s) // 2
-    return s[mid] if len(s) % 2 else 0.5 * (s[mid - 1] + s[mid])
 
 
 def _informative_points(pts, f_vals, phi_n_vals, eta=1e-4, minimum=6):
@@ -618,7 +659,7 @@ class ConstructedFunction:
             self._nest,
             weight_jets,
             source_jetfn,
-            prefactor_jet=_CachedJetFn(prefactor, name="pref"),
+            prefactor_jet=prefactor,
             name="constructed-remainder",
         )
         self._cache = {}
@@ -666,6 +707,27 @@ def _v(status, **evidence):
     return d
 
 
+# verdict status of a sequence kind (classify_sequence) or of a limit status
+# (_limit_status); every other kind ("inconclusive", "unstable") decides nothing
+_STATUS = {
+    "converged": "holds", "stable": "holds", "loose": "holds",
+    "diverged": "fails", "diverged_plus": "fails", "diverged_minus": "fails",
+    "oscillatory": "fails",
+}
+
+
+def _status(kind):
+    return _STATUS.get(kind, "inconclusive")
+
+
+def _weakest(statuses):
+    """A conjunction of verdicts: fails if one fails, holds if all hold."""
+    statuses = list(statuses)
+    if "fails" in statuses:
+        return "fails"
+    return "holds" if all(s == "holds" for s in statuses) else "inconclusive"
+
+
 def _group_consistent(verdicts, labels):
     decisive = {
         verdicts[l]["status"] for l in labels if l in verdicts
@@ -674,20 +736,54 @@ def _group_consistent(verdicts, labels):
     return len(decisive) <= 1
 
 
-def _classify_to_status(kind):
-    if kind == "converges":
-        return "holds"
-    if kind.startswith("diverges") or kind == "oscillatory":
-        return "fails"
-    return "inconclusive"
+def _report(theorem, verdicts, notes, groups, must_not_fail=()):
+    """Consistent unless two decisive verdicts of one equivalence group
+    disagree or a label of ``must_not_fail`` fails."""
+    consistent = all(_group_consistent(verdicts, g) for g in groups) and all(
+        verdicts.get(label, {}).get("status") != "fails" for label in must_not_fail
+    )
+    return TheoremReport(theorem, verdicts, consistent, notes)
 
 
-def _limit_to_status(status):
-    if status in ("stable", "loose"):
-        return "holds"
-    if status == "diverged":
-        return "fails"
-    return "inconclusive"
+def _operator_image(art, f, source, notes):
+    """(x -> L[f](x), whether L[f] vanishes identically)."""
+    if source is None and art.lf_is_zero(f):
+        notes.append("L[f] below detection threshold: treated as identically zero")
+        return (lambda x: 0.0), True
+    return art.lf_evaluator(f, source), False
+
+
+def _limit_ladder(art, f, eq, count, coefficients, verdicts, last=None):
+    """The operator limits of M_k[f], k < count, as "<eq> limit k=" verdicts,
+    plus "<eq> limits" and a copy of the deepest one as "<last> last limit"
+    when ``last`` is given.
+
+    Returns the coefficients with their confidences: the supplied ones
+    (exact), else a_{k+1} = lim M_k[f] / eps_k once every limit exists, else
+    (None, None)."""
+    limits = [art.limit(f, k) for k in range(count)]
+    for k, (status, value, conf) in enumerate(limits):
+        verdicts[f"{eq} limit k={k}"] = _v(_status(status), value=value, confidence=conf)
+    if last is not None:
+        verdicts[f"{eq} limits"] = _v(_weakest(_status(s) for s, _, _ in limits))
+        verdicts[f"{last} last limit"] = verdicts[f"{eq} limit k={count - 1}"].copy()
+    if coefficients is not None:
+        return list(coefficients), [0.0] * len(coefficients)
+    if all(_status(s) == "holds" for s, _, _ in limits):
+        eps = art.constants.epsilon
+        return (
+            [v / eps[k] for k, (_, v, _) in enumerate(limits)],
+            [c / abs(eps[k]) for k, (_, _, c) in enumerate(limits)],
+        )
+    return None, None
+
+
+def _without_coefficients(limits):
+    """An expansion set whose coefficients do not exist: it fails exactly
+    when one of the defining limits diverges."""
+    if limits["status"] == "fails":
+        return _v("fails", reason="a defining limit diverges")
+    return _v("inconclusive")
 
 
 def _zero_limit_status(residuals, comparisons, floors):
@@ -748,6 +844,92 @@ def _residual_values(f, coeffs, art, k, chain="M", upto=None, remainder=None,
     return rows, floors
 
 
+def _residual_set(f, coeffs, confs, art, remainder, chain, levels):
+    """The expansion-set rule of (4.22), (4.23), (4.31), (5.5)-(5.6) and
+    (5.20)-(5.21): for each ``(k, upto, i)`` of ``levels`` the level-k
+    residual of the expansion up to phi_upto is o(image of phi_i), or o(1)
+    when i is None.  Returns the weakest status and the status per entry."""
+    image = art.M_phi if chain == "M" else art.L_phi
+    per = {}
+    for j, (k, upto, i) in enumerate(levels):
+        rows, floors = _residual_values(f, coeffs, art, k, chain, upto=upto,
+                                        remainder=remainder, coeff_confs=confs)
+        cmps = [1.0] * len(rows) if i is None else [image(k, i, x) for x in art.probes]
+        per[j], _ = _zero_limit_status(rows, cmps, floors)
+    return _weakest(per.values()), per
+
+
+def _outer_partials(art, nest):
+    """Outer-level values on the classification points, cropped to the
+    nest's reliable range (cells whose embedded quadrature error rivals
+    their value, e.g. oscillatory integrands on wide far cells, are
+    excluded)."""
+    sigma = art.grid.sigma
+    pts = [x for x in art.class_points if sigma * x <= sigma * nest.reliable_x]
+    if len(pts) < 6:
+        pts = art.class_points[:6]
+    return [nest.value(x, 0) for x in pts]
+
+
+def _integral_verdict(art, f, key, weights, orientations, density):
+    """Does the outer integral of f's nest ``key`` converge toward x0?
+
+    A DivergentTail fails the verdict when it is decisive and leaves it
+    inconclusive otherwise; else the partials decide.  Returns the verdict
+    and the integral (nan unless it converged)."""
+    try:
+        nest = art.nest(weights, orientations, density, key=key, target=f)
+    except DivergentTail as exc:
+        decisive = getattr(exc, "decisive", True)
+        return _v("fails" if decisive else "inconclusive", reason=str(exc)), math.nan
+    res = classify_sequence(_outer_partials(art, nest), tol=1e-6)
+    value = res["value"] if res["kind"] == "converged" else math.nan
+    return _v(_status(res["kind"]), kind=res["kind"]), value
+
+
+def _partial_levels(art, i):
+    """Weights and orientations of the order-i partial iterated integral of
+    (5.24), (5.33) and (6.18): from T over q_i..q_n."""
+    n = art.n
+    return [art.q_vals[j] for j in range(i, n + 1)], ["from_T"] * (n - i + 1)
+
+
+def _type1_levels(art, i):
+    """Weights and orientations of the order-i type-I nest of (4.24), and at
+    i = n of (4.32) and (6.11): from T outermost, toward x0 within."""
+    n = art.n
+    weights = [art.p_vals[j] for j in range(n - i + 1, n)] + [None]
+    return weights, ["from_T"] + ["to_x0"] * (i - 1)
+
+
+def _bounded_verdict(seq):
+    """(5.32)/(5.33): does the sequence stay O(1) toward x0?"""
+    kind = classify_sequence(seq, tol=_LIMIT_TOL)["kind"]
+    bounded, diag = is_bounded_tail(seq)
+    if kind.startswith("diverged") or bounded is False:
+        status = "fails"
+    elif bounded or kind in ("converged", "oscillatory"):
+        status = "holds"
+    else:
+        status = "inconclusive"
+    return _v(status, kind=kind, **diag)
+
+
+def _o_form_verdict(rows):
+    """(5.36)/(6.2): is the remainder over the comparison function O(1)?"""
+    bounded, diag = is_bounded_tail(rows)
+    return _v(
+        "holds" if bounded else ("inconclusive" if bounded is None else "fails"),
+        **diag,
+    )
+
+
+def _nonneg(lf, art):
+    vals = [lf(x) for x in art.probes]
+    mag = max(abs(v) for v in vals) + 1e-300
+    return all(v >= -1e-9 * mag for v in vals)
+
+
 # -- check_complete -------------------------------------------------------------------
 
 
@@ -760,49 +942,20 @@ def check_complete(f, artifacts, source=None, remainder=None, coefficients=None)
     """
     art = artifacts
     n = art.n
-    eps = art.constants.epsilon
     verdicts = {}
     notes = []
+    lf, lf_zero = _operator_image(art, f, source, notes)
 
-    lf_zero = source is None and art.lf_is_zero(f)
-    if lf_zero:
-        lf = lambda x: 0.0
-        notes.append("L[f] below detection threshold: treated as identically zero")
-    else:
-        lf = art.lf_evaluator(f, source)
-    qn = art.q_vals[n]
-    density = (lambda x: 0.0) if lf_zero else _guarded_ratio(lf, qn)
-
-    # (5.7)/(5.8): operator limits
-    limit_vals = []
-    for k in range(n):
-        status, value, conf = art.limit(f, k)
-        limit_vals.append((status, value, conf))
-        verdicts[f"(5.7) limit k={k}"] = _v(
-            _limit_to_status(status), value=value, confidence=conf
-        )
-    all_lim = [_limit_to_status(s) for s, _, _ in limit_vals]
-    agg = "holds" if all(s == "holds" for s in all_lim) else (
-        "fails" if any(s == "fails" for s in all_lim) else "inconclusive"
-    )
-    verdicts["(5.7) limits"] = _v(agg)
-    verdicts["(5.8) last limit"] = verdicts[f"(5.7) limit k={n - 1}"].copy()
+    # (5.7)/(5.8): operator limits, and the coefficients (supplied ones first)
+    coeffs, confs = _limit_ladder(art, f, "(5.7)", n, coefficients, verdicts, last="(5.8)")
 
     # (5.9): convergence of the source integral
     if lf_zero:
         verdicts["(5.9) integral"] = _v("holds", value=0.0, zero=True)
-        int_converges = True
     else:
-        kind, value = _classify_single_level(art, density, key=("59", id(f)))
-        verdicts["(5.9) integral"] = _v(_classify_to_status(kind), kind=kind, value=value)
-        int_converges = kind == "converges"
-
-    # coefficients (prefer supplied construction values)
-    coeffs = list(coefficients) if coefficients is not None else None
-    coeff_confs = [0.0] * n if coefficients is not None else None
-    if coeffs is None and all(s in ("stable", "loose") for s, _, _ in limit_vals):
-        coeffs = [limit_vals[k][1] / eps[k] for k in range(n)]
-        coeff_confs = [limit_vals[k][2] / abs(eps[k]) for k in range(n)]
+        verdict, value = _integral_verdict(art, f, "(5.9)", [None], ["from_T"],
+                                           _guarded_ratio(lf, art.q_vals[n]))
+        verdicts["(5.9) integral"] = dict(verdict, value=value)
 
     # (5.5)-(5.6): the expansion set
     if lf_zero and coeffs is not None:
@@ -810,53 +963,55 @@ def check_complete(f, artifacts, source=None, remainder=None, coefficients=None)
         # expansion is exact and every formally differentiated set is too
         verdicts["(5.5)-(5.6) set"] = _v("holds", zero=True)
     elif coeffs is not None:
-        set_status = "holds"
-        diags = {}
-        for k in range(n):
-            rows, floors = _residual_values(f, coeffs, art, k, "M", remainder=remainder,
-                                            coeff_confs=coeff_confs)
-            cmps = [art.M_phi(k, n, x) for x in art.probes]
-            st, diag = _zero_limit_status(rows, cmps, floors)
-            diags[k] = st
-            if st == "fails":
-                set_status = "fails"
-            elif st == "inconclusive" and set_status != "fails":
-                set_status = "inconclusive"
-        verdicts["(5.5)-(5.6) set"] = _v(set_status, per_k=diags)
-    elif any(s == "diverged" for s, _, _ in limit_vals):
-        verdicts["(5.5)-(5.6) set"] = _v("fails", reason="a defining limit diverges")
+        status, per = _residual_set(f, coeffs, confs, art, remainder, "M",
+                                    [(k, n, n) for k in range(n)])
+        verdicts["(5.5)-(5.6) set"] = _v(status, per_k=per)
     else:
-        verdicts["(5.5)-(5.6) set"] = _v("inconclusive")
+        verdicts["(5.5)-(5.6) set"] = _without_coefficients(verdicts["(5.7) limits"])
 
     # remainder identity (5.14)-(5.15) and bounds, only in the convergent case
+    int_converges = verdicts["(5.9) integral"]["status"] == "holds"
     if int_converges and coeffs is not None and not lf_zero:
         try:
-            nest = art.nest(
-                [art.q_vals[i] for i in range(1, n + 1)],
-                ["to_x0"] * n,
-                lf,
-                key=("rep", id(f)),
-            )
+            nest = art.nest([art.q_vals[i] for i in range(1, n + 1)], ["to_x0"] * n, lf,
+                            key="(5.14)", target=f)
         except DivergentTail:
-            nest = None
             verdicts["(5.14)-(5.15) identity"] = _v(
                 "inconclusive", reason="tail tables did not stabilize"
             )
-        if nest is not None:
-            _remainder_identity(f, coeffs, art, nest, remainder, verdicts, coeff_confs)
-            _remainder_bounds(f, coeffs, art, nest, lf, remainder, verdicts, coeff_confs)
+        else:
+            _remainder_identity(f, coeffs, art, nest, remainder, verdicts, confs)
+            _remainder_bounds(f, coeffs, art, nest, lf, remainder, verdicts, confs)
     elif lf_zero and coeffs is not None:
         rows, floors = _residual_values(f, coeffs, art, 0, "M", remainder=remainder,
-                                        coeff_confs=coeff_confs)
+                                        coeff_confs=confs)
         ok = all(abs(r) <= fl * 100 for r, fl in zip(rows, floors))
         verdicts["(5.14)-(5.15) identity"] = _v("holds" if ok else "fails", zero=True)
 
     # type-I side: (4.31) ladder and (4.32)
-    _type1_side(f, coeffs, art, lf, lf_zero, remainder, verdicts, coeff_confs)
+    if lf_zero and coeffs is not None:
+        verdicts["(4.31) set"] = _v("holds" if _term_loss(art, n) else "fails", zero=True)
+    elif coeffs is not None:
+        status, per = _residual_set(f, coeffs, confs, art, remainder, "L",
+                                    [(k, n - k, None) for k in range(n)])
+        # term-loss rule: the lost term is annihilated identically
+        loss_ok = _term_loss(art, n)
+        if not loss_ok and status == "holds":
+            status = "fails"
+        verdicts["(4.31) set"] = _v(status, per_k=per, term_loss=loss_ok)
+    elif verdicts["(5.7) limits"]["status"] == "fails":
+        verdicts["(4.31) set"] = _v("inconclusive", reason="no coefficients")
+    else:
+        verdicts["(4.31) set"] = _v("inconclusive")
+    if lf_zero:
+        verdicts["(4.32) integral"] = _v("holds", zero=True)
+    else:
+        verdicts["(4.32) integral"], _ = _integral_verdict(
+            art, f, ("type-I", n), *_type1_levels(art, n), _guarded_ratio(lf, art.p_vals[n])
+        )
 
     # generalized convexity branch (needs the all-positive Wronskian case)
-    convex = _convexity(f, coeffs, art, lf, lf_zero, remainder, verdicts, notes,
-                        coeff_confs)
+    convex = _convexity(f, coeffs, art, lf, lf_zero, remainder, verdicts, notes, confs)
 
     groups = [
         ["(5.5)-(5.6) set", "(5.7) limits", "(5.8) last limit", "(5.9) integral"],
@@ -864,47 +1019,11 @@ def check_complete(f, artifacts, source=None, remainder=None, coefficients=None)
     ]
     if convex:
         groups = [groups[0] + groups[1] + ["(6.2) O-form"]]
-    consistent = all(_group_consistent(verdicts, g) for g in groups)
-    for label in (
-        "(5.14)-(5.15) identity",
-        "(5.16) bound",
-        "(5.17) bound",
-        "(6.9) sign",
-        "(6.10) monotonicity",
-    ):
-        if label in verdicts and verdicts[label]["status"] == "fails":
-            consistent = False
-    return TheoremReport(
-        theorem="complete (type-I and type-II formal differentiation)",
-        verdicts=verdicts,
-        consistent=consistent,
-        notes=notes,
+    return _report(
+        "complete (type-I and type-II formal differentiation)", verdicts, notes, groups,
+        ("(5.14)-(5.15) identity", "(5.16) bound", "(5.17) bound", "(6.9) sign",
+         "(6.10) monotonicity"),
     )
-
-
-def _nest_points(art, nest):
-    """Classification points cropped to the nest's reliable range (cells
-    whose embedded quadrature error rivals their value, e.g. oscillatory
-    integrands on wide far cells, are excluded)."""
-    sigma = art.grid.sigma
-    pts = [x for x in art.class_points if sigma * x <= sigma * nest.reliable_x]
-    return pts if len(pts) >= 6 else art.class_points[:6]
-
-
-def _classify_single_level(art, density, key=None):
-    """Classify the improper integral of a density toward x0 on the grid."""
-    nest = art.nest([None], ["from_T"], density, key=key)
-    partials = [nest.value(x, 0) for x in _nest_points(art, nest)]
-    res = classify_sequence(partials, tol=1e-6)
-    kind = {
-        "converged": "converges",
-        "diverged_plus": "diverges_plus",
-        "diverged_minus": "diverges_minus",
-        "oscillatory": "oscillatory",
-        "inconclusive": "inconclusive",
-    }[res["kind"]]
-    value = res["value"] if kind == "converges" else math.nan
-    return kind, value
 
 
 def _remainder_identity(f, coeffs, art, nest, remainder, verdicts, coeff_confs=None):
@@ -955,7 +1074,7 @@ def _remainder_bounds(f, coeffs, art, nest, lf, remainder, verdicts, coeff_confs
     # (5.17): absolute-convergence bound with the quadrature error folded in
     try:
         abs_nest = art.nest(
-            [art.q_vals[n]], ["to_x0"], lambda x: abs(lf(x)), key=("abs", id(f))
+            [art.q_vals[n]], ["to_x0"], lambda x: abs(lf(x)), key="(5.17)", target=f
         )
     except DivergentTail:
         verdicts["(5.17) bound"] = _v("inconclusive", reason="not absolutely convergent")
@@ -970,71 +1089,6 @@ def _remainder_bounds(f, coeffs, art, nest, lf, remainder, verdicts, coeff_confs
         if abs(r0) > bound + 1e-300:
             ok17 = False
     verdicts["(5.17) bound"] = _v("holds" if ok17 else "fails")
-
-
-def _type1_side(f, coeffs, art, lf, lf_zero, remainder, verdicts, coeff_confs=None):
-    n = art.n
-    if lf_zero and coeffs is not None:
-        verdicts["(4.31) set"] = _v(
-            "holds" if _term_loss(art, n) else "fails", zero=True
-        )
-    elif coeffs is not None:
-        set_status = "holds"
-        diags = {}
-        for k in range(n):
-            rows, floors = _residual_values(
-                f, coeffs, art, k, "L", upto=n - k, remainder=remainder,
-                coeff_confs=coeff_confs,
-            )
-            ones = [1.0] * len(rows)
-            st, diag = _zero_limit_status(rows, ones, floors)
-            diags[k] = st
-            if st == "fails":
-                set_status = "fails"
-            elif st == "inconclusive" and set_status != "fails":
-                set_status = "inconclusive"
-        # term-loss rule: the lost term is annihilated identically
-        loss_ok = _term_loss(art, n)
-        verdicts["(4.31) set"] = _v(set_status, per_k=diags, term_loss=loss_ok)
-        if not loss_ok and set_status == "holds":
-            verdicts["(4.31) set"]["status"] = "fails"
-    elif verdicts["(5.7) limits"]["status"] == "fails":
-        verdicts["(4.31) set"] = _v("inconclusive", reason="no coefficients")
-    else:
-        verdicts["(4.31) set"] = _v("inconclusive")
-
-    if lf_zero:
-        verdicts["(4.32) integral"] = _v("holds", zero=True)
-        return
-    pn = art.p_vals[n]
-    density = _guarded_ratio(lf, pn)
-    try:
-        nest = art.nest(
-            [art.p_vals[i] for i in range(1, n)] + [None],
-            ["from_T"] + ["to_x0"] * (n - 1),
-            density,
-            key=("typeI", id(f)),
-        )
-    except DivergentTail as exc:
-        decisive = getattr(exc, "decisive", True)
-        verdicts["(4.32) integral"] = _v(
-            "fails" if decisive else "inconclusive", reason=str(exc)
-        )
-        return
-    partials = [nest.value(x, 0) for x in _nest_points(art, nest)]
-    res = classify_sequence(partials, tol=1e-6)
-    verdicts["(4.32) integral"] = _v(
-        _classify_to_status(
-            {
-                "converged": "converges",
-                "diverged_plus": "diverges_plus",
-                "diverged_minus": "diverges_minus",
-                "oscillatory": "oscillatory",
-                "inconclusive": "inconclusive",
-            }[res["kind"]]
-        ),
-        kind=res["kind"],
-    )
 
 
 def _term_loss(art, i):
@@ -1060,13 +1114,7 @@ def _convexity(f, coeffs, art, lf, lf_zero, remainder, verdicts, notes,
     n = art.n
     if not art.constants.positivity_case:
         return False
-    if lf_zero:
-        nonneg = True
-    else:
-        vals = [lf(x) for x in art.probes]
-        mag = max(abs(v) for v in vals) + 1e-300
-        nonneg = all(v >= -1e-9 * mag for v in vals)
-    if not nonneg:
+    if not (lf_zero or _nonneg(lf, art)):
         return False
     notes.append("L[f] >= 0 on the schedule: generalized-convexity checks apply")
     if coeffs is None:
@@ -1078,11 +1126,7 @@ def _convexity(f, coeffs, art, lf, lf_zero, remainder, verdicts, notes,
         for i in range(1, n):
             acc -= coeffs[i - 1] * art.scale.phi_value(i, x)
         rows.append(acc / art.scale.phi_value(n, x))
-    bounded, diag = is_bounded_tail(rows)
-    verdicts["(6.2) O-form"] = _v(
-        "holds" if bounded else ("inconclusive" if bounded is None else "fails"),
-        **diag,
-    )
+    verdicts["(6.2) O-form"] = _o_form_verdict(rows)
     # (6.9)/(6.10): remainder sign and monotone products; the products are
     # taken with the positive chain weights ((-1)^n R_0 p_0 and
     # (-1)^n R_0 q_0), which is the sign-convention-free form
@@ -1116,145 +1160,51 @@ def check_incomplete(f, i, artifacts, source=None, remainder=None, coefficients=
     n = art.n
     if not 1 <= i <= n - 1:
         raise EvaluationError(f"i must lie in [1, {n - 1}]")
-    eps = art.constants.epsilon
     verdicts = {}
     notes = []
-    lf_zero = source is None and art.lf_is_zero(f)
-    if lf_zero:
-        lf = lambda x: 0.0
-        notes.append("L[f] below detection threshold: treated as identically zero")
-    else:
-        lf = art.lf_evaluator(f, source)
+    lf, lf_zero = _operator_image(art, f, source, notes)
 
     # (5.22)/(5.23) limits up to order i-1
-    limit_vals = []
-    for k in range(i):
-        status, value, conf = art.limit(f, k)
-        limit_vals.append((status, value, conf))
-        verdicts[f"(5.22) limit k={k}"] = _v(
-            _limit_to_status(status), value=value, confidence=conf
-        )
-    agg = [_limit_to_status(s) for s, _, _ in limit_vals]
-    verdicts["(5.22) limits"] = _v(
-        "holds" if all(s == "holds" for s in agg)
-        else ("fails" if any(s == "fails" for s in agg) else "inconclusive")
-    )
-    verdicts["(5.23) last limit"] = verdicts[f"(5.22) limit k={i - 1}"].copy()
-
-    coeffs = list(coefficients) if coefficients is not None else None
-    coeff_confs = [0.0] * len(coeffs) if coefficients is not None else None
-    if coeffs is None and all(s in ("stable", "loose") for s, _, _ in limit_vals):
-        coeffs = [limit_vals[k][1] / eps[k] for k in range(i)]
-        coeff_confs = [limit_vals[k][2] / abs(eps[k]) for k in range(i)]
+    coeffs, confs = _limit_ladder(art, f, "(5.22)", i, coefficients, verdicts, last="(5.23)")
     if coeffs is not None and len(coeffs) < n:
         coeffs = coeffs + [0.0] * (n - len(coeffs))
-        coeff_confs = coeff_confs + [0.0] * (n - len(coeff_confs))
+        confs = confs + [0.0] * (n - len(confs))
 
     # (5.20)-(5.21) expansion set up to phi_i
     if coeffs is not None:
-        set_status = "holds"
-        diags = {}
-        for k in range(i):
-            rows, floors = _residual_values(
-                f, coeffs, art, k, "M", upto=i, remainder=remainder,
-                coeff_confs=coeff_confs,
-            )
-            cmps = [art.M_phi(k, i, x) for x in art.probes]
-            st, diag = _zero_limit_status(rows, cmps, floors)
-            diags[k] = st
-            if st == "fails":
-                set_status = "fails"
-            elif st == "inconclusive" and set_status != "fails":
-                set_status = "inconclusive"
-        verdicts["(5.20)-(5.21) set"] = _v(set_status, per_k=diags)
-    elif any(s == "diverged" for s, _, _ in limit_vals):
-        verdicts["(5.20)-(5.21) set"] = _v("fails", reason="a defining limit diverges")
+        status, per = _residual_set(f, coeffs, confs, art, remainder, "M",
+                                    [(k, i, i) for k in range(i)])
+        verdicts["(5.20)-(5.21) set"] = _v(status, per_k=per)
     else:
-        verdicts["(5.20)-(5.21) set"] = _v("inconclusive")
+        verdicts["(5.20)-(5.21) set"] = _without_coefficients(verdicts["(5.22) limits"])
 
     # (5.24): outer improper integral of the mixed from-T nest
     if lf_zero:
         verdicts["(5.24) integral"] = _v("holds", zero=True)
     else:
-        nest = art.nest(
-            [art.q_vals[j] for j in range(i, n + 1)],
-            ["from_T"] * (n - i + 1),
-            lf,
-            key=("524", i, id(f)),
-        )
-        partials = [nest.value(x, 0) for x in _nest_points(art, nest)]
-        res = classify_sequence(partials, tol=1e-6)
-        verdicts["(5.24) integral"] = _v(
-            {"converged": "holds", "diverged_plus": "fails",
-             "diverged_minus": "fails", "oscillatory": "fails",
-             "inconclusive": "inconclusive"}[res["kind"]],
-            kind=res["kind"],
+        verdicts["(5.24) integral"], _ = _integral_verdict(
+            art, f, ("partial", i), *_partial_levels(art, i), lf
         )
 
     # type-I side: (4.23) set, (4.22) first group, (4.24) integral
     if coeffs is not None:
-        st23 = "holds"
-        per_h = {}
-        for h in range(i):
-            k = n - i + h
-            rows, floors = _residual_values(
-                f, coeffs, art, k, "L", upto=i - h, remainder=remainder,
-                coeff_confs=coeff_confs,
-            )
-            ones = [1.0] * len(rows)
-            st, _ = _zero_limit_status(rows, ones, floors)
-            per_h[h] = st
-            if st == "fails":
-                st23 = "fails"
-            elif st == "inconclusive" and st23 != "fails":
-                st23 = "inconclusive"
+        st23, per_h = _residual_set(f, coeffs, confs, art, remainder, "L",
+                                    [(n - i + h, i - h, None) for h in range(i)])
         verdicts["(4.23) set"] = _v(st23, per_h=per_h)
-        st22 = "holds"
-        per_k = {}
-        for k in range(n - i + 1):
-            rows, floors = _residual_values(
-                f, coeffs, art, k, "L", upto=i, remainder=remainder,
-                coeff_confs=coeff_confs,
-            )
-            cmps = [art.L_phi(k, i, x) for x in art.probes]
-            st, _ = _zero_limit_status(rows, cmps, floors)
-            per_k[k] = st
-            if st == "fails":
-                st22 = "fails"
-            elif st == "inconclusive" and st22 != "fails":
-                st22 = "inconclusive"
+        st22, per_k = _residual_set(f, coeffs, confs, art, remainder, "L",
+                                    [(k, i, i) for k in range(n - i + 1)])
         if st22 == "holds" and st23 != "holds":
             st22 = st23
         verdicts["(4.22) set"] = _v(st22, per_k=per_k, term_loss=_term_loss(art, i))
     else:
         verdicts["(4.23) set"] = _v("inconclusive")
         verdicts["(4.22) set"] = _v("inconclusive")
-
     if lf_zero:
         verdicts["(4.24) integral"] = _v("holds", zero=True)
     else:
-        pn = art.p_vals[n]
-        density = _guarded_ratio(lf, pn)
-        try:
-            nest = art.nest(
-                [art.p_vals[j] for j in range(n - i + 1, n)] + [None],
-                ["from_T"] + ["to_x0"] * (i - 1),
-                density,
-                key=("424", i, id(f)),
-            )
-            partials = [nest.value(x, 0) for x in _nest_points(art, nest)]
-            res = classify_sequence(partials, tol=1e-6)
-            verdicts["(4.24) integral"] = _v(
-                {"converged": "holds", "diverged_plus": "fails",
-                 "diverged_minus": "fails", "oscillatory": "fails",
-                 "inconclusive": "inconclusive"}[res["kind"]],
-                kind=res["kind"],
-            )
-        except DivergentTail as exc:
-            decisive = getattr(exc, "decisive", True)
-            verdicts["(4.24) integral"] = _v(
-                "fails" if decisive else "inconclusive", reason=str(exc)
-            )
+        verdicts["(4.24) integral"], _ = _integral_verdict(
+            art, f, ("type-I", i), *_type1_levels(art, i), _guarded_ratio(lf, art.p_vals[n])
+        )
 
     # (6.18) O-estimates in the convex case
     convex = lf_zero or _nonneg(lf, art)
@@ -1262,12 +1212,8 @@ def check_incomplete(f, i, artifacts, source=None, remainder=None, coefficients=
         notes.append("L[f] >= 0 on the schedule: (6.18) O-estimates checked")
         ok18 = True
         for k in range(i, n):
-            nest = art.nest(
-                [art.q_vals[j] for j in range(k + 1, n + 1)],
-                ["from_T"] * (n - k),
-                lf,
-                key=("618", k, id(f)),
-            )
+            nest = art.nest(*_partial_levels(art, k + 1), lf, key=("partial", k + 1),
+                            target=f)
             ratios = []
             for x in art.probes:
                 ref = max(1.0, abs(nest.value(x, 0)))
@@ -1283,21 +1229,8 @@ def check_incomplete(f, i, artifacts, source=None, remainder=None, coefficients=
     ]
     if convex:
         groups = [groups[0] + groups[1]]
-    consistent = all(_group_consistent(verdicts, g) for g in groups)
-    if "(6.18) O-estimates" in verdicts and verdicts["(6.18) O-estimates"]["status"] == "fails":
-        consistent = False
-    return TheoremReport(
-        theorem=f"incomplete expansion, i={i}",
-        verdicts=verdicts,
-        consistent=consistent,
-        notes=notes,
-    )
-
-
-def _nonneg(lf, art):
-    vals = [lf(x) for x in art.probes]
-    mag = max(abs(v) for v in vals) + 1e-300
-    return all(v >= -1e-9 * mag for v in vals)
+    return _report(f"incomplete expansion, i={i}", verdicts, notes, groups,
+                   ("(6.18) O-estimates",))
 
 
 # -- check_O ---------------------------------------------------------------------------
@@ -1310,90 +1243,30 @@ def check_O(f, i, artifacts, source=None, coefficients=None):
     n = art.n
     if not 1 <= i <= n:
         raise EvaluationError(f"i must lie in [1, {n}]")
-    eps = art.constants.epsilon
     verdicts = {}
     notes = []
-    lf_zero = source is None and art.lf_is_zero(f)
-    lf = (lambda x: 0.0) if lf_zero else art.lf_evaluator(f, source)
+    lf, lf_zero = _operator_image(art, f, source, notes)
 
     if i == 1:
         rows = [f(x, 0).value / art.scale.phi_value(1, x) for x in art.probes]
-        bounded, diag = is_bounded_tail(rows)
-        verdicts["(5.36) O-form"] = _v(
-            "holds" if bounded else ("inconclusive" if bounded is None else "fails"),
-            **diag,
-        )
+        verdicts["(5.36) O-form"] = _o_form_verdict(rows)
     else:
         # (5.31): limits below the boundary order, then boundedness at i-1
-        limit_vals = []
-        for k in range(i - 1):
-            status, value, conf = art.limit(f, k)
-            limit_vals.append((status, value, conf))
-            verdicts[f"(5.31) limit k={k}"] = _v(
-                _limit_to_status(status), value=value, confidence=conf
-            )
-        coeffs = list(coefficients) if coefficients is not None else None
-        if coeffs is None and all(s in ("stable", "loose") for s, _, _ in limit_vals):
-            coeffs = [limit_vals[k][1] / eps[k] for k in range(i - 1)]
+        coeffs, _ = _limit_ladder(art, f, "(5.31)", i - 1, coefficients, verdicts)
         verdicts["(5.29) coefficients"] = _v(
-            "holds" if coeffs is not None else "inconclusive",
-            values=list(coeffs) if coeffs is not None else None,
+            "holds" if coeffs is not None else "inconclusive", values=coeffs
         )
-
-    pairs = [
-        apply_chain(art.chain_q, f, x, level=i - 1, with_noise=True)
-        for x in art.class_points
-    ]
-    vals = [v for v, _ in pairs]
-    typical = _median([abs(v) for v in vals[: max(4, len(vals) // 2)]])
-    usable = len(vals)
-    for j, (v, nz) in enumerate(pairs):
-        if j >= 6 and nz > 1e-3 * max(abs(v), typical, 1e-300):
-            usable = j
-            break
-    vals = vals[: min(usable, _sane_prefix(vals))]
-    res = classify_sequence(vals, tol=_LIMIT_TOL)
-    bounded, diag = is_bounded_tail(vals)
-    if res["kind"].startswith("diverged"):
-        st32 = "fails"
-    elif res["kind"] == "converged" or res["kind"] == "oscillatory" or bounded:
-        st32 = "holds" if bounded is not False else "fails"
-    elif bounded is False:
-        st32 = "fails"
-    else:
-        st32 = "inconclusive"
-    verdicts["(5.32) bounded"] = _v(st32, kind=res["kind"], **diag)
+    verdicts["(5.32) bounded"] = _bounded_verdict(_level_sequence(art, f, i - 1))
 
     if lf_zero:
         verdicts["(5.33) partial bounded"] = _v("holds", zero=True)
     else:
-        nest = art.nest(
-            [art.q_vals[j] for j in range(i, n + 1)],
-            ["from_T"] * (n - i + 1),
-            lf,
-            key=("533", i, id(f)),
-        )
-        partials = [nest.value(x, 0) for x in _nest_points(art, nest)]
-        res2 = classify_sequence(partials, tol=_LIMIT_TOL)
-        bounded2, diag2 = is_bounded_tail(partials)
-        if res2["kind"].startswith("diverged"):
-            st33 = "fails"
-        elif res2["kind"] == "converged" or res2["kind"] == "oscillatory" or bounded2:
-            st33 = "holds" if bounded2 is not False else "fails"
-        elif bounded2 is False:
-            st33 = "fails"
-        else:
-            st33 = "inconclusive"
-        verdicts["(5.33) partial bounded"] = _v(st33, kind=res2["kind"], **diag2)
+        nest = art.nest(*_partial_levels(art, i), lf, key=("partial", i), target=f)
+        verdicts["(5.33) partial bounded"] = _bounded_verdict(_outer_partials(art, nest))
 
     label32 = "(5.36) O-form" if i == 1 else "(5.32) bounded"
-    consistent = _group_consistent(verdicts, [label32, "(5.33) partial bounded"])
-    return TheoremReport(
-        theorem=f"O-estimates, i={i}",
-        verdicts=verdicts,
-        consistent=consistent,
-        notes=notes,
-    )
+    return _report(f"O-estimates, i={i}", verdicts, notes,
+                   [[label32, "(5.33) partial bounded"]])
 
 
 # -- check_absolute ---------------------------------------------------------------------
@@ -1403,38 +1276,20 @@ def check_absolute(f, artifacts, source=None):
     """Equivalence of the three absolute-convergence integral conditions."""
     art = artifacts
     n = art.n
+    labels = ["(6.11) type-I nest", "(6.12) P-weighted", "(6.13) direct"]
     verdicts = {}
     notes = []
-    lf_zero = source is None and art.lf_is_zero(f)
-    lf = (lambda x: 0.0) if lf_zero else art.lf_evaluator(f, source)
-    abs_lf = lambda x: abs(lf(x))
-
+    lf, lf_zero = _operator_image(art, f, source, notes)
     if lf_zero:
-        for label in ("(6.11) type-I nest", "(6.12) P-weighted", "(6.13) direct"):
+        for label in labels:
             verdicts[label] = _v("holds", zero=True)
-        return TheoremReport("absolute convergence", verdicts, True, notes)
-
+        return _report("absolute convergence", verdicts, notes, [labels])
+    abs_lf = lambda x: abs(lf(x))
     pn = art.p_vals[n]
-    try:
-        nest = art.nest(
-            [art.p_vals[j] for j in range(1, n)] + [None],
-            ["from_T"] + ["to_x0"] * (n - 1),
-            lambda x: abs_lf(x) / pn(x),
-            key=("611", id(f)),
-        )
-        partials = [nest.value(x, 0) for x in _nest_points(art, nest)]
-        res = classify_sequence(partials, tol=1e-6)
-        verdicts["(6.11) type-I nest"] = _v(
-            {"converged": "holds", "diverged_plus": "fails",
-             "diverged_minus": "fails", "oscillatory": "fails",
-             "inconclusive": "inconclusive"}[res["kind"]],
-            kind=res["kind"],
-        )
-    except DivergentTail as exc:
-        decisive = getattr(exc, "decisive", True)
-        verdicts["(6.11) type-I nest"] = _v(
-            "fails" if decisive else "inconclusive", reason=str(exc)
-        )
+
+    verdicts["(6.11) type-I nest"], _ = _integral_verdict(
+        art, f, "(6.11)", *_type1_levels(art, n), _guarded_ratio(abs_lf, pn)
+    )
 
     # (6.12): P(t) built by nested from-T integration of the type-I chain
     pnest = art.nest(
@@ -1450,14 +1305,10 @@ def check_absolute(f, artifacts, source=None):
             return 0.0
         return pnest.value(t, 0) / pn(t) * v
 
-    kind, _ = _classify_single_level(art, p_weighted_density, key=("612", id(f)))
-    verdicts["(6.12) P-weighted"] = _v(_classify_to_status(kind), kind=kind)
-
-    qn = art.q_vals[n]
-    kind, _ = _classify_single_level(art, _guarded_ratio(abs_lf, qn), key=("613", id(f)))
-    verdicts["(6.13) direct"] = _v(_classify_to_status(kind), kind=kind)
-
-    consistent = _group_consistent(
-        verdicts, ["(6.11) type-I nest", "(6.12) P-weighted", "(6.13) direct"]
+    verdicts["(6.12) P-weighted"], _ = _integral_verdict(
+        art, f, "(6.12)", [None], ["from_T"], p_weighted_density
     )
-    return TheoremReport("absolute convergence", verdicts, consistent, notes)
+    verdicts["(6.13) direct"], _ = _integral_verdict(
+        art, f, "(6.13)", [None], ["from_T"], _guarded_ratio(abs_lf, art.q_vals[n])
+    )
+    return _report("absolute convergence", verdicts, notes, [labels])

@@ -33,7 +33,6 @@ from .errors import (
     PivotVanishes,
     WronskianDegenerate,
 )
-from .extrapolate import extrapolate_limit
 from .jet import antiderivative, derivative, jet_constant, truncate
 from .quadrature import NestedIntegral, WorkGrid, classify_toward
 from .scale import make_schedule, require_verified
@@ -44,7 +43,7 @@ from .wronskian import wronskian, wronskian_jet
 
 
 class _CachedJetFn:
-    __slots__ = ("_fn", "_cache", "name")
+    __slots__ = ("_fn", "_cache", "name", "__weakref__")
 
     def __init__(self, fn, name=""):
         self._fn = fn
@@ -453,41 +452,25 @@ def apply_full_operator(scale, f, x):
     return num / den.value
 
 
-def operator_evaluator(scale):
-    """``x -> L[f](x)`` factory used by the expansion checkers."""
-
-    def lf(f):
-        def fn(x):
-            return apply_full_operator(scale, f, x)
-        return fn
-
-    return lf
-
-
 # -- divide and differentiate -------------------------------------------------------
 
 
 class _DDImage:
-    """One divide-and-differentiate step applied to a tracked term."""
+    """One divide-and-differentiate step applied to a tracked term (always
+    called through the _CachedJetFn that wraps it)."""
 
-    __slots__ = ("member", "pivot", "_cache")
+    __slots__ = ("member", "pivot")
 
     def __init__(self, member, pivot):
         self.member = member
         self.pivot = pivot
-        self._cache = {}
 
     def __call__(self, x, order):
-        key = (x, order)
-        out = self._cache.get(key)
-        if out is None:
-            m = self.member(x, order + 1)
-            p = self.pivot(x, order + 1)
-            if abs(p.value) <= 1e-13 * max(abs(c) for c in p.coeffs):
-                raise PivotVanishes(f"pivot image ~ 0 at x={x}")
-            out = derivative(m / p)
-            self._cache[key] = out
-        return out
+        m = self.member(x, order + 1)
+        p = self.pivot(x, order + 1)
+        if abs(p.value) <= 1e-13 * max(abs(c) for c in p.coeffs):
+            raise PivotVanishes(f"pivot image ~ 0 at x={x}")
+        return derivative(m / p)
 
 
 class _Reciprocal:
@@ -639,7 +622,6 @@ class PrincipalSystem:
     P: list  # jet-evaluators P_0..P_{n-1}
     b: list  # asymptotic proportionality constants, b[i] for phi_{i+1}
     beta: object  # upper-triangular basis-change coefficients (numpy array)
-    b_limits: list = field(default_factory=list)  # extrapolated-ratio estimates
 
 
 def build_principal_system(scale, chain_p, schedule=None, grid=None):
@@ -665,7 +647,7 @@ def build_principal_system(scale, chain_p, schedule=None, grid=None):
                 nest,
                 wjets,
                 lambda x, m: jet_constant(1.0, x, m),
-                prefactor_jet=_CachedJetFn(inv_p0, name="1/p0"),
+                prefactor_jet=P[0],
                 name=f"P{i}",
             )
         )
@@ -675,12 +657,6 @@ def build_principal_system(scale, chain_p, schedule=None, grid=None):
     for k in range(n):
         vals = [apply_chain(chain_p, scale.functions[n - k - 1], x, level=k) for x in probes]
         b[n - k - 1] = float(np.median(vals))
-    # cross-estimate from extrapolated ratios phi_i / P_{n-i}
-    b_limits = []
-    for i in range(1, n + 1):
-        ratios = [scale.phi_value(i, x) / P[n - i].value(x) for x in probes]
-        val, _conf = extrapolate_limit(ratios)
-        b_limits.append(val)
 
     # beta_{i,j} of the triangular change of basis, solved by least squares
     beta = np.zeros((n, n))
@@ -693,7 +669,7 @@ def build_principal_system(scale, chain_p, schedule=None, grid=None):
         sol, *_ = np.linalg.lstsq(np.array(rows), np.array(rhs), rcond=None)
         for off, j in enumerate(range(i + 1, n + 1)):
             beta[i - 1, j - 1] = sol[off]
-    return PrincipalSystem(P=P, b=b, beta=beta, b_limits=b_limits)
+    return PrincipalSystem(P=P, b=b, beta=beta)
 
 
 # -- ratio constancy ------------------------------------------------------------------

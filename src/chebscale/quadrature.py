@@ -27,6 +27,7 @@ import bisect
 import functools
 import heapq
 import math
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -296,7 +297,9 @@ class WorkGrid:
     values at probes need no interpolation.  ``backbone`` indexes the nodes
     of the geometric construction without those inserts: tails toward x0 are
     extrapolated along them.  The grid is fixed once built; nests only add
-    entries to the ``values`` cache.
+    entries to the ``values`` cache, which holds each function weakly: a
+    tabulation lasts as long as its function (the bundle's weights), and a
+    density closure does not keep its target alive.
     """
 
     def __init__(self, T, x0, include=(), finite_grade=1e-12, t_grade=None,
@@ -357,7 +360,7 @@ class WorkGrid:
         self.half = 0.5 * (hi - lo)
         self.mid = 0.5 * (hi + lo)
         self.cellnodes = self.mid + self.half * XGK[None, :]
-        self._value_cache = {}
+        self._value_cache = weakref.WeakKeyDictionary()
 
     def x_from_work(self, w):
         return self.sigma * w
@@ -435,7 +438,9 @@ class NestedIntegral:
     as d/w, and where 1/w is not integrable toward x0 (a unit weight, say)
     that level integrates it into a drift which reads as divergence.
     A divergent or oscillatory total raises a DivergentTail that is
-    ``decisive`` only when it already shows on the level's resolved cells.
+    ``decisive`` only when it already shows on the level's resolved cells;
+    a to_x0 level with a non-finite cell (weights that overflow on a grid
+    built without ``hard_cap``) raises a non-decisive one.
     ``value_error`` sums the cells' embedded errors and, per to_x0 level,
     the uncertainty of the remainder beyond the grid.
     """
@@ -491,6 +496,7 @@ class NestedIntegral:
             reliable = min(reliable, lev.reliable_cells)
             if lev.orientation == "to_x0":
                 lev.total, lev.rem_err = self._tail_total(lev, l)
+                self._require_finite(lev, l)
                 # backward accumulation keeps exponentially small tails exact
                 suffix = np.empty(grid.cells + 1)
                 suffix[-1], lev.rem_err = self._beyond_grid(lev)
@@ -548,6 +554,17 @@ class NestedIntegral:
         )
         exc.decisive = False
         raise exc
+
+    def _require_finite(self, lev, level):
+        """A to_x0 level with a non-finite cell has no tail anywhere before
+        it (every suffix sum passes through that cell): raise a non-decisive
+        DivergentTail naming where the cells stop being finite."""
+        bad = ~np.isfinite(lev.cell_ints)
+        if bad.any():
+            x = self.grid.x_from_work(self.grid.nodes[int(np.argmax(bad))])
+            exc = DivergentTail(f"to_x0 level {level} has non-finite cells from x={x:.6g}")
+            exc.decisive = False
+            raise exc
 
     def _beyond_grid(self, lev):
         """The level's integral from the last node to x0, and its error.

@@ -23,9 +23,10 @@ from .extrapolate import extrapolate_limit
 from .jet import jet_derivative
 
 
-@dataclass
+@dataclass(eq=False)
 class ScaleFunction:
-    """A named jet-producing evaluator ``(x, order) -> Jet``."""
+    """A named jet-producing evaluator ``(x, order) -> Jet``; it hashes by
+    identity, so it can key the per-target caches of an artifacts bundle."""
 
     name: str
     evaluator: object

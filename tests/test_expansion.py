@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -276,9 +278,12 @@ def test_type1_nests_leave_shared_grid_alone(appendix_artifacts):
     check_absolute(g1, art, source=lambda x: psi_exp(x, 0).value)
     nodes = art.grid.nodes.copy()
     cached = {fn: vals.copy() for fn, vals in art.grid._value_cache.items()}
-    nests = {key: [nest.value(x, 0) for x in art.class_points]
-             for key, nest in art._nest_cache.items()}
-    assert ("P-weight",) in nests
+    # every nest of every live target (g1's among them) and the bundle's own
+    owners = [(None, art._nests)] + [(t, rec.nests) for t, rec in art._targets.items()]
+    nests = {(t, key): [nest.value(x, 0) for x in art.class_points]
+             for t, table in owners for key, nest in table.items()}
+    assert (None, ("P-weight",)) in nests
+    assert any(t is g1 for t, _ in nests)
 
     psi = ExpressionFunction("x^-3")
     g2 = construct_from_source(art, [2.0, -1.0, 0.5, 1.5], psi, mode="tail")
@@ -293,6 +298,40 @@ def test_type1_nests_leave_shared_grid_alone(appendix_artifacts):
     assert np.array_equal(art.grid.nodes, nodes)
     for fn, vals in cached.items():
         assert np.array_equal(art.grid._value_cache[fn], vals, equal_nan=True)
-    for key, before in nests.items():
-        after = [art._nest_cache[key].value(x, 0) for x in art.class_points]
+    for (t, key), before in nests.items():
+        table = art._nests if t is None else art._targets[t].nests
+        after = [table[key].value(x, 0) for x in art.class_points]
         assert np.array_equal(after, before, equal_nan=True)
+
+
+def test_reused_id_gets_its_own_limit(appendix_artifacts):
+    # a target that inherits the id() of a dropped one must not be served
+    # the dropped target's cached limit
+    art = appendix_artifacts
+    eps0 = art.constants.epsilon[0]
+    seen = set()
+    for j in range(200):
+        c1 = 1.0 + 0.25 * j
+        f = ExpressionFunction(f"{c1}*exp(x) + x + log(x) + 1")
+        reused = id(f) in seen
+        seen.add(id(f))
+        _, value, _ = art.limit(f, 0)
+        assert abs(value / eps0 - c1) <= 1e-6 * c1
+        del f
+        gc.collect()
+        if reused:
+            break
+    assert reused, "no id() came back in 200 targets"
+
+
+def test_checks_release_their_target(cubic_artifacts):
+    # nothing the bundle keeps (records, nests, grid tabulations) holds a
+    # checked target alive once the caller drops it
+    f = ExpressionFunction("exp(x)")
+    reports = [check_complete(f, cubic_artifacts), check_absolute(f, cubic_artifacts),
+               check_incomplete(f, 2, cubic_artifacts), check_O(f, 3, cubic_artifacts)]
+    assert all(rep.consistent for rep in reports)
+    ref = weakref.ref(f)
+    del f, reports
+    gc.collect()
+    assert ref() is None

@@ -189,3 +189,16 @@ def test_divergence_only_on_unresolved_cells_is_not_decisive():
         NestedIntegral(grid, [None], ["to_x0"], dens)
     assert info.value.decisive is False
     assert "level 0" in str(info.value) and "unresolved cells from x=" in str(info.value)
+
+
+def test_non_finite_tail_cells_raise():
+    # without hard_cap the appendix grid reaches x ~ 1e4, where the outer
+    # weight e^-t underflows and its reciprocal overflows: the outer tail
+    # has no finite value at any probe, so the nest refuses, non-decisively
+    probes = make_schedule(4.0, math.inf, 10, 1.22).points
+    grid = WorkGrid(4.0, math.inf, include=probes)
+    with pytest.raises(DivergentTail) as info:
+        NestedIntegral(grid, [lambda t: math.exp(-t), None], ["to_x0", "to_x0"],
+                       lambda t: math.exp(-t) * t**-5)
+    assert info.value.decisive is False
+    assert "level 0 has non-finite cells from x=529.563" in str(info.value)
