@@ -71,8 +71,11 @@ from .scale import (
     ProbeSchedule,
     ScaleFunction,
     check_admissibility,
+    default_verification_schedule,
+    finite_prefix,
     load_scale_file,
     make_schedule,
+    scale_schedule,
     verify_hierarchy,
     verify_tas,
 )

@@ -6,6 +6,11 @@ cross-check), ``expand`` (both coefficient-extraction routes) and ``verify``
 (theorem report suites).  Exit codes: 0 all consistent, 1 a decisive
 inconsistency or failed verdict, 2 input error or a computation that left
 double range (an ``error:`` line on stderr).
+
+Schedules (``--probes``, ``--ratio``) are capped at the scale's finite reach.
+``analyze`` decides the hierarchy and Levin verdicts on the package's
+verification schedule, which the report names, and checks the Wronskians
+(TAS) pointwise on the command's schedule.
 """
 
 from __future__ import annotations
@@ -35,7 +40,13 @@ from .factorization import (
     divide_and_differentiate,
     fit_ratio_constant,
 )
-from .scale import load_scale_file, make_schedule, verify_hierarchy, verify_tas
+from .scale import (
+    default_verification_schedule,
+    load_scale_file,
+    scale_schedule,
+    verify_hierarchy,
+    verify_tas,
+)
 from .wronskian import check_levin_hierarchy
 
 THEOREMS = ("4.4", "4.5", "5.1", "5.2", "5.3", "6.1", "6.2", "6.3")
@@ -84,11 +95,8 @@ def _emit(report, as_json):
         print(json.dumps(_jsonable(val), sort_keys=True, indent=2))
 
 
-def _schedule(scale, args):
-    ratio = args.ratio
-    if ratio is None:
-        ratio = 1.6 if scale.infinite else 0.5
-    return make_schedule(scale.T, scale.x0, args.probes, ratio)
+def _schedule_summary(schedule):
+    return {"kind": schedule.kind, "points": [_fmt(p) for p in schedule.points]}
 
 
 def _scale_summary(scale, schedule):
@@ -97,13 +105,14 @@ def _scale_summary(scale, schedule):
         "T": _fmt(scale.T),
         "x0": "inf" if scale.infinite else _fmt(scale.x0),
         "n": scale.n,
-        "schedule": {"kind": schedule.kind, "points": [_fmt(p) for p in schedule.points]},
+        "schedule": _schedule_summary(schedule),
     }
 
 
 def cmd_analyze(scale, args):
-    schedule = _schedule(scale, args)
-    hierarchy = verify_hierarchy(scale, schedule, tol=args.tol)
+    schedule = scale_schedule(scale, args.probes, args.ratio)
+    wide = default_verification_schedule(scale)
+    hierarchy = verify_hierarchy(scale, wide, tol=args.tol)
     tas = verify_tas(scale, list(schedule.points))
     pairs = []
     for k in range(1, min(scale.n, 3)):
@@ -114,12 +123,13 @@ def cmd_analyze(scale, args):
                 a <= b for a, b in zip(iset, jset)
             ):
                 pairs.append((iset, jset))
-    levin = check_levin_hierarchy(scale, pairs, schedule) if pairs else []
+    levin = check_levin_hierarchy(scale, pairs, wide) if pairs else []
     passed = hierarchy.passed and tas.passed and all(p["passed"] for p in levin)
     report = {
         "command": "analyze",
         "scale": _scale_summary(scale, schedule),
         "results": {
+            "verification_schedule": _schedule_summary(wide),
             "hierarchy": {"passed": hierarchy.passed, **hierarchy.details},
             "tas": {"passed": tas.passed, **tas.details},
             "levin": levin,
@@ -130,7 +140,7 @@ def cmd_analyze(scale, args):
 
 
 def cmd_factorize(scale, args):
-    schedule = _schedule(scale, args)
+    schedule = scale_schedule(scale, args.probes, args.ratio)
     art = artifacts_for(scale, schedule)
     probes = art.probes
     dd_p = divide_and_differentiate(scale, "last", schedule)
@@ -161,7 +171,7 @@ def cmd_factorize(scale, args):
 def cmd_expand(scale, args):
     if not args.f:
         raise ChebscaleError("expand needs --f <expression>")
-    schedule = _schedule(scale, args)
+    schedule = scale_schedule(scale, args.probes, args.ratio)
     f = ExpressionFunction(args.f)
     rec = extract_recursive(f, scale, schedule)
     art = artifacts_for(scale, schedule, build_system=False)
@@ -199,7 +209,7 @@ def cmd_expand(scale, args):
 def cmd_verify(scale, args):
     if not args.f:
         raise ChebscaleError("verify needs --f <expression>")
-    schedule = _schedule(scale, args)
+    schedule = scale_schedule(scale, args.probes, args.ratio)
     f = ExpressionFunction(args.f)
     art = artifacts_for(scale, schedule)
     wanted = THEOREMS if args.theorem == "all" else (args.theorem,)
@@ -248,8 +258,10 @@ def build_parser():
     parser.add_argument("--f", help="target function expression")
     parser.add_argument("--x0", help="override the limit point")
     parser.add_argument("--T", type=float, help="override the left endpoint")
-    parser.add_argument("--probes", type=int, default=12, help="schedule length")
-    parser.add_argument("--ratio", type=float, help="schedule ratio")
+    parser.add_argument("--probes", type=int, default=12,
+                        help="schedule length, capped at the scale's finite reach")
+    parser.add_argument("--ratio", type=float,
+                        help="schedule ratio; the schedule is capped at the scale's finite reach")
     parser.add_argument("--tol", type=float, default=1e-4, help="verification tolerance")
     parser.add_argument("--theorem", default="all", choices=THEOREMS + ("all",))
     parser.add_argument("--json", action="store_true", help="emit a JSON report")

@@ -63,8 +63,9 @@ class WronskianDegenerate(ChebscaleError):
     """A required Wronskian is below tolerance at an evaluation point."""
 
 
-class PivotVanishes(ChebscaleError):
-    """Divide-and-differentiate hit a pivot image that vanishes at a probe."""
+class PivotVanishes(EvaluationError):
+    """Divide-and-differentiate hit a pivot image that vanishes at a probe;
+    past that point the chain's weights cannot be evaluated."""
 
 
 class NotConstant(ChebscaleError):

@@ -42,7 +42,7 @@ from .factorization import (
 )
 from .operators import operator_constants
 from .quadrature import NestedIntegral, WorkGrid
-from .scale import make_schedule, ratio_decreases_to_zero, require_verified
+from .scale import finite_prefix, ratio_decreases_to_zero, require_verified, scale_schedule
 from .wronskian import bordered_wronskian
 
 _LIMIT_TOL = 1e-6  # "a limit exists" when confidence < tol * (1 + |value|)
@@ -59,21 +59,6 @@ def _guarded_ratio(num_fn, den_fn):
         return v / den_fn(x)
 
     return fn
-
-
-def _finite_reach(fns, start, cap=3e5):
-    """Largest x (by doubling) where every callable still evaluates finite."""
-    reach = start
-    x = start
-    while x < cap:
-        x *= 2.0
-        try:
-            if not all(math.isfinite(fn(x)) for fn in fns):
-                break
-        except (ArithmeticError, EvaluationError):
-            break
-        reach = x
-    return reach
 
 
 # -- artifacts bundle ------------------------------------------------------------
@@ -109,18 +94,22 @@ class ScaleArtifacts:
         require_verified(scale)
         self.scale = scale
         self.schedule = schedule
-        self.probes = scale.toward_x0(
-            well_conditioned_probes(scale, schedule.points, minimum=6)
-        )
         self.chain_q = build_type2_chain(scale, schedule)
         self.chain_p = build_type1_chain(scale, schedule)
         self.q_vals = [as_value_fn(w) for w in self.chain_q.weights]
         self.p_vals = [as_value_fn(w) for w in self.chain_p.weights]
+        weights = self.q_vals + self.p_vals
+        self.probes = well_conditioned_probes(
+            scale, finite_prefix(scale.toward_x0(schedule.points), weights), minimum=6
+        )
         if scale.infinite:
-            # cap the tail reach where the scale/chain evaluations overflow
-            reach = _finite_reach(self.q_vals + self.p_vals, max(self.probes))
+            # cap the tail reach where the chain evaluations overflow, probing
+            # by doublings up to 3e5
+            far = [max(self.probes)]
+            while far[-1] < 3e5:
+                far.append(2.0 * far[-1])
             self.grid = WorkGrid(scale.T, scale.x0, include=self.probes,
-                                 hard_cap=reach)
+                                 hard_cap=finite_prefix(far, weights)[-1])
         else:
             self.grid = WorkGrid(scale.T, scale.x0, include=self.probes)
         self.system = (
@@ -191,7 +180,7 @@ class ScaleArtifacts:
         limits = self._record(f).limits
         out = limits.get(k)
         if out is None:
-            vals = _level_sequence(self, f, k)
+            vals, _ = _level_sequence(self, f, k)
             pts = self.class_points[: len(vals)]
             basis = [
                 [self.M_phi(k, i, x) for x in pts]
@@ -244,11 +233,12 @@ class ScaleArtifacts:
 
 
 def _level_sequence(art, f, k):
-    """M_k[f] along the classification points, cut where it dies numerically.
+    """M_k[f] along the classification points, cut where it dies numerically,
+    and the rounding-noise estimate of each kept value.
 
-    Probes where the rounding-noise estimate of the weighted derivative
-    rivals the values themselves are masked; beyond that point, or past a
-    collapse or explosion (``_sane_prefix``), the sequence is dead."""
+    Probes where the noise rivals the values themselves are masked from the
+    seventh point on; beyond that point, or past a collapse or explosion
+    (``_sane_prefix``), the sequence is dead."""
     pairs = [
         apply_chain(art.chain_q, f, x, level=k, with_noise=True)
         for x in art.class_points
@@ -260,13 +250,14 @@ def _level_sequence(art, f, k):
         if j >= 6 and nz > 1e-3 * max(abs(v), typical, 1e-300):
             usable = j
             break
-    return vals[: min(usable, _sane_prefix(vals))]
+    cut = min(usable, _sane_prefix(vals))
+    return vals[:cut], [nz for _, nz in pairs[:cut]]
 
 
 def artifacts_for(scale, schedule=None, build_system=True):
+    """The bundle of ``scale`` on ``schedule`` (default :func:`scale_schedule`)."""
     if schedule is None:
-        ratio = 1.6 if scale.infinite else 0.5
-        schedule = make_schedule(scale.T, scale.x0, 12, ratio)
+        schedule = scale_schedule(scale)
     return ScaleArtifacts(scale, schedule, build_system=build_system)
 
 
@@ -1256,7 +1247,13 @@ def check_O(f, i, artifacts, source=None, coefficients=None):
         verdicts["(5.29) coefficients"] = _v(
             "holds" if coeffs is not None else "inconclusive", values=coeffs
         )
-    verdicts["(5.32) bounded"] = _bounded_verdict(_level_sequence(art, f, i - 1))
+    seq, noise = _level_sequence(art, f, i - 1)
+    noisy = [j for j, (v, nz) in enumerate(zip(seq, noise)) if nz > 1e-3 * abs(v)]
+    if noisy:
+        # a kept value inside its own rounding noise decides nothing
+        verdicts["(5.32) bounded"] = _v("inconclusive", within_noise=noisy)
+    else:
+        verdicts["(5.32) bounded"] = _bounded_verdict(seq)
 
     if lf_zero:
         verdicts["(5.33) partial bounded"] = _v("holds", zero=True)

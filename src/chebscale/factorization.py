@@ -35,7 +35,7 @@ from .errors import (
 )
 from .jet import antiderivative, derivative, jet_constant, truncate
 from .quadrature import NestedIntegral, WorkGrid, classify_toward
-from .scale import make_schedule, require_verified
+from .scale import finite_prefix, make_schedule, require_verified, scale_schedule
 from .wronskian import wronskian, wronskian_jet
 
 
@@ -135,8 +135,9 @@ class WeightChain:
         return j if self.signs[i] > 0 else -j
 
     def report(self, schedule):
-        """Sampled weights on the schedule plus canonicity, JSON-friendly."""
-        pts = list(schedule.points)
+        """Weights sampled on the schedule's finite prefix plus canonicity,
+        JSON-friendly."""
+        pts = finite_prefix(schedule.points, [as_value_fn(w) for w in self.weights])
         samples = {}
         for i in range(self.n + 1):
             samples[f"r{i}"] = [(x, self.weight_value(i, x)) for x in pts]
@@ -157,14 +158,17 @@ def _signed_sign(value, where):
 
 
 def _chain_from_signed(signed_fns, scale, provenance, probes, labels=()):
-    """Detect signs at the latest probe and wrap unsigned evaluators.
+    """Detect signs at the latest finite probe and wrap unsigned evaluators.
 
     Signs are read near x0 (they are constant wherever the defining
-    Wronskians keep their sign).  A sign flip across earlier probes marks a
-    Wronskian zero inside the interval; it is recorded, since the chain is a
-    valid factorization only to the right of the last flip.
+    Wronskians keep their sign), at the last probe where every weight is
+    finite.  A sign flip across earlier probes marks a Wronskian zero inside
+    the interval; it is recorded, since the chain is a valid factorization
+    only to the right of the last flip.
     """
-    ordered = scale.toward_x0(probes)
+    ordered = finite_prefix(scale.toward_x0(probes), [as_value_fn(fn) for fn in signed_fns])
+    if not ordered:
+        raise WronskianDegenerate(f"no probe keeps the {provenance} weights finite")
     x_ref = ordered[-1]
     signs = []
     for fn in signed_fns:
@@ -223,12 +227,9 @@ def well_conditioned_probes(scale, points, threshold=1e12, minimum=4, depth=None
 
 
 def _default_probes(scale, schedule):
-    if schedule is not None:
-        pts = list(schedule.points)
-    else:
-        ratio = 2.0 if scale.infinite else 0.5
-        pts = list(make_schedule(scale.T, scale.x0, 8, ratio).points)
-    return well_conditioned_probes(scale, pts)
+    if schedule is None:
+        schedule = scale_schedule(scale, 8, 2.0 if scale.infinite else 0.5)
+    return well_conditioned_probes(scale, list(schedule.points))
 
 
 def _polya_chain(scale, prefixes, provenance, schedule):
@@ -283,8 +284,8 @@ def build_type1_chain(scale, schedule=None):
 # -- canonicity classification ---------------------------------------------------
 
 
-def _endpoint_schedule(chain, endpoint, count=16):
-    T, x0 = chain.interval
+def _endpoint_schedule(interval, endpoint, count=16):
+    T, x0 = interval
     if endpoint == "x0":
         if math.isinf(x0):
             return make_schedule(T, x0, count, 1.7)
@@ -292,24 +293,6 @@ def _endpoint_schedule(chain, endpoint, count=16):
     # toward T: anchor strictly inside, probes approach T geometrically
     anchor = T + 0.5 * (x0 - T) if math.isfinite(x0) else T + 1.0
     return make_schedule(anchor, T, count, 0.5)
-
-
-def _finite_prefix(points, fns):
-    """Longest schedule prefix where every reciprocal weight stays finite.
-
-    Scales with exponential members overflow doubles at moderate x; probing
-    beyond that point is meaningless, so the schedule is capped there.
-    """
-    good = []
-    for x in points:
-        try:
-            ok = all(math.isfinite(1.0 / f(x, 0).value) for f in fns)
-        except (ArithmeticError, EvaluationError):
-            ok = False
-        if not ok:
-            break
-        good.append(x)
-    return good
 
 
 def classify_canonicity(chain, schedule=None, endpoints=("x0", "T"), tol=1e-3):
@@ -320,7 +303,7 @@ def classify_canonicity(chain, schedule=None, endpoints=("x0", "T"), tol=1e-3):
     "neither", anything else "unknown".
     """
     out = {}
-    middle = [chain.weights[i] for i in range(1, chain.n)]
+    recips = [lambda x, f=chain.weights[i]: 1.0 / f(x, 0).value for i in range(1, chain.n)]
     # A sign flip marks a Wronskian zero: reciprocal weights have poles
     # there, so classification toward x0 must anchor past the last flip.
     flip_edge = None
@@ -336,8 +319,8 @@ def classify_canonicity(chain, schedule=None, endpoints=("x0", "T"), tol=1e-3):
             continue
         sched = schedule if (schedule is not None and endpoint == "x0") else None
         if sched is None:
-            sched = _endpoint_schedule(chain, endpoint)
-        pts = _finite_prefix(list(sched.points), middle)
+            sched = _endpoint_schedule(chain.interval, endpoint)
+        pts = finite_prefix(sched.points, recips)
         if endpoint == "x0" and flip_edge is not None:
             sigma = 1.0 if chain.interval[1] > chain.interval[0] else -1.0
             kept = [x for x in pts if sigma * x > flip_edge]
@@ -348,14 +331,7 @@ def classify_canonicity(chain, schedule=None, endpoints=("x0", "T"), tol=1e-3):
             continue
         anchor = pts[0]
         pts = pts[1:]
-        kinds = []
-        for fn in middle:
-
-            def integrand(x, f=fn):
-                return 1.0 / f(x, 0).value
-
-            verdict = classify_toward(integrand, anchor, pts, tol=tol)
-            kinds.append(verdict.kind)
+        kinds = [classify_toward(g, anchor, pts, tol=tol).kind for g in recips]
         if all(k.startswith("diverges") for k in kinds):
             out[endpoint] = "type_I"
         elif all(k == "converges" for k in kinds):
@@ -415,17 +391,8 @@ def build_representation_weights(scale, schedule=None, classify=True):
 
     integrability = []
     if classify:
-        sched = _endpoint_schedule(
-            WeightChain(fns, [1] * n, (scale.T, scale.x0), n, "repr"), "x0"
-        )
-        pts = []
-        for x in sched.points:
-            try:
-                if not all(math.isfinite(fn(x, 0).value) for fn in fns):
-                    break
-            except (ArithmeticError, EvaluationError):
-                break
-            pts.append(x)
+        sched = _endpoint_schedule((scale.T, scale.x0), "x0")
+        pts = finite_prefix(sched.points, [as_value_fn(fn) for fn in fns])
         for i in range(1, n):
             fn = fns[i]
             if len(pts) < 7:
@@ -630,7 +597,7 @@ def build_principal_system(scale, chain_p, schedule=None, grid=None):
     if grid is None:
         # from_T nests never look past the probes; a short reach keeps
         # exponentially growing type-I weights inside double range
-        grid = WorkGrid(scale.T, scale.x0, include=probes, far_factor=1.05)
+        grid = WorkGrid(scale.T, scale.x0, include=probes, hard_cap=1.05 * max(probes))
     n = scale.n
 
     def inv_p0(x, order):

@@ -287,6 +287,9 @@ def classify_improper(spec, schedule, tol=1e-8):
 
 # -- master grids and nested integrals -----------------------------------------
 
+_GROWTH = 1.35  # cell-width ratio of the grid toward +inf
+_FINITE_GRADE = 1e-12  # closest approach to a finite x0, as a fraction of the span
+
 
 class WorkGrid:
     """Shared cell decomposition of [T, x0) with cached node evaluations.
@@ -296,14 +299,15 @@ class WorkGrid:
     passed via ``include`` land exactly on cell boundaries, so cumulative
     values at probes need no interpolation.  ``backbone`` indexes the nodes
     of the geometric construction without those inserts: tails toward x0 are
-    extrapolated along them.  The grid is fixed once built; nests only add
-    entries to the ``values`` cache, which holds each function weakly: a
-    tabulation lasts as long as its function (the bundle's weights), and a
-    density closure does not keep its target alive.
+    extrapolated along them.  Toward +inf the cells reach max(50 * last
+    include, 1e4), or only ``hard_cap`` (never short of the last include)
+    where the integrands leave double range earlier.  The grid is fixed once
+    built; nests only add entries to the ``values`` cache, which holds each
+    function weakly: a tabulation lasts as long as its function (the
+    bundle's weights), and a density closure does not keep its target alive.
     """
 
-    def __init__(self, T, x0, include=(), finite_grade=1e-12, t_grade=None,
-                 growth=1.35, far_factor=50.0, max_reach=None, hard_cap=None):
+    def __init__(self, T, x0, include=(), hard_cap=None):
         self.T = float(T)
         self.x0 = float(x0)
         self.sigma = 1.0 if self.x0 > self.T else -1.0
@@ -315,19 +319,16 @@ class WorkGrid:
             raise EvaluationError("grid points must lie on the x0 side of T")
         nodes = {wT}
         if math.isinf(self.x0):
-            far = (include_w[-1] if include_w else wT + 1.0) * far_factor
-            if far_factor >= 40.0:
-                far = max(far, 1e4)
-            if max_reach is not None:
-                far = max(far, max_reach)
+            last = include_w[-1] if include_w else wT + 1.0
+            far = max(50.0 * last, 1e4)
             if hard_cap is not None:
-                far = min(far, max(hard_cap, include_w[-1] if include_w else wT + 1.0))
+                far = min(far, max(hard_cap, last))
             h = max((include_w[0] - wT) / 4.0 if include_w else 0.25, 1e-3)
             w = wT
             while w < far:
                 w = w + h
                 nodes.add(w)
-                h *= growth
+                h *= _GROWTH
         else:
             wx0 = self.sigma * self.x0
             span = wx0 - wT
@@ -336,15 +337,9 @@ class WorkGrid:
                 nodes.add(wT + span * k / 8.0)
             # geometric grading toward the limit point
             d = 0.5 * span
-            while d > finite_grade * span:
+            while d > _FINITE_GRADE * span:
                 nodes.add(wx0 - d)
                 d *= 0.55
-            # mild grading toward T for integrands singular at an open T end
-            if t_grade is not None:
-                d = 0.5 * span
-                while d > t_grade * span:
-                    nodes.add(wT + d)
-                    d *= 0.4
         backbone = np.array(sorted(nodes))
         nodes.update(include_w)
         arr = np.array(sorted(nodes))

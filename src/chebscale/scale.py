@@ -5,6 +5,13 @@ neighborhood of a limit point ``x0`` (finite or +inf).  The standard
 orientation has ``T < x0``; the mirrored orientation ``T > x0`` (finite)
 covers limits approached from the right, with all asymptotic machinery
 reading "toward x0" uniformly.
+
+Reach rule: every schedule the package reads values on is cut by
+:func:`finite_prefix`, before the first point where a callable it reads
+(scale members, chain weights) raises or is not finite.  Hierarchy policy:
+the verdict phi_1 >> ... >> phi_n is decided once per scale, by
+:func:`require_verified` on :func:`default_verification_schedule`, and
+memoized in ``scale.verified``, which nothing else writes.
 """
 
 from __future__ import annotations
@@ -68,7 +75,7 @@ class ChebyshevScale:
         # +1: x -> x0 from the left (standard); -1: from the right (mirrored).
         self.direction = 1 if self.x0 > self.T else -1
         self.infinite = math.isinf(self.x0)
-        self.verified = None
+        self.verified = None  # the hierarchy record of require_verified
         self._jets = {}
         # Weighted-derivative chains need derivatives up to about twice the
         # scale length; see the module design notes.
@@ -144,6 +151,34 @@ def make_schedule(T, x0, count, ratio):
     s = 0.5 * (T + x0)
     pts = tuple(x0 - (x0 - s) * ratio**j for j in range(count))
     return ProbeSchedule(pts, "geometric-approach")
+
+
+def finite_prefix(points, fns):
+    """Longest prefix of ``points`` at which every callable evaluates finite:
+    a point where some ``fn(x)`` raises ``ArithmeticError`` or
+    ``EvaluationError``, or returns inf or nan, ends it."""
+    good = []
+    for x in points:
+        try:
+            if not all(math.isfinite(fn(x)) for fn in fns):
+                break
+        except (ArithmeticError, EvaluationError):
+            break
+        good.append(x)
+    return good
+
+
+def scale_schedule(scale, count=12, ratio=None):
+    """:func:`make_schedule` toward the scale's x0 (ratio 1.6 toward +inf,
+    0.5 toward a finite x0 by default), cut at the scale's finite reach."""
+    if ratio is None:
+        ratio = 1.6 if scale.infinite else 0.5
+    sched = make_schedule(scale.T, scale.x0, count, ratio)
+    members = [lambda x, i=i: scale.phi_value(i, x) for i in range(1, scale.n + 1)]
+    pts = finite_prefix(sched.points, members)
+    if len(pts) < 6:
+        raise BadScheduleParams(f"only {len(pts)} schedule points keep the scale finite")
+    return ProbeSchedule(tuple(pts), sched.kind)
 
 
 # -- hierarchy rule -----------------------------------------------------------
@@ -225,7 +260,7 @@ def verify_hierarchy(scale, schedule, tol=1e-4):
                 vanish_detail.append({"function": i, "x": x, "value": v})
         values.append(vi)
     passed, pairs = hierarchy_from_values(values, tol)
-    record = VerificationRecord(
+    return VerificationRecord(
         kind="hierarchy",
         passed=passed and nonvanishing,
         details={
@@ -234,10 +269,6 @@ def verify_hierarchy(scale, schedule, tol=1e-4):
             "vanishing_points": vanish_detail,
         },
     )
-    if scale.verified is None:
-        scale.verified = {}
-    scale.verified["hierarchy"] = record
-    return record
 
 
 def verify_tas(scale, grid, tol=1e-9):
@@ -287,7 +318,7 @@ def verify_tas(scale, grid, tol=1e-9):
             }
             for i in signs_near_x0
         }
-    record = VerificationRecord(
+    return VerificationRecord(
         kind="tas",
         passed=not violations,
         details={
@@ -296,46 +327,32 @@ def verify_tas(scale, grid, tol=1e-9):
             "grid_points": len(pts),
         },
     )
-    if scale.verified is None:
-        scale.verified = {}
-    scale.verified["tas"] = record
-    return record
 
 
 def default_verification_schedule(scale, count=14):
-    """A wide schedule for hierarchy checks, capped where evaluation overflows.
+    """A wide schedule for hierarchy checks, capped at the scale's finite reach.
 
     Hierarchy ratios converge slowly (logarithmic pairs especially), so the
     verification schedule reaches as deep as double precision allows rather
-    than tracking whatever narrow window a caller probes on.
+    than tracking whatever narrow window a caller probes on.  A scale that
+    keeps fewer than 8 points gets a slower 8-point schedule instead.
     """
-    ratio = 2.0 if scale.infinite else 0.5
-    pts = make_schedule(scale.T, scale.x0, count, ratio).points
-    good = []
-    for x in pts:
-        try:
-            if not all(
-                math.isfinite(scale.phi_value(i, x)) for i in range(1, scale.n + 1)
-            ):
-                break
-        except (ArithmeticError, EvaluationError):
-            break
-        good.append(x)
-    if len(good) < 8:
-        return make_schedule(scale.T, scale.x0, max(8, len(good)), 1.4 if scale.infinite else 0.65)
-    kind = "geometric-growth" if scale.infinite else "geometric-approach"
-    return ProbeSchedule(tuple(good), kind)
+    try:
+        sched = scale_schedule(scale, count, 2.0 if scale.infinite else 0.5)
+    except BadScheduleParams:
+        sched = ()
+    if len(sched) < 8:
+        return make_schedule(scale.T, scale.x0, 8, 1.4 if scale.infinite else 0.65)
+    return sched
 
 
-def require_verified(scale, schedule=None, tol=1e-4):
-    """Verify the hierarchy once (idempotent) and raise if it fails."""
-    rec = None
-    if scale.verified:
-        rec = scale.verified.get("hierarchy")
-    if rec is None:
-        if schedule is None:
-            schedule = default_verification_schedule(scale)
-        rec = verify_hierarchy(scale, schedule, tol)
+def require_verified(scale):
+    """Decide the hierarchy once per scale on
+    :func:`default_verification_schedule`, memoized in ``scale.verified``,
+    and raise if it fails."""
+    if scale.verified is None:
+        scale.verified = verify_hierarchy(scale, default_verification_schedule(scale))
+    rec = scale.verified
     if not rec.passed:
         raise NotAsymptoticScale(
             f"hierarchy verification failed: {rec.details['pairs']}"

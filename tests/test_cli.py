@@ -1,9 +1,14 @@
 import json
+import math
 from pathlib import Path
+
+import pytest
 
 from chebscale import cli
 
 APPENDIX = str(Path(__file__).parent / "data" / "appendix.scale")
+PAPER = ["--ratio", "1.22", "--probes", "10"]
+KERNEL = "2*exp(x) - x + 3*log(x) + 5"
 
 
 def test_expand_report_rerenders_with_boolean_verdicts(capsys):
@@ -16,9 +21,59 @@ def test_expand_report_rerenders_with_boolean_verdicts(capsys):
     assert report["verdicts"] and all(isinstance(v, bool) for v in report["verdicts"].values())
 
 
+@pytest.mark.parametrize("command", ["analyze", "factorize", "verify"])
+def test_report_rerenders_with_json_verdicts(capsys, command):
+    code = cli.run([command, "--scale", APPENDIX, "--f", KERNEL, "--json"] + PAPER)
+    assert code in (0, 1)
+    text = capsys.readouterr().out.strip()
+    report = json.loads(text)
+    assert cli.render_json(report) == text
+    # canonicity verdicts are per-endpoint strings; every other verdict is a boolean
+    verdicts = report["verdicts"]
+    assert verdicts and all(
+        isinstance(v, bool) or (isinstance(v, dict) and all(isinstance(s, str) for s in v.values()))
+        for v in verdicts.values()
+    )
+
+
 def test_overflow_is_an_input_error(capsys):
-    # the default schedule takes exp(x) past double range
-    code = cli.run(["analyze", "--scale", APPENDIX])
+    # the target leaves double range on the first probes
+    code = cli.run(["expand", "--scale", APPENDIX, "--f", "exp(exp(x))"])
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def _scale_file(tmp_path, name, x0, T, exprs):
+    path = tmp_path / f"{name}.scale"
+    path.write_text(f"x0 = {x0}\nT = {T}\n" + "\n".join(exprs) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("command,scale", [
+    ("analyze", "appendix"),
+    ("factorize", "appendix"),
+    ("expand", "appendix"),
+    ("verify", "appendix"),
+    ("factorize", "cubic"),
+    ("factorize", "taylor"),
+])
+def test_default_schedule_stays_finite(capsys, tmp_path, command, scale):
+    files = {
+        "appendix": APPENDIX,
+        "cubic": _scale_file(tmp_path, "cubic", 0, -1, ["1", "x", "x^2", "x^3"]),
+        "taylor": _scale_file(tmp_path, "taylor", 1, 0,
+                              ["1", "1-x", "(1-x)^2", "(1-x)^3"]),
+    }
+    target = {"expand": KERNEL, "verify": "exp(x)"}.get(command)
+    argv = [command, "--scale", files[scale], "--json"]
+    code = cli.run(argv + (["--f", target] if target else []))
+    captured = capsys.readouterr()
+    assert code in (0, 1), captured.err
+    report = json.loads(captured.out)
+    schedules = [report["scale"]["schedule"]]
+    if command == "analyze":
+        schedules.append(report["results"]["verification_schedule"])
+    for sched in schedules:
+        assert len(sched["points"]) >= 6
+        assert all(math.isfinite(float(p)) for p in sched["points"])

@@ -16,6 +16,7 @@ from chebscale import (
     extract_operator,
     extract_recursive,
     make_schedule,
+    verify_hierarchy,
 )
 from chebscale.errors import LimitDiverged
 from chebscale.expr import ExpressionFunction
@@ -266,6 +267,27 @@ def test_check_O_boundary_cases(appendix_artifacts):
     rep = check_O(f, 3, art)
     assert rep.consistent
     assert rep.verdicts["(5.32) bounded"]["status"] == "holds"
+
+
+def test_check_O_reads_no_verdict_from_noise():
+    # M_3[exp(x)] vanishes: on the default schedule its computed values sit
+    # inside their own rounding noise, so (5.32) must not fail against the
+    # (5.33) that holds
+    sc = ChebyshevScale.from_exprs(["exp(x)", "x", "log(x)", "1"], T=4.0, x0=math.inf)
+    rep = check_O(ExpressionFunction("exp(x)"), 4, artifacts_for(sc))
+    assert rep.verdicts["(5.33) partial bounded"]["status"] == "holds"
+    assert rep.verdicts["(5.32) bounded"]["status"] != "fails"
+    assert rep.consistent
+
+
+def test_hierarchy_verdict_ignores_earlier_checks():
+    # the narrow paper schedule does not show log(x)/x -> 0; checking it
+    # there first must not decide the scale's verdict for the bundle
+    sc = ChebyshevScale.from_exprs(["exp(x)", "x", "log(x)", "1"], T=4.0, x0=math.inf)
+    sched = make_schedule(4.0, math.inf, 10, 1.22)
+    assert not verify_hierarchy(sc, sched).passed
+    art = artifacts_for(sc, sched)
+    assert art.scale.verified.passed
 
 
 def test_type1_nests_leave_shared_grid_alone(appendix_artifacts):

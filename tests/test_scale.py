@@ -1,18 +1,23 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chebscale import (
     ChebyshevScale,
     DerivativeOperator,
     WeightedOperator,
     check_admissibility,
+    default_verification_schedule,
+    finite_prefix,
     load_scale_file,
     make_schedule,
+    scale_schedule,
     verify_hierarchy,
     verify_tas,
 )
-from chebscale.errors import AllImagesVanish, BadScheduleParams
+from chebscale.errors import AllImagesVanish, BadScheduleParams, EvaluationError
 
 
 def test_make_schedule_finite_halving():
@@ -136,3 +141,82 @@ def test_load_scale_file(tmp_path):
     sc = load_scale_file(path)
     assert sc.n == 3 and sc.infinite and sc.T == 1.0
     assert [f.name for f in sc.functions] == ["x^2", "x", "1"]
+
+
+# -- the reach rule ------------------------------------------------------------------
+
+def _no_value():
+    raise EvaluationError("no value")
+
+
+# what a callable does at a failing point
+_OUTCOMES = {
+    "inf": lambda: math.inf,
+    "-inf": lambda: -math.inf,
+    "nan": lambda: math.nan,
+    "overflow": lambda: math.exp(1e3),
+    "zero-division": lambda: 1.0 / 0.0,
+    "evaluation": _no_value,
+}
+
+
+@given(
+    st.integers(0, 12),
+    st.lists(
+        st.dictionaries(st.integers(0, 11), st.sampled_from(sorted(_OUTCOMES))),
+        min_size=1, max_size=3,
+    ),
+)
+def test_finite_prefix_stops_before_the_first_failing_point(count, failures):
+    points = [1.5**j for j in range(count)]
+
+    def behaving(fails):
+        def fn(x):
+            j = points.index(x)
+            return _OUTCOMES[fails[j]]() if j in fails else -x
+        return fn
+
+    bad = [j for j in range(count) if any(j in fails for fails in failures)]
+    expected = points[: bad[0]] if bad else points
+    assert finite_prefix(points, [behaving(fails) for fails in failures]) == expected
+
+
+_REACHING = [
+    ChebyshevScale.from_exprs(["exp(x)", "x", "log(x)", "1"], T=4.0, x0=math.inf),
+    ChebyshevScale.from_exprs(["exp(x^2)", "x"], T=1.0, x0=math.inf),
+    ChebyshevScale.from_exprs(["x^3", "x^2", "x", "1"], T=1.0, x0=math.inf),
+    ChebyshevScale.from_exprs(["exp(1/(1-x))", "1"], T=0.0, x0=1.0),
+    ChebyshevScale.from_exprs(["1", "x", "x^2", "x^3"], T=-1.0, x0=0.0),
+]
+
+
+def _finite_at(sc, x):
+    try:
+        return all(math.isfinite(sc.phi_value(i, x)) for i in range(1, sc.n + 1))
+    except (ArithmeticError, EvaluationError):
+        return False
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, len(_REACHING) - 1), st.integers(6, 40), st.floats(0.0, 1.0))
+def test_capped_schedules_are_prefixes_of_make_schedule(which, count, u):
+    sc = _REACHING[which]
+    ratio = 1.05 + 2.0 * u if sc.infinite else 0.05 + 0.9 * u
+    full = make_schedule(sc.T, sc.x0, count, ratio).points
+    reach = next((j for j, x in enumerate(full) if not _finite_at(sc, x)), count)
+    if reach < 6:
+        with pytest.raises(BadScheduleParams):
+            scale_schedule(sc, count, ratio)
+    else:
+        assert scale_schedule(sc, count, ratio).points == full[:reach]
+
+
+@pytest.mark.parametrize("sc", _REACHING, ids=["appendix", "exp-square", "poly", "exp-pole", "cubic"])
+def test_verification_schedule_is_capped_or_falls_back(sc):
+    full = make_schedule(sc.T, sc.x0, 14, 2.0 if sc.infinite else 0.5).points
+    reach = next((j for j, x in enumerate(full) if not _finite_at(sc, x)), 14)
+    if reach >= 8:
+        expected = full[:reach]
+    else:
+        expected = make_schedule(sc.T, sc.x0, 8, 1.4 if sc.infinite else 0.65).points
+    assert default_verification_schedule(sc).points == expected
