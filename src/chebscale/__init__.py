@@ -48,7 +48,7 @@ from .factorization import (
     divide_and_differentiate,
     fit_ratio_constant,
 )
-from .jet import Jet, jet_apply, jet_derivative, jet_variable
+from .jet import Jet, JetMemo, jet_apply, jet_derivative, jet_variable
 from .operators import (
     OperatorConstants,
     WeightedOperator,
@@ -69,7 +69,6 @@ from .scale import (
     ChebyshevScale,
     DerivativeOperator,
     ProbeSchedule,
-    ScaleFunction,
     check_admissibility,
     default_verification_schedule,
     finite_prefix,

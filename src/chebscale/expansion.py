@@ -10,9 +10,13 @@ bug-detector, since the theory guarantees it cannot happen for correct code
 on valid inputs.  Marginal numerical evidence yields "inconclusive", never a
 forced verdict.
 
-Cache policy: a :class:`ScaleArtifacts` bundle owns what depends on the
-scale alone (chains, constants, grid, weight tabulations and the
-target-independent P-weight nest).  Everything computed from a target
+Cache policy: jets are cached in one place only, the
+:class:`~chebscale.jet.JetMemo` of the evaluator that produces them (scale
+members, expression targets, prefix Wronskians, chain weights, nest
+evaluators, constructed functions), one jet per point at the highest order
+asked for there.  Above the jets, a :class:`ScaleArtifacts` bundle owns what
+depends on the scale alone (chains, constants, grid, weight tabulations and
+the target-independent P-weight nest).  Everything computed from a target
 belongs to that target's record, which the bundle holds only as long as the
 target lives, so a later target can never be served an earlier one's
 results.  A ``source`` passed to a checker is a promise that
@@ -31,7 +35,7 @@ import numpy as np
 from .errors import DivergentTail, EvaluationError, LimitDiverged
 from .extrapolate import _median, classify_sequence, extrapolate_limit, is_bounded_tail
 from .factorization import (
-    _NestJetFn,
+    _nest_jetfn,
     apply_chain,
     apply_full_operator,
     as_value_fn,
@@ -40,6 +44,7 @@ from .factorization import (
     build_type2_chain,
     well_conditioned_probes,
 )
+from .jet import JetMemo
 from .operators import operator_constants
 from .quadrature import NestedIntegral, WorkGrid
 from .scale import finite_prefix, ratio_decreases_to_zero, require_verified, scale_schedule
@@ -646,25 +651,26 @@ class ConstructedFunction:
             return sign / art.chain_q.weight_jet(0, x, order)
 
         weight_jets = [art.chain_q.weights[i] for i in range(1, n)] + [None]
-        self.remainder = _NestJetFn(
+        self.remainder = remainder = _nest_jetfn(
             self._nest,
             weight_jets,
             source_jetfn,
             prefactor_jet=prefactor,
             name="constructed-remainder",
         )
-        self._cache = {}
+        terms = [(i, c) for i, c in enumerate(self.coefficients, start=1) if c != 0.0]
+        scale = art.scale
+
+        def jet(x, order):
+            out = remainder(x, order)
+            for i, c in terms:
+                out = out + c * scale.phi_jet(i, x, order)
+            return out
+
+        self._memo = JetMemo(jet, "constructed")
 
     def __call__(self, x, order):
-        key = (x, order)
-        out = self._cache.get(key)
-        if out is None:
-            out = self.remainder(x, order)
-            for i, c in enumerate(self.coefficients, start=1):
-                if c != 0.0:
-                    out = out + c * self.artifacts.scale.phi_jet(i, x, order)
-            self._cache[key] = out
-        return out
+        return self._memo(x, order)
 
     def lf(self, x):
         """L[f](x) = q_n(x) * source(x), exact by construction."""

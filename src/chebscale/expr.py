@@ -303,7 +303,7 @@ def eval_jet(node, anchor, order):
 
 
 class ExpressionFunction:
-    """A parsed expression as a cached jet-evaluator ``(x, order) -> Jet``."""
+    """A parsed expression as a memoized jet-evaluator ``(x, order) -> Jet``."""
 
     def __init__(self, text_or_ast, name=None):
         if isinstance(text_or_ast, str):
@@ -312,15 +312,12 @@ class ExpressionFunction:
         else:
             self.ast = text_or_ast
             self.name = name if name is not None else render(text_or_ast)
-        self._cache = {}
+        self._memo = jetmod.JetMemo(
+            lambda x, order, ast=self.ast: eval_jet(ast, x, order), self.name
+        )
 
     def __call__(self, x, order):
-        key = (x, order)
-        out = self._cache.get(key)
-        if out is None:
-            out = eval_jet(self.ast, x, order)
-            self._cache[key] = out
-        return out
+        return self._memo(x, order)
 
     def value(self, x):
         return self(x, 0).value

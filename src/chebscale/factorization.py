@@ -33,36 +33,13 @@ from .errors import (
     PivotVanishes,
     WronskianDegenerate,
 )
-from .jet import antiderivative, derivative, jet_constant, truncate
+from .jet import JetMemo, antiderivative, derivative, jet_constant, truncate
 from .quadrature import NestedIntegral, WorkGrid, classify_toward
 from .scale import finite_prefix, make_schedule, require_verified, scale_schedule
 from .wronskian import wronskian, wronskian_jet
 
 
-# -- cached jet-evaluator combinators -------------------------------------------
-
-
-class _CachedJetFn:
-    __slots__ = ("_fn", "_cache", "name", "__weakref__")
-
-    def __init__(self, fn, name=""):
-        self._fn = fn
-        self._cache = {}
-        self.name = name
-
-    def __call__(self, x, order):
-        key = (x, order)
-        out = self._cache.get(key)
-        if out is None:
-            out = self._fn(x, order)
-            self._cache[key] = out
-        return out
-
-    def value(self, x):
-        return self(x, 0).value
-
-    def __repr__(self):
-        return f"<jetfn {self.name}>"
+# -- jet-evaluator helpers --------------------------------------------------------
 
 
 def as_value_fn(jetfn):
@@ -73,12 +50,16 @@ def as_value_fn(jetfn):
 
 
 class _PrefixWronskians:
-    """Prefix Wronskian jets W(phi_1..phi_i) (or reversed prefixes) with caching."""
+    """Prefix Wronskian jets W(phi_1..phi_i) (or reversed prefixes), one
+    memo per prefix."""
 
     def __init__(self, scale, reverse=False):
         self.scale = scale
         self.reverse = reverse
-        self._cache = {}
+        self._memos = [
+            JetMemo(lambda x, order, ix=ix: wronskian_jet(scale, ix, x, order), f"W{ix}")
+            for ix in map(self.indices, range(1, scale.n + 1))
+        ]
 
     def indices(self, i):
         n = self.scale.n
@@ -89,22 +70,12 @@ class _PrefixWronskians:
     def jet(self, i, x, order):
         if i == 0:
             return jet_constant(1.0, x, order)
-        key = (i, x, order)
-        out = self._cache.get(key)
-        if out is None:
-            out = wronskian_jet(self.scale, self.indices(i), x, order)
-            self._cache[key] = out
-        return out
+        return self._memos[i - 1](x, order)
 
     def check(self, i, x):
-        """Raise WronskianDegenerate when the prefix Wronskian is ~0 at x.
-
-        The yardstick is the double-precision noise floor of the
-        determinant; structurally tiny but trustworthy Wronskians (heavily
-        cancelling slowly-varying scales) must pass.
-        """
+        """Raise WronskianDegenerate when the prefix Wronskian vanishes at x."""
         ev = wronskian(self.scale, self.indices(i), x)
-        if abs(ev.value) <= 1e-15 * ev.det_scale:
+        if ev.vanishes:
             raise WronskianDegenerate(
                 f"W{self.indices(i)} ~ 0 at x={x} (value {ev.value})"
             )
@@ -158,7 +129,7 @@ def _signed_sign(value, where):
 
 
 def _chain_from_signed(signed_fns, scale, provenance, probes, labels=()):
-    """Detect signs at the latest finite probe and wrap unsigned evaluators.
+    """Detect signs at the latest finite probe and memoize unsigned evaluators.
 
     Signs are read near x0 (they are constant wherever the defining
     Wronskians keep their sign), at the last probe where every weight is
@@ -179,12 +150,10 @@ def _chain_from_signed(signed_fns, scale, provenance, probes, labels=()):
             v = fn(x, 0).value
             if _signed_sign(v, x) != s:
                 flips.append({"weight": k, "x": x})
-    unsigned = []
-    for fn, s in zip(signed_fns, signs):
-        if s > 0:
-            unsigned.append(fn)
-        else:
-            unsigned.append(_CachedJetFn(lambda x, m, f=fn: -f(x, m), name=f"-{fn!r}"))
+    unsigned = [
+        JetMemo(fn if s > 0 else lambda x, m, f=fn: -f(x, m), f"{provenance}:r{k}")
+        for k, (fn, s) in enumerate(zip(signed_fns, signs))
+    ]
     chain = WeightChain(
         weights=unsigned,
         signs=signs,
@@ -256,10 +225,7 @@ def _polya_chain(scale, prefixes, provenance, schedule):
     def rn(x, order):
         return prefixes.jet(n, x, order) / prefixes.jet(n - 1, x, order)
 
-    fns = [_CachedJetFn(r0, name=f"{provenance}:r0")]
-    for i in range(1, n):
-        fns.append(_CachedJetFn(mid(i), name=f"{provenance}:r{i}"))
-    fns.append(_CachedJetFn(rn, name=f"{provenance}:r{n}"))
+    fns = [r0] + [mid(i) for i in range(1, n)] + [rn]
     return _chain_from_signed(fns, scale, provenance, probes)
 
 
@@ -369,14 +335,12 @@ def build_representation_weights(scale, schedule=None, classify=True):
         for i in range(1, n):
             prefixes.check(i, x)
 
-    fns = [_CachedJetFn(lambda x, m: scale.phi_jet(1, x, m), name="w0")]
-
     def w1(x, order):
         a = scale.phi_jet(2, x, order + 1)
         b = scale.phi_jet(1, x, order + 1)
         return -derivative(a / b)
 
-    fns.append(_CachedJetFn(w1, name="w1"))
+    fns = [scale.functions[0], JetMemo(w1, "w1")]
 
     def wi(i):
         def fn(x, order):
@@ -387,7 +351,7 @@ def build_representation_weights(scale, schedule=None, classify=True):
         return fn
 
     for i in range(2, n):
-        fns.append(_CachedJetFn(wi(i), name=f"w{i}"))
+        fns.append(JetMemo(wi(i), f"w{i}"))
 
     integrability = []
     if classify:
@@ -414,7 +378,7 @@ def apply_full_operator(scale, f, x):
 
     num, _, _ = bordered_wronskian(scale, tuple(range(1, scale.n + 1)), f, x)
     den = wronskian(scale, tuple(range(1, scale.n + 1)), x)
-    if abs(den.value) <= 1e-12 * den.det_scale:
+    if den.vanishes:
         raise WronskianDegenerate(f"denominator Wronskian ~ 0 at x={x}")
     return num / den.value
 
@@ -424,7 +388,7 @@ def apply_full_operator(scale, f, x):
 
 class _DDImage:
     """One divide-and-differentiate step applied to a tracked term (always
-    called through the _CachedJetFn that wraps it)."""
+    called through the JetMemo that wraps it)."""
 
     __slots__ = ("member", "pivot")
 
@@ -478,10 +442,7 @@ def divide_and_differentiate(scale, pivot, schedule=None):
         raise EvaluationError("pivot must be 'first' or 'last'")
     require_verified(scale)
     probes = _default_probes(scale, schedule)
-    images = [
-        _CachedJetFn(lambda x, m, i=i: scale.phi_jet(i, x, m), name=f"phi{i}")
-        for i in range(1, scale.n + 1)
-    ]
+    images = list(scale.functions)
     pivots = []
     for _ in range(scale.n):
         g = images[0] if pivot == "first" else images[-1]
@@ -491,9 +452,8 @@ def divide_and_differentiate(scale, pivot, schedule=None):
                 raise PivotVanishes(f"pivot image zero at probe x={x}")
         pivots.append(g)
         rest = images[1:] if pivot == "first" else images[:-1]
-        images = [_CachedJetFn(_DDImage(m, g), name="dd") for m in rest]
-    signed = [_CachedJetFn(_Reciprocal(g), name=f"dd:r{k}") for k, g in enumerate(pivots)]
-    signed.append(_CachedJetFn(_Product(pivots), name=f"dd:r{scale.n}"))
+        images = [JetMemo(_DDImage(m, g), "dd") for m in rest]
+    signed = [_Reciprocal(g) for g in pivots] + [_Product(pivots)]
     chain = _chain_from_signed(
         signed, scale, "divide_and_differentiate", probes,
         labels=("pivot=" + pivot,),
@@ -540,48 +500,31 @@ def apply_chain(chain, f, x, level=None, signed=False, with_noise=False):
 # -- principal system ----------------------------------------------------------------
 
 
-class _NestJetFn:
-    """Jet-evaluator view of a nested-integral level stack.
+def _nest_jetfn(nest, weight_jets, density_jet, prefactor_jet=None, name=""):
+    """Memoized jet-evaluator view of a nested-integral level stack.
 
     Jets follow the calculus of the tables: a from_T level differentiates to
     +(1/w)*inner, a to_x0 level to -(1/w)*inner, with the innermost density
     supplied as a jet-evaluator.
     """
+    weight_jets = list(weight_jets)
 
-    def __init__(self, nest, weight_jets, density_jet, prefactor_jet=None, name=""):
-        self.nest = nest
-        self.weight_jets = list(weight_jets)
-        self.density_jet = density_jet
-        self.prefactor_jet = prefactor_jet
-        self.name = name
-        self._cache = {}
-
-    def nest_jet(self, x, order):
-        depth = self.nest.depth
-        cur = self.density_jet(x, max(order - depth, 0))
+    def fn(x, order):
+        depth = nest.depth
+        cur = density_jet(x, max(order - depth, 0))
         for l in range(depth - 1, -1, -1):
             o = max(order - l - 1, 0)
-            wj = self.weight_jets[l]
+            wj = weight_jets[l]
             g = truncate(cur, o)
             if wj is not None:
                 g = g / truncate(wj(x, o), o)
-            if self.nest.orientations[l] == "to_x0":
+            if nest.orientations[l] == "to_x0":
                 g = -g
-            cur = antiderivative(g, value=self.nest.value(x, l))
-        return truncate(cur, order)
+            cur = antiderivative(g, value=nest.value(x, l))
+        cur = truncate(cur, order)
+        return cur if prefactor_jet is None else prefactor_jet(x, order) * cur
 
-    def __call__(self, x, order):
-        key = (x, order)
-        out = self._cache.get(key)
-        if out is None:
-            out = self.nest_jet(x, order)
-            if self.prefactor_jet is not None:
-                out = self.prefactor_jet(x, order) * out
-            self._cache[key] = out
-        return out
-
-    def value(self, x):
-        return self(x, 0).value
+    return JetMemo(fn, name)
 
 
 @dataclass
@@ -603,14 +546,14 @@ def build_principal_system(scale, chain_p, schedule=None, grid=None):
     def inv_p0(x, order):
         return 1.0 / chain_p.weight_jet(0, x, order)
 
-    P = [_CachedJetFn(inv_p0, name="P0")]
+    P = [JetMemo(inv_p0, "P0")]
     unit = lambda x: 1.0
     for i in range(1, n):
         weights = [as_value_fn(chain_p.weights[l]) for l in range(1, i + 1)]
         nest = NestedIntegral(grid, weights, ["from_T"] * i, unit)
         wjets = [chain_p.weights[l] for l in range(1, i + 1)]
         P.append(
-            _NestJetFn(
+            _nest_jetfn(
                 nest,
                 wjets,
                 lambda x, m: jet_constant(1.0, x, m),

@@ -6,7 +6,12 @@ coefficients exactly to the truncation order; this is the mechanism the rest
 of the library uses to obtain high-order derivatives of scale functions,
 Wronskians and weighted-derivative chains without symbolic differentiation.
 
-Values are plain doubles.  Operations are pure and reentrant.
+Values are plain doubles.  Operations are pure and reentrant, and
+coefficient k of every result depends only on coefficients 0..k of the
+operands, so a jet truncated to order m is bit for bit the jet computed at
+order m.  :class:`JetMemo` rests on this: it is the package's one jet cache,
+keeping a single jet per point, the highest order computed there, and
+serving lower orders as its truncations.
 """
 
 from __future__ import annotations
@@ -310,9 +315,41 @@ def jet_derivative(j, k):
 
 def truncate(j, order):
     """Drop coefficients beyond ``order`` (no-op if already short enough)."""
-    if j.order <= order:
+    if len(j.coeffs) <= order + 1:
         return j
-    return Jet(j.anchor, j.coeffs[: order + 1])
+    out = Jet.__new__(Jet)  # the coefficients are floats already
+    out.anchor = j.anchor
+    out.coeffs = j.coeffs[: order + 1]
+    return out
+
+
+class JetMemo:
+    """A memoized jet evaluator ``(x, order) -> Jet``.
+
+    One jet per point: the highest order computed there so far.  A request
+    at a lower order is served as its truncation, which is exact (see the
+    module docstring); a higher order recomputes and replaces it.  A request
+    that raises stores nothing.
+    """
+
+    __slots__ = ("fn", "name", "_jets", "__weakref__")
+
+    def __init__(self, fn, name=""):
+        self.fn = fn
+        self.name = name
+        self._jets = {}
+
+    def __call__(self, x, order):
+        j = self._jets.get(x)
+        if j is None or len(j.coeffs) <= order:
+            j = self._jets[x] = self.fn(x, order)
+        return j if len(j.coeffs) == order + 1 else truncate(j, order)
+
+    def value(self, x):
+        return self(x, 0).value
+
+    def __repr__(self):
+        return f"<jetfn {self.name}>"
 
 
 # -- tagged dispatch (public elementary-operation interface) -----------------

@@ -27,19 +27,7 @@ from .errors import (
 )
 from .expr import ExpressionFunction
 from .extrapolate import extrapolate_limit
-from .jet import jet_derivative
-
-
-@dataclass(eq=False)
-class ScaleFunction:
-    """A named jet-producing evaluator ``(x, order) -> Jet``; it hashes by
-    identity, so it can key the per-target caches of an artifacts bundle."""
-
-    name: str
-    evaluator: object
-
-    def __call__(self, x, order):
-        return self.evaluator(x, order)
+from .jet import JetMemo, jet_derivative
 
 
 @dataclass
@@ -50,17 +38,23 @@ class VerificationRecord:
 
 
 class ChebyshevScale:
-    """Ordered scale functions with interval of validity and jet caching."""
+    """Ordered scale functions with interval of validity.
+
+    Every member is a memoized jet evaluator ``(x, order) -> Jet`` with a
+    ``name``: text becomes an :class:`ExpressionFunction`, and any other
+    callable that is not one already is wrapped once in a :class:`JetMemo`.
+    Members hash by identity, so they can key the per-target caches of an
+    artifacts bundle.
+    """
 
     def __init__(self, functions, T, x0, name=""):
         funcs = []
         for i, f in enumerate(functions):
-            if isinstance(f, ScaleFunction):
-                funcs.append(f)
-            elif isinstance(f, str):
-                funcs.append(ScaleFunction(f, ExpressionFunction(f)))
-            else:
-                funcs.append(ScaleFunction(getattr(f, "name", f"phi_{i + 1}"), f))
+            if isinstance(f, str):
+                f = ExpressionFunction(f)
+            elif not isinstance(f, (ExpressionFunction, JetMemo)):
+                f = JetMemo(f, getattr(f, "name", f"phi_{i + 1}"))
+            funcs.append(f)
         self.functions = funcs
         self.n = len(funcs)
         self.T = float(T)
@@ -76,7 +70,6 @@ class ChebyshevScale:
         self.direction = 1 if self.x0 > self.T else -1
         self.infinite = math.isinf(self.x0)
         self.verified = None  # the hierarchy record of require_verified
-        self._jets = {}
         # Weighted-derivative chains need derivatives up to about twice the
         # scale length; see the module design notes.
         self.default_order = 2 * self.n
@@ -87,12 +80,7 @@ class ChebyshevScale:
 
     def phi_jet(self, i, x, order):
         """Jet of the i-th scale function (1-based index)."""
-        key = (i, x, order)
-        out = self._jets.get(key)
-        if out is None:
-            out = self.functions[i - 1](x, order)
-            self._jets[key] = out
-        return out
+        return self.functions[i - 1](x, order)
 
     def phi_value(self, i, x):
         return self.phi_jet(i, x, 0).value
@@ -271,13 +259,14 @@ def verify_hierarchy(scale, schedule, tol=1e-4):
     )
 
 
-def verify_tas(scale, grid, tol=1e-9):
+def verify_tas(scale, grid):
     """Nonvanishing of leading and reversed Wronskians on a grid.
 
-    A violation is any determinant below ``tol`` times its Hadamard row
-    scale.  When all scale functions are positive near x0 the observed signs
-    of the leading Wronskians are compared against the alternating pattern
-    ``(-1)^(i(i-1)/2)`` and reported (not enforced).
+    A violation is any determinant that vanishes to double precision
+    (:attr:`~chebscale.wronskian.WronskianEvaluation.vanishes`) or changes
+    sign between grid points.  When all scale functions are positive near x0
+    the observed signs of the leading Wronskians are compared against the
+    alternating pattern ``(-1)^(i(i-1)/2)`` and reported (not enforced).
     """
     from .wronskian import wronskian  # local import to avoid a module cycle
 
@@ -291,7 +280,7 @@ def verify_tas(scale, grid, tol=1e-9):
             prev_sign = 0
             for x in pts:
                 ev = wronskian(scale, indices, x)
-                if abs(ev.value) <= tol * ev.det_scale:
+                if ev.vanishes:
                     violations.append(
                         {"indices": tuple(indices), "x": x, "value": ev.value}
                     )

@@ -16,6 +16,11 @@ from .jet import derivative, jet_derivative
 from .scale import ratio_decreases_to_zero
 
 
+# A determinant below this fraction of its column-norm product is zero to
+# double precision: the package's one "is this Wronskian zero?" rule.
+ZERO_FLOOR = 1e-15
+
+
 @dataclass(frozen=True)
 class WronskianEvaluation:
     index_set: tuple
@@ -23,6 +28,13 @@ class WronskianEvaluation:
     value: float
     conditioning: float
     det_scale: float = 1.0  # column-norm product, magnitude scale for zero tests
+
+    @property
+    def vanishes(self):
+        """The value lies within the determinant's rounding floor.  Tiny but
+        trustworthy Wronskians (heavily cancelling, slowly varying scales)
+        do not vanish."""
+        return abs(self.value) <= ZERO_FLOOR * self.det_scale
 
 
 def det_pivoted(matrix):

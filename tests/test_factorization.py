@@ -19,7 +19,7 @@ from chebscale import (
 )
 from chebscale.errors import NotAsymptoticScale, PivotVanishes
 from chebscale.expr import ExpressionFunction
-from chebscale.factorization import _CachedJetFn
+from chebscale.jet import JetMemo
 from chebscale.jet import jet_constant, jpow, jet_variable
 
 PROBES = [4.5, 5.5, 7.0, 9.0, 12.0, 16.0, 22.0, 30.0]
@@ -209,7 +209,7 @@ def test_polya_family_chain_is_nth_derivative():
             def weight(expo):
                 def fn(x, order, e=expo):
                     return jpow(jet_variable(x, order) - c, e)
-                return _CachedJetFn(fn, name=f"(x-{c})^{expo}")
+                return JetMemo(fn, name=f"(x-{c})^{expo}")
 
             weights = [weight(-(n - 1))] + [weight(2)] * (n - 1) + [weight(-(n - 1))]
             chain = WeightChain(
@@ -218,7 +218,7 @@ def test_polya_family_chain_is_nth_derivative():
             )
             for _ in range(5):
                 coeffs = [rng.uniform(-2, 2) for _ in range(n + 2)]
-                f = _CachedJetFn(
+                f = JetMemo(
                     lambda x, order, cs=coeffs: sum(
                         ci * jpow(jet_variable(x, order), i)
                         for i, ci in enumerate(cs)
@@ -244,10 +244,10 @@ def test_noncanonical_factorizations_of_u3():
     def pw(expo):
         def fn(x, order, e=expo):
             return jpow(jet_variable(x, order), e)
-        return _CachedJetFn(fn, name=f"x^{expo}")
+        return JetMemo(fn, name=f"x^{expo}")
 
     def unit():
-        return _CachedJetFn(lambda x, order: jet_constant(1.0, x, order), name="1")
+        return JetMemo(lambda x, order: jet_constant(1.0, x, order), name="1")
 
     left = WeightChain(
         weights=[pw(-1), unit(), pw(3), pw(-2)], signs=[1, 1, 1, 1],
@@ -261,7 +261,7 @@ def test_noncanonical_factorizations_of_u3():
     for chain in (left, right):
         for _ in range(6):
             coeffs = [rng.uniform(-2, 2) for _ in range(6)]
-            f = _CachedJetFn(
+            f = JetMemo(
                 lambda x, order, cs=coeffs: sum(
                     ci * jpow(jet_variable(x, order), i) for i, ci in enumerate(cs)
                 ),

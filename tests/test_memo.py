@@ -1,0 +1,107 @@
+"""The jet memo: one jet per point, lower orders served by truncation.
+
+Truncation is exact because coefficient k of every jet operation depends
+only on coefficients 0..k of its operands, so the memo's answer must equal
+the direct evaluation bit for bit.
+"""
+
+import math
+import struct
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from chebscale import ChebyshevScale
+from chebscale.errors import EvaluationError
+from chebscale.expr import FUNCTIONS, BinOp, Call, Const, ExpressionFunction, Neg, Var, eval_jet
+from chebscale.factorization import _PrefixWronskians
+from chebscale.jet import JetMemo, jet_variable, truncate
+from chebscale.wronskian import wronskian_jet
+
+# invalid draws: log/sqrt of negatives, overflow, and constant subtrees such
+# as (-2)^0.5 that Python evaluates to a complex number
+INVALID = (ArithmeticError, ValueError, TypeError, EvaluationError)
+
+EXPONENTS = st.one_of(st.integers(-3, 4).map(float), st.floats(-2.5, 2.5)).map(Const)
+LEAVES = st.one_of(st.just(Var()), st.floats(-3.0, 3.0).map(Const))
+
+
+def _extend(children):
+    return st.one_of(
+        children.map(Neg),
+        st.builds(BinOp, st.sampled_from("+-*/"), children, children),
+        st.builds(BinOp, st.just("^"), children, EXPONENTS),
+        st.builds(BinOp, st.just("^"), children, children),
+        st.builds(Call, st.sampled_from(FUNCTIONS), children),
+    )
+
+
+EXPRS = st.recursive(LEAVES, _extend, max_leaves=8)
+POINTS = st.floats(0.1, 5.0)
+
+
+def bits(j):
+    return j.anchor, struct.pack(f"{len(j.coeffs)}d", *j.coeffs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(EXPRS, POINTS, st.integers(0, 8), st.data())
+def test_memo_truncation_is_the_direct_jet(ast, x, top, data):
+    order = data.draw(st.integers(0, top))
+    f = ExpressionFunction(ast)
+    try:
+        f(x, top)
+    except INVALID:
+        assume(False)
+    assert bits(f(x, order)) == bits(eval_jet(ast, x, order))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(EXPRS, min_size=2, max_size=3), POINTS, st.integers(0, 5), st.data())
+def test_prefix_wronskian_truncation_is_exact(asts, x, top, data):
+    order = data.draw(st.integers(0, top))
+    i = data.draw(st.integers(1, len(asts)))
+
+    def fresh():
+        return ChebyshevScale([ExpressionFunction(a) for a in asts], T=0.05, x0=math.inf)
+
+    prefixes = _PrefixWronskians(fresh())
+    try:
+        high = prefixes.jet(i, x, top)
+    except INVALID:
+        assume(False)
+    direct = wronskian_jet(fresh(), prefixes.indices(i), x, order)
+    assert bits(truncate(high, order)) == bits(direct)
+    assert bits(prefixes.jet(i, x, order)) == bits(direct)
+
+
+def test_raw_member_is_evaluated_once_per_point():
+    calls = []
+
+    def square(x, order):
+        calls.append((x, order))
+        v = jet_variable(x, order)
+        return v * v
+
+    sc = ChebyshevScale([square, "1"], T=1.0, x0=math.inf)
+    assert isinstance(sc.functions[0], JetMemo) and sc.functions[0].name == "phi_1"
+    top = sc.phi_jet(1, 2.0, 3)
+    assert [sc.phi_jet(1, 2.0, m).coeffs for m in (0, 2)] == [(4.0,), (4.0, 4.0, 1.0)]
+    for _ in range(5):
+        assert sc.phi_jet(1, 2.0, 3) is top
+        assert sc.phi_value(1, 2.0) == 4.0
+    assert calls == [(2.0, 3)]
+    # a higher order recomputes once and replaces the stored jet
+    assert sc.phi_jet(1, 2.0, 5).coeffs == (4.0, 4.0, 1.0, 0.0, 0.0, 0.0)
+    assert sc.phi_jet(1, 2.0, 4).coeffs == (4.0, 4.0, 1.0, 0.0, 0.0)
+    assert calls == [(2.0, 3), (2.0, 5)]
+    assert len(sc.functions[0]._jets) == 1
+
+
+def test_a_failed_evaluation_stores_nothing():
+    memo = JetMemo(lambda x, order: 1.0 / (jet_variable(x, order) - 2.0))
+    with pytest.raises(EvaluationError):
+        memo(2.0, 1)
+    assert memo._jets == {}
+    assert memo(3.0, 1).coeffs == (1.0, -1.0)

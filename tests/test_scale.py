@@ -98,6 +98,13 @@ def test_tas_constant_wronskian_passes():
     assert rec.passed
 
 
+def test_tas_keeps_a_small_exact_wronskian(appendix_scale):
+    # W(1, log x, x) = 1/x^2 = 3.3e-6 at the last probe of the default
+    # schedule: tiny against its column norms, but well above their floor
+    rec = verify_tas(appendix_scale, [549.7558])
+    assert rec.passed, rec.details["violations"]
+
+
 def test_admissibility_derivative_with_zero_image():
     sc = ChebyshevScale.from_exprs(
         ["x^2", "log(x)", "1", "x^-1", "exp(-x)"], T=1.0, x0=math.inf
