@@ -19,8 +19,11 @@ depends on the scale alone (chains, constants, grid, weight tabulations and
 the target-independent P-weight nest).  Everything computed from a target
 belongs to that target's record, which the bundle holds only as long as the
 target lives, so a later target can never be served an earlier one's
-results.  A ``source`` passed to a checker is a promise that
-L[f] = q_n * source: a target's nests are keyed by label only, and
+results.  The record keeps L[f] = W(phi_1..phi_n, f)/W(phi_1..phi_n) as
+plain values, one per point it was asked at (grid nodes and probes): every
+nest of every check of f reads them, and the record holds no closure over
+f, which would keep f alive.  A ``source`` passed to a checker is a promise
+that L[f] = q_n * source: a target's nests are keyed by label only, and
 whichever call builds one first fixes it for every later call.
 """
 
@@ -72,11 +75,12 @@ def _guarded_ratio(num_fn, den_fn):
 class _TargetRecord:
     """Everything a bundle computed from one target."""
 
-    __slots__ = ("images", "limits", "lf_zero", "nests")
+    __slots__ = ("images", "limits", "lf", "lf_zero", "nests")
 
     def __init__(self):
         self.images = {}  # ("M" | "L", k, x) -> weighted derivative
         self.limits = {}  # k -> (status, value, confidence) of M_k[f]
+        self.lf = {}  # x -> L[f](x), the Wronskian quotient
         self.lf_zero = None  # L[f] vanishes along the probes
         self.nests = {}  # label -> NestedIntegral
 
@@ -88,11 +92,12 @@ class ScaleArtifacts:
     the weight tabulations, since the bundle holds the weights) and the
     target-independent ``("P-weight",)`` nest.  A target owns everything
     computed from it: ``_targets`` maps it, by weak reference, to a record
-    of its M/L values, its limits, its L[f] = 0 test and its nests, keyed by
-    label only.  The record goes when the target goes, so a new target at a
-    dead one's address inherits none of its results.  A ``source`` passed to a
-    checker is a promise that L[f] = q_n * source: a target's nests are
-    built from whichever L[f] evaluator reaches them first.
+    of its M/L values, its limits, its L[f] values and L[f] = 0 test and its
+    nests, keyed by label only.  The record goes when the target goes, so a
+    new target at a dead one's address inherits none of its results.  A
+    ``source`` passed to a checker is a promise that L[f] = q_n * source: a
+    target's nests are built from whichever L[f] evaluator reaches them
+    first.
     """
 
     def __init__(self, scale, schedule, build_system=True):
@@ -196,7 +201,8 @@ class ScaleArtifacts:
 
     def lf_evaluator(self, f, source=None):
         """``x -> L[f](x)``; a known source density short-circuits the
-        Wronskian quotient."""
+        Wronskian quotient.  Quotient values are kept in f's record, so
+        every nest and every later check of f tabulates each node once."""
         if source is not None:
             qn = self.q_vals[self.n]
 
@@ -208,7 +214,15 @@ class ScaleArtifacts:
 
             return lf
         scale = self.scale
-        return lambda x: apply_full_operator(scale, f, x)
+        values = self._record(f).lf  # values only: no closure over f
+
+        def lf(x):
+            v = values.get(x)
+            if v is None:
+                v = values[x] = apply_full_operator(scale, f, x)
+            return v
+
+        return lf
 
     def lf_is_zero(self, f):
         """Constant-zero detection for L[f] along the schedule."""
@@ -243,11 +257,10 @@ def _level_sequence(art, f, k):
 
     Probes where the noise rivals the values themselves are masked from the
     seventh point on; beyond that point, or past a collapse or explosion
-    (``_sane_prefix``), the sequence is dead."""
-    pairs = [
-        apply_chain(art.chain_q, f, x, level=k, with_noise=True)
-        for x in art.class_points
-    ]
+    (``_sane_prefix``), the sequence is dead.  Points past the target's own
+    finite reach are cut first."""
+    pts = finite_prefix(art.class_points, [as_value_fn(f)])
+    pairs = [apply_chain(art.chain_q, f, x, level=k, with_noise=True) for x in pts]
     vals = [v for v, _ in pairs]
     typical = _median([abs(v) for v in vals[: max(4, len(vals) // 2)]])
     usable = len(vals)

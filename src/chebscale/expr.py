@@ -21,7 +21,7 @@ import re
 from dataclasses import dataclass
 
 from . import jet as jetmod
-from .errors import ExprSyntaxError
+from .errors import EvaluationError, ExprSyntaxError
 
 FUNCTIONS = ("exp", "log", "sqrt", "sin", "cos")
 
@@ -243,7 +243,10 @@ def render(node):
 
 
 def constant_value(node):
-    """Value of a variable-free subtree, or None if it involves ``x``."""
+    """Value of a variable-free subtree, or None if it involves ``x``.
+
+    A subtree with no real value (``log(0-1)``, ``(0-2)^0.5``) raises
+    :class:`EvaluationError`."""
     if isinstance(node, Const):
         return node.value
     if isinstance(node, Var):
@@ -253,7 +256,12 @@ def constant_value(node):
         return None if v is None else -v
     if isinstance(node, Call):
         v = constant_value(node.arg)
-        return None if v is None else getattr(math, node.name)(v)
+        if v is None:
+            return None
+        try:
+            return getattr(math, node.name)(v)
+        except ValueError:
+            raise EvaluationError(f"{render(node)} has no real value") from None
     if isinstance(node, BinOp):
         a = constant_value(node.left)
         b = constant_value(node.right)
@@ -267,7 +275,10 @@ def constant_value(node):
             return a * b
         if node.op == "/":
             return a / b
-        return a**b
+        v = a**b
+        if isinstance(v, complex):  # a negative base to a fractional power
+            raise EvaluationError(f"{render(node)} has no real value")
+        return v
     raise TypeError(f"not an AST node: {node!r}")
 
 

@@ -505,9 +505,17 @@ def _nest_jetfn(nest, weight_jets, density_jet, prefactor_jet=None, name=""):
 
     Jets follow the calculus of the tables: a from_T level differentiates to
     +(1/w)*inner, a to_x0 level to -(1/w)*inner, with the innermost density
-    supplied as a jet-evaluator.
+    supplied as a jet-evaluator.  The level values at x are read from the
+    nest once, beside the memo's jets, and serve every order asked there.
     """
     weight_jets = list(weight_jets)
+    levels = {}  # x -> nest.level_values(x)
+
+    def level_values(x):
+        values = levels.get(x)
+        if values is None:
+            values = levels[x] = nest.level_values(x)
+        return values
 
     def fn(x, order):
         depth = nest.depth
@@ -520,7 +528,7 @@ def _nest_jetfn(nest, weight_jets, density_jet, prefactor_jet=None, name=""):
                 g = g / truncate(wj(x, o), o)
             if nest.orientations[l] == "to_x0":
                 g = -g
-            cur = antiderivative(g, value=nest.value(x, l))
+            cur = antiderivative(g, value=level_values(x)[l])
         cur = truncate(cur, order)
         return cur if prefactor_jet is None else prefactor_jet(x, order) * cur
 

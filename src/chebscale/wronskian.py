@@ -4,6 +4,13 @@ Float determinants use partial-pivoted elimination and carry a conditioning
 diagnostic (ratio of largest to smallest row scale).  Jet-valued determinants
 (needed wherever a Wronskian must itself be differentiated) are computed by
 division-free minor expansion with memoization over column subsets.
+
+An order-0 :func:`wronskian_jet` runs that same minor expansion on the float
+matrix ``coeffs[r] * r!`` of the member jets.  Coefficient 0 of every jet
+product, sum and difference is the same float operation on the operands'
+coefficients 0, so the value equals coefficient 0 of any higher-order
+Wronskian jet bit for bit (only the sign of an exact zero may differ), at
+the cost of floats instead of ``Jet`` objects.
 """
 
 from __future__ import annotations
@@ -12,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import EvaluationError, IndexConditionViolated
-from .jet import derivative, jet_derivative
+from .jet import Jet, derivative, jet_derivative
 from .scale import ratio_decreases_to_zero
 
 
@@ -73,7 +80,8 @@ def det_pivoted(matrix):
 
 
 def det_jet(matrix):
-    """Determinant of a square matrix of jets, by memoized minor expansion."""
+    """Determinant of a square matrix of jets (or floats), by memoized minor
+    expansion."""
     k = len(matrix)
     if k == 1:
         return matrix[0][0]
@@ -139,10 +147,18 @@ def wronskian_jet(scale, indices, x, order):
     """W(phi_{i1}, ..., phi_{ik}) at x as a jet of the requested order.
 
     The determinant is computed in jet arithmetic end to end, so derivatives
-    of the Wronskian are exact to the truncation order.
+    of the Wronskian are exact to the truncation order.  At order 0 the same
+    minor expansion runs on the float matrix of derivative values; see the
+    module docstring.
     """
     indices = tuple(indices)
     k = len(indices)
+    if order == 0:
+        # every member at the order the longest prefix needs, so the
+        # shorter prefixes at x are truncations of the members' memos
+        jets = [scale.phi_jet(i, x, max(k, scale.n) - 1) for i in indices]
+        matrix = [[j.coeffs[r] * math.factorial(r) for j in jets] for r in range(k)]
+        return Jet(x, (det_jet(matrix),))
     jets = [scale.phi_jet(i, x, order + k - 1) for i in indices]
     matrix = [[derivative(jets[c], r) for c in range(k)] for r in range(k)]
     # rows now have order (order + k - 1 - r); multiplication truncates to

@@ -37,11 +37,13 @@ def test_report_rerenders_with_json_verdicts(capsys, command):
 
 
 def test_overflow_is_an_input_error(capsys):
-    # the target leaves double range on the first probes
-    code = cli.run(["expand", "--scale", APPENDIX, "--f", "exp(exp(x))"])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "Traceback" not in err
+    # the first target leaves double range on the first probes; the others
+    # hold a constant with no real value
+    for target in ("exp(exp(x))", "x^((0-2)^0.5)", "x^log(0-1)"):
+        code = cli.run(["expand", "--scale", APPENDIX, "--f", target])
+        assert code == 2, target
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err, target
 
 
 def _scale_file(tmp_path, name, x0, T, exprs):

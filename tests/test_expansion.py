@@ -1,4 +1,5 @@
 import gc
+import importlib
 import math
 import weakref
 
@@ -18,8 +19,9 @@ from chebscale import (
     make_schedule,
     verify_hierarchy,
 )
-from chebscale.errors import LimitDiverged
+from chebscale.errors import ChebscaleError, LimitDiverged
 from chebscale.expr import ExpressionFunction
+from chebscale.factorization import apply_full_operator
 
 
 def test_extract_recursive_f1_example():
@@ -357,3 +359,45 @@ def test_checks_release_their_target(cubic_artifacts):
     del f, reports
     gc.collect()
     assert ref() is None
+
+
+def test_bundle_lf_is_the_wronskian_quotient_at_every_node(cubic_artifacts):
+    # the L[f] values a bundle keeps for a target are apply_full_operator's
+    art = cubic_artifacts
+    f = ExpressionFunction("exp(x)*cos(x)")
+    tabulated = art.grid.values(art.lf_evaluator(f)).ravel()
+    nodes = art.grid.sigma * art.grid.cellnodes.ravel()
+    direct = [apply_full_operator(art.scale, f, x) for x in nodes]
+    assert tabulated.tolist() == direct
+
+
+def test_second_tabulation_makes_no_wronskian_call(cubic_artifacts, monkeypatch):
+    # the module: ``chebscale.wronskian`` names the function of that name
+    wronskian = importlib.import_module("chebscale.wronskian")
+    real = wronskian.bordered_wronskian
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(wronskian, "bordered_wronskian", counted)
+    art = cubic_artifacts
+    f = ExpressionFunction("exp(x)")
+    art.grid.values(art.lf_evaluator(f))
+    assert len(calls) == art.grid.cellnodes.size
+    # a new evaluator misses the grid's cache but reads f's record
+    art.grid.values(art.lf_evaluator(f))
+    assert len(calls) == art.grid.cellnodes.size
+
+
+def test_limits_stop_at_the_target_reach(poly_artifacts):
+    # the poly bundle's classification points reach x ~ 1e4, far past where
+    # exp(x) overflows: the limits are read on the points where it is
+    # finite, and the check answers or refuses, never overflows
+    f = ExpressionFunction("exp(x)")
+    assert [poly_artifacts.limit(f, k)[0] for k in range(4)] == ["diverged"] * 4
+    try:
+        check_complete(f, poly_artifacts)
+    except ChebscaleError:
+        pass

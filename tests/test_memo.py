@@ -76,6 +76,32 @@ def test_prefix_wronskian_truncation_is_exact(asts, x, top, data):
     assert bits(prefixes.jet(i, x, order)) == bits(direct)
 
 
+# (members, T, x0, range of drawn points) of the appendix, cubic and taylor scales
+SCALES = (
+    (["exp(x)", "x", "log(x)", "1"], 4.0, math.inf, (4.0, 300.0)),
+    (["1", "x", "x^2", "x^3"], -1.0, 0.0, (-0.999, -1e-6)),
+    (["1", "1-x", "(1-x)^2", "(1-x)^3"], 0.0, 1.0, (1e-6, 0.999)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(SCALES), st.booleans(), st.integers(1, 4), st.data())
+def test_order0_wronskian_is_coefficient_0_of_the_jet(spec, reverse, i, data):
+    # order 0 runs the minor expansion on floats; every higher order runs it
+    # on jets, whose coefficient 0 is the same float arithmetic
+    exprs, T, x0, (lo, hi) = spec
+    x = data.draw(st.floats(lo, hi))
+
+    def fresh():
+        return ChebyshevScale.from_exprs(exprs, T=T, x0=x0)
+
+    indices = _PrefixWronskians(fresh(), reverse=reverse).indices(i)
+    value = wronskian_jet(fresh(), indices, x, 0).value
+    scale = fresh()
+    for m in (1, 2, 3):
+        assert wronskian_jet(scale, indices, x, m).coeffs[0] == value
+
+
 def test_raw_member_is_evaluated_once_per_point():
     calls = []
 
