@@ -9,6 +9,10 @@ class EvaluationError(ChebscaleError):
     """A function or jet could not be evaluated at the requested point."""
 
 
+class NoArrayForm(EvaluationError):
+    """An evaluator was given a node array but evaluates one point at a time."""
+
+
 class DivisionByZeroJet(EvaluationError):
     """Jet division by a jet whose value coefficient is (numerically) zero."""
 

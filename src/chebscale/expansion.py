@@ -20,9 +20,15 @@ the target-independent P-weight nest).  Everything computed from a target
 belongs to that target's record, which the bundle holds only as long as the
 target lives, so a later target can never be served an earlier one's
 results.  The record keeps L[f] = W(phi_1..phi_n, f)/W(phi_1..phi_n) as
-plain values, one per point it was asked at (grid nodes and probes): every
-nest of every check of f reads them, and the record holds no closure over
-f, which would keep f alive.  A ``source`` passed to a checker is a promise
+plain values: one array over the grid nodes, eliminated as one stack of
+bordered determinants, and one value per other point it was asked at
+(probes, and grid nodes flagged in the array).  Every nest of every check
+of f reads them, and the record holds no closure over f, which would keep f
+alive.  The denominator W(phi_1..phi_n) on the grid nodes depends on the
+scale alone: the bundle tabulates it, with the nodes where it vanishes,
+once, and every target's L[f] array divides by it.  Grid tables of the
+weights and of L[f] go through array forms, which keep no point in any jet
+memo.  A ``source`` passed to a checker is a promise
 that L[f] = q_n * source: a target's nests are keyed by label only, and
 whichever call builds one first fixes it for every later call.
 """
@@ -41,7 +47,6 @@ from .factorization import (
     _nest_jetfn,
     apply_chain,
     apply_full_operator,
-    as_value_fn,
     build_principal_system,
     build_type1_chain,
     build_type2_chain,
@@ -49,9 +54,9 @@ from .factorization import (
 )
 from .jet import JetMemo
 from .operators import operator_constants
-from .quadrature import NestedIntegral, WorkGrid
+from .quadrature import NestedIntegral, NodeFn, WorkGrid, node_values
 from .scale import finite_prefix, ratio_decreases_to_zero, require_verified, scale_schedule
-from .wronskian import bordered_wronskian
+from .wronskian import bordered_wronskian, wronskian_flags
 
 _LIMIT_TOL = 1e-6  # "a limit exists" when confidence < tol * (1 + |value|)
 
@@ -66,7 +71,16 @@ def _guarded_ratio(num_fn, den_fn):
             return 0.0
         return v / den_fn(x)
 
-    return fn
+    def on_nodes(xs):
+        v = node_values(num_fn, xs)
+        return np.where(v == 0.0, 0.0, v / node_values(den_fn, xs))
+
+    return NodeFn(fn, on_nodes)
+
+
+def _abs(fn):
+    """x -> |fn(x)|."""
+    return NodeFn(lambda x: abs(fn(x)), lambda xs: np.abs(node_values(fn, xs)))
 
 
 # -- artifacts bundle ------------------------------------------------------------
@@ -75,12 +89,13 @@ def _guarded_ratio(num_fn, den_fn):
 class _TargetRecord:
     """Everything a bundle computed from one target."""
 
-    __slots__ = ("images", "limits", "lf", "lf_zero", "nests")
+    __slots__ = ("images", "limits", "lf", "lf_nodes", "lf_zero", "nests")
 
     def __init__(self):
         self.images = {}  # ("M" | "L", k, x) -> weighted derivative
         self.limits = {}  # k -> (status, value, confidence) of M_k[f]
         self.lf = {}  # x -> L[f](x), the Wronskian quotient
+        self.lf_nodes = None  # L[f] on the grid nodes (NaN: flagged)
         self.lf_zero = None  # L[f] vanishes along the probes
         self.nests = {}  # label -> NestedIntegral
 
@@ -106,8 +121,8 @@ class ScaleArtifacts:
         self.schedule = schedule
         self.chain_q = build_type2_chain(scale, schedule)
         self.chain_p = build_type1_chain(scale, schedule)
-        self.q_vals = [as_value_fn(w) for w in self.chain_q.weights]
-        self.p_vals = [as_value_fn(w) for w in self.chain_p.weights]
+        self.q_vals = [NodeFn.of(w) for w in self.chain_q.weights]
+        self.p_vals = [NodeFn.of(w) for w in self.chain_p.weights]
         weights = self.q_vals + self.p_vals
         self.probes = well_conditioned_probes(
             scale, finite_prefix(scale.toward_x0(schedule.points), weights), minimum=6
@@ -130,6 +145,7 @@ class ScaleArtifacts:
         )
         self._targets = weakref.WeakKeyDictionary()
         self._nests = {}
+        self._den = None  # wronskian_flags of W(phi_1..phi_n) on the grid nodes
         # classification points: the probe schedule extended geometrically to
         # the grid's reach (table lookups there are free, and integrals need
         # the extra range to classify decisively)
@@ -200,9 +216,11 @@ class ScaleArtifacts:
         return out
 
     def lf_evaluator(self, f, source=None):
-        """``x -> L[f](x)``; a known source density short-circuits the
-        Wronskian quotient.  Quotient values are kept in f's record, so
-        every nest and every later check of f tabulates each node once."""
+        """``x -> L[f](x)`` with its array form (a :class:`NodeFn`); a known
+        source density short-circuits the Wronskian quotient.  Quotient
+        values are kept in f's record, per point and as one array over the
+        grid nodes, so every nest and every later check of f tabulates each
+        node once."""
         if source is not None:
             qn = self.q_vals[self.n]
 
@@ -212,9 +230,14 @@ class ScaleArtifacts:
                     return 0.0
                 return qn(x) * v
 
-            return lf
+            def lf_nodes(xs):
+                v = node_values(source, xs)
+                return np.where(v == 0.0, 0.0, node_values(qn, xs) * v)
+
+            return NodeFn(lf, lf_nodes)
         scale = self.scale
-        values = self._record(f).lf  # values only: no closure over f
+        rec = self._record(f)  # values only: no closure over f
+        values = rec.lf
 
         def lf(x):
             v = values.get(x)
@@ -222,7 +245,21 @@ class ScaleArtifacts:
                 v = values[x] = apply_full_operator(scale, f, x)
             return v
 
-        return lf
+        def lf_nodes(xs):
+            if xs is not self.grid.xnodes:
+                return apply_full_operator(scale, f, xs)
+            if rec.lf_nodes is None:
+                rec.lf_nodes = apply_full_operator(scale, f, xs, den=self._denominator())
+            return rec.lf_nodes
+
+        return NodeFn(lf, lf_nodes)
+
+    def _denominator(self):
+        """W(phi_1..phi_n) on the grid nodes and the nodes where it vanishes
+        or overflows: every target's L[f] table divides by this one."""
+        if self._den is None:
+            self._den = wronskian_flags(self.scale, range(1, self.n + 1), self.grid.xnodes)
+        return self._den
 
     def lf_is_zero(self, f):
         """Constant-zero detection for L[f] along the schedule."""
@@ -259,7 +296,7 @@ def _level_sequence(art, f, k):
     seventh point on; beyond that point, or past a collapse or explosion
     (``_sane_prefix``), the sequence is dead.  Points past the target's own
     finite reach are cut first."""
-    pts = finite_prefix(art.class_points, [as_value_fn(f)])
+    pts = finite_prefix(art.class_points, [lambda x: f(x, 0).value])
     pairs = [apply_chain(art.chain_q, f, x, level=k, with_noise=True) for x in pts]
     vals = [v for v, _ in pairs]
     typical = _median([abs(v) for v in vals[: max(4, len(vals) // 2)]])
@@ -656,7 +693,7 @@ class ConstructedFunction:
         orientation = "to_x0" if mode == "tail" else "from_T"
         weights = [art.q_vals[i] for i in range(1, n)] + [None]
         self._nest = NestedIntegral(
-            art.grid, weights, [orientation] * n, as_value_fn(source_jetfn)
+            art.grid, weights, [orientation] * n, NodeFn.of(source_jetfn)
         )
         sign = (-1) ** n if mode == "tail" else 1.0
 
@@ -1084,7 +1121,7 @@ def _remainder_bounds(f, coeffs, art, nest, lf, remainder, verdicts, coeff_confs
     # (5.17): absolute-convergence bound with the quadrature error folded in
     try:
         abs_nest = art.nest(
-            [art.q_vals[n]], ["to_x0"], lambda x: abs(lf(x)), key="(5.17)", target=f
+            [art.q_vals[n]], ["to_x0"], _abs(lf), key="(5.17)", target=f
         )
     except DivergentTail:
         verdicts["(5.17) bound"] = _v("inconclusive", reason="not absolutely convergent")
@@ -1300,7 +1337,7 @@ def check_absolute(f, artifacts, source=None):
         for label in labels:
             verdicts[label] = _v("holds", zero=True)
         return _report("absolute convergence", verdicts, notes, [labels])
-    abs_lf = lambda x: abs(lf(x))
+    abs_lf = _abs(lf)
     pn = art.p_vals[n]
 
     verdicts["(6.11) type-I nest"], _ = _integral_verdict(
@@ -1321,8 +1358,16 @@ def check_absolute(f, artifacts, source=None):
             return 0.0
         return pnest.value(t, 0) / pn(t) * v
 
+    def p_weighted_nodes(ts):
+        v = node_values(abs_lf, ts)
+        live = v != 0.0
+        out = np.zeros(len(ts))
+        p = node_values(lambda t: pnest.value(t, 0), ts[live])
+        out[live] = p / node_values(pn, ts)[live] * v[live]
+        return out
+
     verdicts["(6.12) P-weighted"], _ = _integral_verdict(
-        art, f, "(6.12)", [None], ["from_T"], p_weighted_density
+        art, f, "(6.12)", [None], ["from_T"], NodeFn(p_weighted_density, p_weighted_nodes)
     )
     verdicts["(6.13) direct"], _ = _integral_verdict(
         art, f, "(6.13)", [None], ["from_T"], _guarded_ratio(abs_lf, art.q_vals[n])

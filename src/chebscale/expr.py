@@ -314,7 +314,8 @@ def eval_jet(node, anchor, order):
 
 
 class ExpressionFunction:
-    """A parsed expression as a memoized jet-evaluator ``(x, order) -> Jet``."""
+    """A parsed expression as a memoized jet-evaluator ``(x, order) -> Jet``;
+    ``x`` may be a node array (see :class:`~chebscale.jet.JetMemo`)."""
 
     def __init__(self, text_or_ast, name=None):
         if isinstance(text_or_ast, str):
@@ -324,7 +325,7 @@ class ExpressionFunction:
             self.ast = text_or_ast
             self.name = name if name is not None else render(text_or_ast)
         self._memo = jetmod.JetMemo(
-            lambda x, order, ast=self.ast: eval_jet(ast, x, order), self.name
+            lambda x, order, ast=self.ast: eval_jet(ast, x, order), self.name, arrays=True
         )
 
     def __call__(self, x, order):
@@ -332,6 +333,9 @@ class ExpressionFunction:
 
     def value(self, x):
         return self(x, 0).value
+
+    def values(self, xs):
+        return self._memo.values(xs)
 
     def __repr__(self):
         return f"ExpressionFunction({self.name!r})"

@@ -33,31 +33,26 @@ from .errors import (
     PivotVanishes,
     WronskianDegenerate,
 )
-from .jet import JetMemo, antiderivative, derivative, jet_constant, truncate
-from .quadrature import NestedIntegral, WorkGrid, classify_toward
+from .jet import JetMemo, antiderivative, derivative, jet_constant, jet_derivative, truncate
+from .quadrature import NestedIntegral, NodeFn, WorkGrid, classify_toward
 from .scale import finite_prefix, make_schedule, require_verified, scale_schedule
-from .wronskian import wronskian, wronskian_jet
+from .wronskian import det_pivoted, wronskian, wronskian_flags, wronskian_jet
 
 
 # -- jet-evaluator helpers --------------------------------------------------------
 
 
-def as_value_fn(jetfn):
-    """Adapter ``x -> value`` for quadrature tables."""
-    def fn(x):
-        return jetfn(x, 0).value
-    return fn
-
-
 class _PrefixWronskians:
     """Prefix Wronskian jets W(phi_1..phi_i) (or reversed prefixes), one
-    memo per prefix."""
+    memo per prefix; a node array gets the values of the order-0 minor
+    expansion at every node."""
 
     def __init__(self, scale, reverse=False):
         self.scale = scale
         self.reverse = reverse
         self._memos = [
-            JetMemo(lambda x, order, ix=ix: wronskian_jet(scale, ix, x, order), f"W{ix}")
+            JetMemo(lambda x, order, ix=ix: wronskian_jet(scale, ix, x, order), f"W{ix}",
+                    arrays=True)
             for ix in map(self.indices, range(1, scale.n + 1))
         ]
 
@@ -108,7 +103,7 @@ class WeightChain:
     def report(self, schedule):
         """Weights sampled on the schedule's finite prefix plus canonicity,
         JSON-friendly."""
-        pts = finite_prefix(schedule.points, [as_value_fn(w) for w in self.weights])
+        pts = finite_prefix(schedule.points, [w.value for w in self.weights])
         samples = {}
         for i in range(self.n + 1):
             samples[f"r{i}"] = [(x, self.weight_value(i, x)) for x in pts]
@@ -128,16 +123,18 @@ def _signed_sign(value, where):
     return 1 if value > 0 else -1
 
 
-def _chain_from_signed(signed_fns, scale, provenance, probes, labels=()):
+def _chain_from_signed(signed_fns, scale, provenance, probes, labels=(), arrays=False):
     """Detect signs at the latest finite probe and memoize unsigned evaluators.
 
     Signs are read near x0 (they are constant wherever the defining
     Wronskians keep their sign), at the last probe where every weight is
     finite.  A sign flip across earlier probes marks a Wronskian zero inside
     the interval; it is recorded, since the chain is a valid factorization
-    only to the right of the last flip.
+    only to the right of the last flip.  ``arrays``: the signed evaluators
+    take node arrays.
     """
-    ordered = finite_prefix(scale.toward_x0(probes), [as_value_fn(fn) for fn in signed_fns])
+    values = [lambda x, fn=fn: fn(x, 0).value for fn in signed_fns]
+    ordered = finite_prefix(scale.toward_x0(probes), values)
     if not ordered:
         raise WronskianDegenerate(f"no probe keeps the {provenance} weights finite")
     x_ref = ordered[-1]
@@ -151,7 +148,7 @@ def _chain_from_signed(signed_fns, scale, provenance, probes, labels=()):
             if _signed_sign(v, x) != s:
                 flips.append({"weight": k, "x": x})
     unsigned = [
-        JetMemo(fn if s > 0 else lambda x, m, f=fn: -f(x, m), f"{provenance}:r{k}")
+        JetMemo(fn if s > 0 else lambda x, m, f=fn: -f(x, m), f"{provenance}:r{k}", arrays)
         for k, (fn, s) in enumerate(zip(signed_fns, signs))
     ]
     chain = WeightChain(
@@ -226,7 +223,7 @@ def _polya_chain(scale, prefixes, provenance, schedule):
         return prefixes.jet(n, x, order) / prefixes.jet(n - 1, x, order)
 
     fns = [r0] + [mid(i) for i in range(1, n)] + [rn]
-    return _chain_from_signed(fns, scale, provenance, probes)
+    return _chain_from_signed(fns, scale, provenance, probes, arrays=True)
 
 
 def build_type2_chain(scale, schedule=None):
@@ -269,7 +266,10 @@ def classify_canonicity(chain, schedule=None, endpoints=("x0", "T"), tol=1e-3):
     "neither", anything else "unknown".
     """
     out = {}
-    recips = [lambda x, f=chain.weights[i]: 1.0 / f(x, 0).value for i in range(1, chain.n)]
+    recips = [
+        NodeFn(lambda x, w=w: 1.0 / w.value(x), lambda xs, w=w: 1.0 / w.values(xs))
+        for w in chain.weights[1:chain.n]
+    ]
     # A sign flip marks a Wronskian zero: reciprocal weights have poles
     # there, so classification toward x0 must anchor past the last flip.
     flip_edge = None
@@ -356,7 +356,7 @@ def build_representation_weights(scale, schedule=None, classify=True):
     integrability = []
     if classify:
         sched = _endpoint_schedule((scale.T, scale.x0), "x0")
-        pts = finite_prefix(sched.points, [as_value_fn(fn) for fn in fns])
+        pts = finite_prefix(sched.points, [fn.value for fn in fns])
         for i in range(1, n):
             fn = fns[i]
             if len(pts) < 7:
@@ -372,12 +372,28 @@ def build_representation_weights(scale, schedule=None, classify=True):
 # -- the full operator -------------------------------------------------------------
 
 
-def apply_full_operator(scale, f, x):
-    """W(phi_1..phi_n, u) / W(phi_1..phi_n) at x."""
+def apply_full_operator(scale, f, x, den=None):
+    """W(phi_1..phi_n, u) / W(phi_1..phi_n) at x.
+
+    ``x`` may be a node array (the array form): the bordered determinants
+    are eliminated as one stack, and ``den`` may supply the denominator's
+    :func:`~chebscale.wronskian.wronskian_flags` on those nodes (they depend
+    on the scale alone).  A node where the scalar call raises is NaN.
+    """
     from .wronskian import bordered_wronskian
 
-    num, _, _ = bordered_wronskian(scale, tuple(range(1, scale.n + 1)), f, x)
-    den = wronskian(scale, tuple(range(1, scale.n + 1)), x)
+    idx = tuple(range(1, scale.n + 1))
+    if isinstance(x, np.ndarray):
+        n = scale.n
+        value, flagged = wronskian_flags(scale, idx, x) if den is None else den
+        cols = [scale.phi_derivatives(i, x, n) for i in idx]
+        fj = f(x, n)
+        cols.append([jet_derivative(fj, r) for r in range(n + 1)])
+        num = det_pivoted([[cols[c][r] for c in range(n + 1)] for r in range(n + 1)])[0]
+        with np.errstate(all="ignore"):
+            return np.where(flagged, np.nan, num / value)
+    num, _, _ = bordered_wronskian(scale, idx, f, x)
+    den = wronskian(scale, idx, x)
     if den.vanishes:
         raise WronskianDegenerate(f"denominator Wronskian ~ 0 at x={x}")
     return num / den.value
@@ -557,7 +573,7 @@ def build_principal_system(scale, chain_p, schedule=None, grid=None):
     P = [JetMemo(inv_p0, "P0")]
     unit = lambda x: 1.0
     for i in range(1, n):
-        weights = [as_value_fn(chain_p.weights[l]) for l in range(1, i + 1)]
+        weights = [NodeFn.of(chain_p.weights[l]) for l in range(1, i + 1)]
         nest = NestedIntegral(grid, weights, ["from_T"] * i, unit)
         wjets = [chain_p.weights[l] for l in range(1, i + 1)]
         P.append(

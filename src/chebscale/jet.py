@@ -6,19 +6,37 @@ coefficients exactly to the truncation order; this is the mechanism the rest
 of the library uses to obtain high-order derivatives of scale functions,
 Wronskians and weighted-derivative chains without symbolic differentiation.
 
-Values are plain doubles.  Operations are pure and reentrant, and
-coefficient k of every result depends only on coefficients 0..k of the
-operands, so a jet truncated to order m is bit for bit the jet computed at
-order m.  :class:`JetMemo` rests on this: it is the package's one jet cache,
-keeping a single jet per point, the highest order computed there, and
-serving lower orders as its truncations.
+Coefficients are floats, or equal-length float64 arrays for a jet at every
+node of a node array (its anchor), under one set of recurrences: an array
+coefficient goes through exactly the float operations of the scalar path,
+element by element, so each element is bit for bit the scalar jet's.  Two
+places differ by design.  Coefficient 0 of exp/log/sqrt/sin/cos goes through
+``math`` one element at a time (numpy's functions round differently), and
+where the scalar path raises (overflow, a domain error, division by a value
+~ 0) an array jet flags the element as NaN instead, which reaches every
+coefficient computed from it; callers evaluate flagged nodes again with
+scalar jets (see ``quadrature.tabulate``).
+
+Operations are pure and reentrant, and coefficient k of every result depends
+only on coefficients 0..k of the operands, so a jet truncated to order m is
+bit for bit the jet computed at order m.  :class:`JetMemo` rests on this: it
+is the package's one jet cache, keeping a single jet per point, the highest
+order computed there, and serving lower orders as its truncations.
 """
 
 from __future__ import annotations
 
 import math
 
-from .errors import DivisionByZeroJet, DomainErrorJet, EvaluationError, OrderExceeded
+import numpy as np
+
+from .errors import (
+    DivisionByZeroJet,
+    DomainErrorJet,
+    EvaluationError,
+    NoArrayForm,
+    OrderExceeded,
+)
 
 # Below this magnitude a value coefficient counts as zero for division.  The
 # jet layer stays policy-free: near-zero values propagate and callers apply
@@ -32,8 +50,16 @@ class Jet:
     __slots__ = ("anchor", "coeffs")
 
     def __init__(self, anchor, coeffs):
-        self.anchor = float(anchor)
-        self.coeffs = tuple(float(c) for c in coeffs)
+        if isinstance(anchor, np.ndarray):
+            # a jet at every node of the array: one coefficient array each
+            self.anchor = anchor
+            self.coeffs = tuple(
+                c if isinstance(c, np.ndarray) else np.full(anchor.shape, float(c))
+                for c in coeffs
+            )
+        else:
+            self.anchor = float(anchor)
+            self.coeffs = tuple(float(c) for c in coeffs)
         if not self.coeffs:
             raise EvaluationError("a jet needs at least the value coefficient")
 
@@ -61,12 +87,16 @@ class Jet:
     # -- coercion helpers ---------------------------------------------------
 
     def _like(self, coeffs):
-        return Jet(self.anchor, coeffs)
+        # results of jet operations are floats or arrays already
+        out = Jet.__new__(Jet)
+        out.anchor = self.anchor
+        out.coeffs = tuple(coeffs)
+        return out
 
     def _coerce(self, other):
         """Promote a scalar to a constant jet; truncate both to a common order."""
         if isinstance(other, Jet):
-            if other.anchor != self.anchor:
+            if other.anchor is not self.anchor and other.anchor != self.anchor:
                 raise EvaluationError(
                     f"jet anchors differ: {self.anchor} vs {other.anchor}"
                 )
@@ -117,9 +147,10 @@ class Jet:
         m = len(a)
         out = [0.0] * m
         for k in range(m):
-            s = 0.0
-            for j in range(k + 1):
-                s += a[j] * b[k - j]
+            # no 0.0 to start from: a product's -0.0 stays -0.0, as in floats
+            s = a[0] * b[k]
+            for j in range(1, k + 1):
+                s = s + a[j] * b[k - j]
             out[k] = s
         return self._like(out)
 
@@ -145,16 +176,39 @@ class Jet:
         return NotImplemented
 
 
+def _admit(u0, bad, error, message):
+    """The value coefficient ``u0`` where an operation admits it.  A float
+    raises ``error`` when ``bad``; an array flags its bad elements as NaN."""
+    if isinstance(u0, np.ndarray):
+        return np.where(bad, np.nan, u0)
+    if bad:
+        raise error(message.format(u0))
+    return u0
+
+
+def _math(fn, u0):
+    """``fn`` (a ``math`` function) of a value coefficient.  An array goes
+    one element at a time, and an element where ``fn`` raises is NaN."""
+    if not isinstance(u0, np.ndarray):
+        return fn(u0)
+    out = []
+    for v in u0.tolist():
+        try:
+            out.append(fn(v))
+        except (OverflowError, ValueError):
+            out.append(math.nan)
+    return np.array(out)
+
+
 def _div_coeffs(a, b):
-    if abs(b[0]) < DIV_EPS:
-        raise DivisionByZeroJet("jet division by value ~ 0")
+    b0 = _admit(b[0], abs(b[0]) < DIV_EPS, DivisionByZeroJet, "jet division by value ~ 0")
     m = len(a)
     out = [0.0] * m
-    inv = 1.0 / b[0]
+    inv = 1.0 / b0
     for k in range(m):
         s = a[k]
         for j in range(1, k + 1):
-            s -= b[j] * out[k - j]
+            s = s - b[j] * out[k - j]
         out[k] = s * inv
     return out
 
@@ -163,11 +217,12 @@ def _div_coeffs(a, b):
 
 
 def jet_variable(anchor, order):
-    """Jet of the identity function x -> x at ``anchor``."""
+    """Jet of the identity function x -> x at ``anchor`` (a float or a node
+    array)."""
     if order < 0:
         raise EvaluationError("order must be nonnegative")
     coeffs = [0.0] * (order + 1)
-    coeffs[0] = float(anchor)
+    coeffs[0] = anchor
     if order >= 1:
         coeffs[1] = 1.0
     return Jet(anchor, coeffs)
@@ -175,7 +230,7 @@ def jet_variable(anchor, order):
 
 def jet_constant(value, anchor, order):
     coeffs = [0.0] * (order + 1)
-    coeffs[0] = float(value)
+    coeffs[0] = value
     return Jet(anchor, coeffs)
 
 
@@ -186,42 +241,40 @@ def jexp(j):
     u = j.coeffs
     m = len(u)
     v = [0.0] * m
-    v[0] = math.exp(u[0])
+    v[0] = _math(math.exp, u[0])
     for k in range(1, m):
         s = 0.0
         for i in range(1, k + 1):
-            s += i * u[i] * v[k - i]
+            s = s + i * u[i] * v[k - i]
         v[k] = s / k
     return j._like(v)
 
 
 def jlog(j):
     u = j.coeffs
-    if u[0] <= 0.0:
-        raise DomainErrorJet(f"log of nonpositive value {u[0]}")
+    u0 = _admit(u[0], u[0] <= 0.0, DomainErrorJet, "log of nonpositive value {}")
     m = len(u)
     v = [0.0] * m
-    v[0] = math.log(u[0])
+    v[0] = _math(math.log, u0)
     for k in range(1, m):
         s = k * u[k]
         for i in range(1, k):
-            s -= (k - i) * u[i] * v[k - i]
-        v[k] = s / (k * u[0])
+            s = s - (k - i) * u[i] * v[k - i]
+        v[k] = s / (k * u0)
     return j._like(v)
 
 
 def jsqrt(j):
     u = j.coeffs
-    if u[0] <= 0.0:
-        raise DomainErrorJet(f"sqrt of nonpositive value {u[0]}")
+    u0 = _admit(u[0], u[0] <= 0.0, DomainErrorJet, "sqrt of nonpositive value {}")
     m = len(u)
     v = [0.0] * m
-    v[0] = math.sqrt(u[0])
+    v[0] = _math(math.sqrt, u0)
     inv = 0.5 / v[0]
     for k in range(1, m):
         s = u[k]
         for i in range(1, k):
-            s -= v[i] * v[k - i]
+            s = s - v[i] * v[k - i]
         v[k] = s * inv
     return j._like(v)
 
@@ -239,14 +292,14 @@ def _sincos(j):
     m = len(u)
     s = [0.0] * m
     c = [0.0] * m
-    s[0] = math.sin(u[0])
-    c[0] = math.cos(u[0])
+    s[0] = _math(math.sin, u[0])
+    c[0] = _math(math.cos, u[0])
     for k in range(1, m):
         as_ = 0.0
         ac = 0.0
         for i in range(1, k + 1):
-            as_ += i * u[i] * c[k - i]
-            ac += i * u[i] * s[k - i]
+            as_ = as_ + i * u[i] * c[k - i]
+            ac = ac + i * u[i] * s[k - i]
         s[k] = as_ / k
         c[k] = -ac / k
     return j._like(s), j._like(c)
@@ -262,7 +315,9 @@ def jpow(j, exponent):
     if abs(c - round(c)) < 1e-12 and abs(c) <= 1024:
         n = int(round(c))
         if n == 0:
-            return jet_constant(1.0, j.anchor, j.order)
+            one = jet_constant(1.0, j.anchor, j.order)
+            # the base is not read, but its flagged elements stay flagged
+            return one + 0.0 * j if isinstance(j.value, np.ndarray) else one
         base = j if n > 0 else 1.0 / j
         n = abs(n)
         out = None
@@ -274,9 +329,9 @@ def jpow(j, exponent):
             if n:
                 acc = acc * acc
         return out
-    if j.value <= 0.0:
+    if not isinstance(j.value, np.ndarray) and j.value <= 0.0:
         raise DomainErrorJet(f"real power of nonpositive value {j.value}")
-    return jexp(jlog(j) * c)
+    return jexp(jlog(j) * c)  # jlog flags the nonpositive elements of an array
 
 
 # -- calculus ----------------------------------------------------------------
@@ -294,7 +349,7 @@ def derivative(j, times=1):
     coeffs = [0.0] * (m + 1)
     for k in range(m + 1):
         coeffs[k] = j.coeffs[k + times] * (math.factorial(k + times) / math.factorial(k))
-    return Jet(j.anchor, coeffs)
+    return j._like(coeffs)
 
 
 def antiderivative(j, value=0.0):
@@ -317,7 +372,7 @@ def truncate(j, order):
     """Drop coefficients beyond ``order`` (no-op if already short enough)."""
     if len(j.coeffs) <= order + 1:
         return j
-    out = Jet.__new__(Jet)  # the coefficients are floats already
+    out = Jet.__new__(Jet)  # the coefficients are floats or arrays already
     out.anchor = j.anchor
     out.coeffs = j.coeffs[: order + 1]
     return out
@@ -330,23 +385,48 @@ class JetMemo:
     at a lower order is served as its truncation, which is exact (see the
     module docstring); a higher order recomputes and replaces it.  A request
     that raises stores nothing.
+
+    With ``arrays`` the evaluator ``fn`` also takes a node array for ``x``
+    (its array form) and returns a jet with array coefficients.  Only the
+    last node array is kept, by identity: the evaluators of one tabulation
+    share their parts' jets on it.  Without ``arrays`` a node array raises
+    :class:`~chebscale.errors.NoArrayForm`.
     """
 
-    __slots__ = ("fn", "name", "_jets", "__weakref__")
+    __slots__ = ("fn", "name", "arrays", "_jets", "_nodes", "__weakref__")
 
-    def __init__(self, fn, name=""):
+    def __init__(self, fn, name="", arrays=False):
         self.fn = fn
         self.name = name
+        self.arrays = arrays
         self._jets = {}
+        self._nodes = None  # (node array, jet) of the last array asked for
 
     def __call__(self, x, order):
-        j = self._jets.get(x)
+        try:
+            j = self._jets.get(x)
+        except TypeError:  # a node array is unhashable
+            return self._on_nodes(x, order)
         if j is None or len(j.coeffs) <= order:
             j = self._jets[x] = self.fn(x, order)
         return j if len(j.coeffs) == order + 1 else truncate(j, order)
 
+    def _on_nodes(self, xs, order):
+        if not self.arrays:
+            raise NoArrayForm(f"{self.name or self.fn!r} has no array form")
+        last = self._nodes
+        if last is not None and last[0] is xs and len(last[1].coeffs) > order:
+            return truncate(last[1], order)
+        j = self.fn(xs, order)
+        self._nodes = (xs, j)
+        return j
+
     def value(self, x):
         return self(x, 0).value
+
+    def values(self, xs):
+        """The values at every node of the array ``xs`` (array form)."""
+        return self(xs, 0).value
 
     def __repr__(self):
         return f"<jetfn {self.name}>"

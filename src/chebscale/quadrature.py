@@ -19,6 +19,14 @@ the Gauss-Kronrod one: log|g| is interpolated on the cell's own 15 nodes
 and exponentiated on Kronrod sub-pieces, as many as its slope needs, so the
 tails at the nodes keep their relative accuracy.  No cell gets new nodes,
 and from_T levels are left as tabulated.
+
+Tabulation: a GK15 cell and a grid's node table evaluate their function
+through :func:`tabulate`, once per node array when the function has an
+array form (a :class:`NodeFn`).  An array form returns, at each node, the
+scalar function's value bit for bit or a non-finite value (flagged, where
+the scalar function might raise or does not stay finite); flagged nodes are
+evaluated again, in node order, by the scalar function, so values,
++inf entries and raised exceptions are those of a node-by-node loop.
 """
 
 from __future__ import annotations
@@ -33,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from .errors import DivergentTail, EvaluationError, ToleranceNotMet
+from .errors import ChebscaleError, DivergentTail, EvaluationError, ToleranceNotMet
 from .extrapolate import classify_sequence, extrapolate_limit
 
 # 15-point Kronrod nodes/weights with the embedded 7-point Gauss rule
@@ -162,13 +170,77 @@ def _exp_integrals(rows, rule):
     return (vals.reshape(len(rows), *weights.shape) * weights).sum(axis=-1)
 
 
+# What a scalar evaluation may raise: a node where it does is flagged by the
+# array forms below and left to the scalar function itself.
+_SCALAR_ERRORS = (ArithmeticError, ValueError, ChebscaleError)
+
+
+class NodeFn:
+    """A value function ``x -> float`` with an array form ``on_nodes(xs)``.
+
+    ``on_nodes`` maps a float64 node array to the values at its nodes, each
+    bit for bit the scalar value or non-finite (flagged); see the module
+    docstring.  Compose array forms from :func:`node_values` of the parts.
+    """
+
+    __slots__ = ("scalar", "on_nodes", "__weakref__")
+
+    def __init__(self, scalar, on_nodes):
+        self.scalar = scalar
+        self.on_nodes = on_nodes
+
+    @classmethod
+    def of(cls, jetfn):
+        """The values of a jet evaluator; the array form is its ``values``
+        (a :class:`~chebscale.jet.JetMemo` or an expression), and there is
+        none for other evaluators."""
+        values = getattr(jetfn, "values", None)
+        return cls(lambda x: jetfn(x, 0).value, values)
+
+    def __call__(self, x):
+        return self.scalar(x)
+
+
+def tabulate(fn, xs, catch=(), fill=math.inf):
+    """``fn`` at every node of the float64 array ``xs``, as a new array.
+
+    The array form of a :class:`NodeFn` runs first, on the whole array; the
+    nodes it flags, or every node when it fails or ``fn`` has none, go
+    through the scalar ``fn`` in node order.  A node where that raises one
+    of ``catch`` reads ``fill``; anything else propagates.
+    """
+    vals = None
+    on_nodes = getattr(fn, "on_nodes", None)
+    if on_nodes is not None:
+        try:
+            with np.errstate(all="ignore"):
+                vals = np.array(on_nodes(xs), dtype=float)
+        except _SCALAR_ERRORS:  # e.g. NoArrayForm: a part evaluates point by point
+            vals = None
+    if vals is None:
+        vals = np.empty(len(xs))
+        redo = range(len(xs))
+    else:
+        redo = np.flatnonzero(~np.isfinite(vals))
+    for i in redo:
+        try:
+            vals[i] = fn(xs[i])
+        except catch:
+            vals[i] = fill
+    return vals
+
+
+def node_values(fn, xs):
+    """A part of an array form: ``fn`` at every node, bit for bit or NaN
+    where the scalar ``fn`` raises (the composite is then flagged there)."""
+    return tabulate(fn, xs, catch=_SCALAR_ERRORS, fill=math.nan)
+
+
 def _gk15(f, a, b):
     """Kronrod value, error estimate and node values of f on [a, b]."""
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    vals = np.empty(15)
-    for i in range(15):
-        vals[i] = f(mid + half * XGK[i])
+    vals = tabulate(f, mid + half * XGK)
     k = half * float(WGK @ vals)
     g = half * float(WG15 @ vals)
     return k, abs(k - g), vals
@@ -355,6 +427,8 @@ class WorkGrid:
         self.half = 0.5 * (hi - lo)
         self.mid = 0.5 * (hi + lo)
         self.cellnodes = self.mid + self.half * XGK[None, :]
+        # the cell nodes in x, flat: the one node array every table is on
+        self.xnodes = (self.sigma * self.cellnodes).ravel()
         self._value_cache = weakref.WeakKeyDictionary()
 
     def x_from_work(self, w):
@@ -364,19 +438,15 @@ class WorkGrid:
         return self.sigma * x
 
     def values(self, fn):
-        """(cells, 15) array of fn evaluated at the cell nodes (x coords).
+        """(cells, 15) array of fn evaluated at the cell nodes (x coords),
+        through :func:`tabulate` on ``xnodes``.
 
         Nodes where the evaluation overflows come back as +inf; downstream
         reciprocal/product rules treat an overflowed weight as 1/w = 0.
         """
         got = self._value_cache.get(fn)
         if got is None:
-            flat = np.empty(self.cellnodes.size)
-            for idx, w in enumerate(self.cellnodes.ravel()):
-                try:
-                    flat[idx] = fn(self.sigma * w)
-                except (ArithmeticError, EvaluationError):
-                    flat[idx] = math.inf
+            flat = tabulate(fn, self.xnodes, catch=(ArithmeticError, EvaluationError))
             got = np.nan_to_num(
                 flat.reshape(self.cellnodes.shape),
                 nan=0.0, posinf=math.inf, neginf=-math.inf,

@@ -52,3 +52,14 @@ def poly_schedule():
 @pytest.fixture(scope="session")
 def poly_artifacts(poly_scale, poly_schedule):
     return artifacts_for(poly_scale, poly_schedule)
+
+
+@pytest.fixture(scope="session")
+def taylor_scale():
+    """Powers of (1 - x) toward 1 from the left."""
+    return ChebyshevScale.from_exprs(["1", "1-x", "(1-x)^2", "(1-x)^3"], T=0.0, x0=1.0)
+
+
+@pytest.fixture(scope="session")
+def taylor_artifacts(taylor_scale):
+    return artifacts_for(taylor_scale, make_schedule(0.0, 1.0, 12, 0.5))

@@ -371,7 +371,7 @@ def test_bundle_lf_is_the_wronskian_quotient_at_every_node(cubic_artifacts):
     assert tabulated.tolist() == direct
 
 
-def test_second_tabulation_makes_no_wronskian_call(cubic_artifacts, monkeypatch):
+def test_lf_tabulation_makes_no_bordered_wronskian_call(cubic_artifacts, monkeypatch):
     # the module: ``chebscale.wronskian`` names the function of that name
     wronskian = importlib.import_module("chebscale.wronskian")
     real = wronskian.bordered_wronskian
@@ -384,11 +384,13 @@ def test_second_tabulation_makes_no_wronskian_call(cubic_artifacts, monkeypatch)
     monkeypatch.setattr(wronskian, "bordered_wronskian", counted)
     art = cubic_artifacts
     f = ExpressionFunction("exp(x)")
-    art.grid.values(art.lf_evaluator(f))
-    assert len(calls) == art.grid.cellnodes.size
+    # the bordered determinants of all nodes are eliminated as one stack
+    first = art.grid.values(art.lf_evaluator(f))
+    assert calls == []
     # a new evaluator misses the grid's cache but reads f's record
-    art.grid.values(art.lf_evaluator(f))
-    assert len(calls) == art.grid.cellnodes.size
+    assert art.lf_evaluator(f).on_nodes(art.grid.xnodes) is art._record(f).lf_nodes
+    assert np.array_equal(art.grid.values(art.lf_evaluator(f)), first)
+    assert calls == []
 
 
 def test_limits_stop_at_the_target_reach(poly_artifacts):

@@ -12,10 +12,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from chebscale import ChebyshevScale
+from chebscale import ChebyshevScale, artifacts_for, check_complete, make_schedule
 from chebscale.errors import EvaluationError
 from chebscale.expr import FUNCTIONS, BinOp, Call, Const, ExpressionFunction, Neg, Var, eval_jet
-from chebscale.factorization import _PrefixWronskians
+from chebscale.factorization import _PrefixWronskians, _endpoint_schedule
 from chebscale.jet import JetMemo, jet_variable, truncate
 from chebscale.wronskian import wronskian_jet
 
@@ -131,3 +131,29 @@ def test_a_failed_evaluation_stores_nothing():
         memo(2.0, 1)
     assert memo._jets == {}
     assert memo(3.0, 1).coeffs == (1.0, -1.0)
+
+
+def test_bundle_memos_hold_no_grid_node(monkeypatch):
+    # grid tables go through array forms, which keep no point; the memos of
+    # the members, prefix Wronskians and chain weights hold only points
+    # asked for one at a time (probes and schedules)
+    memos = []
+    init = JetMemo.__init__
+
+    def recorded(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        memos.append(self)
+
+    monkeypatch.setattr(JetMemo, "__init__", recorded)
+    scale = ChebyshevScale.from_exprs(["exp(x)", "x", "log(x)", "1"], T=4.0, x0=math.inf)
+    art = artifacts_for(scale, make_schedule(4.0, math.inf, 10, 1.22))
+    f = ExpressionFunction("2*exp(x) - x + 3*log(x) + 5")
+    check_complete(f, art)
+    asked = set(art.probes) | set(art.class_points) | set(art.schedule.points)
+    for endpoint in ("x0", "T"):
+        asked |= set(_endpoint_schedule((scale.T, scale.x0), endpoint).points)
+    nodes = set((art.grid.sigma * art.grid.cellnodes).ravel().tolist()) - asked
+    names = {m.name for m in memos}
+    assert {"W(1, 2, 3, 4)", "polya_q:r2", "exp(x)"} <= names
+    for memo in memos + [f._memo]:
+        assert not nodes & set(memo._jets), memo.name

@@ -14,6 +14,7 @@ from chebscale import (
     wronskian_suppressed,
 )
 from chebscale.errors import IndexConditionViolated
+from chebscale.wronskian import det_pivoted
 from chebscale.jet import derivative, jet_derivative
 from chebscale.expr import ExpressionFunction
 
@@ -194,3 +195,38 @@ def test_wronskian_jet_consistent_with_derivative():
     f1 = wronskian(sc, (1, 2, 3), x + h).value
     fd = (f1 - f0) / (2 * h)
     assert abs(jet_derivative(wj, 1) - fd) < 1e-4 * max(abs(fd), 1.0)
+
+
+def test_zero_rule_reads_the_elimination_noise():
+    # W(x^3, x^2, x, 1) = -12 exactly; its column-norm product is about x^6,
+    # so a floor proportional to it called the value zero from x ~ 479 on
+    poly = ChebyshevScale.from_exprs(["x^3", "x^2", "x", "1"], T=1.0, x0=math.inf)
+    for x in (10.0, 486.0293591548983, 5000.0, 1e5):
+        ev = wronskian(poly, (1, 2, 3, 4), x)
+        assert abs(abs(ev.value) - 12.0) < 1e-9 and not ev.vanishes
+    # exactly singular matrices leave a pivot of pure rounding noise
+    for exprs in (["exp(x)", "exp(x)"], ["exp(x)", "2*exp(x)"],
+                  ["x^3", "x", "2*x^3"], ["sin(x)", "x", "sin(x)"],
+                  ["log(x)", "x^2", "x", "3*x^2"]):
+        sc = ChebyshevScale.from_exprs(exprs, T=1.0, x0=math.inf)
+        for x in (1.5, 7.3, 30.1, 86.03):
+            assert wronskian(sc, tuple(range(1, len(exprs) + 1)), x).vanishes
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_stacked_elimination_is_the_scalar_one(k):
+    # each matrix of a stack: value, conditioning, column-norm product and
+    # floor of the scalar elimination bit for bit, NaN at a non-finite entry
+    rng = np.random.default_rng(k)
+    a = rng.normal(size=(400, k, k)) * 10.0 ** rng.integers(-6, 6, size=(400, 1, k))
+    a[::7, :, k - 1] = a[::7, :, 0]  # exactly singular
+    a[1::11, 0, :] = 0.0  # a zero row
+    a[2::13, k - 1, 0] = np.inf
+    rows = [[a[:, r, c] for c in range(k)] for r in range(k)]
+    stacked = det_pivoted(rows)
+    for i in range(len(a)):
+        scalar = det_pivoted(a[i].tolist())
+        if np.isfinite(a[i]).all():
+            assert tuple(s[i] for s in stacked) == scalar
+        else:
+            assert math.isnan(stacked[0][i])
