@@ -16,15 +16,15 @@ members, expression targets, prefix Wronskians, chain weights, nest
 evaluators, constructed functions), one jet per point at the highest order
 asked for there.  Above the jets, a :class:`ScaleArtifacts` bundle owns what
 depends on the scale alone (chains, constants, grid, weight tabulations and
-the target-independent P-weight nest).  Everything computed from a target
-belongs to that target's record, which the bundle holds only as long as the
-target lives, so a later target can never be served an earlier one's
-results.  The record keeps L[f] = W(phi_1..phi_n, f)/W(phi_1..phi_n) as
-plain values: one array over the grid nodes, eliminated as one stack of
-bordered determinants, and one value per other point it was asked at
-(probes, and grid nodes flagged in the array).  Every nest of every check
-of f reads them, and the record holds no closure over f, which would keep f
-alive.  The denominator W(phi_1..phi_n) on the grid nodes depends on the
+the target-independent P-weight nest with its values on the grid nodes).
+Everything computed from a target belongs to that target's record, which
+the bundle holds only as long as the target lives, so a later target can
+never be served an earlier one's results.  The record keeps
+L[f] = W(phi_1..phi_n, f)/W(phi_1..phi_n) as plain values: one array over
+the grid nodes, eliminated as one stack of bordered determinants, and one
+value per other point it was asked at (probes, and grid nodes flagged in
+the array).  Every nest of every check of f reads them, and the record
+holds no closure over f, which would keep f alive.  The denominator W(phi_1..phi_n) on the grid nodes depends on the
 scale alone: the bundle tabulates it, with the nodes where it vanishes,
 once, and every target's L[f] array divides by it.  Grid tables of the
 weights and of L[f] go through array forms, which keep no point in any jet
@@ -105,14 +105,14 @@ class ScaleArtifacts:
 
     The bundle owns the chains, constants and grid (whose value cache keeps
     the weight tabulations, since the bundle holds the weights) and the
-    target-independent ``("P-weight",)`` nest.  A target owns everything
-    computed from it: ``_targets`` maps it, by weak reference, to a record
-    of its M/L values, its limits, its L[f] values and L[f] = 0 test and its
-    nests, keyed by label only.  The record goes when the target goes, so a
-    new target at a dead one's address inherits none of its results.  A
-    ``source`` passed to a checker is a promise that L[f] = q_n * source: a
-    target's nests are built from whichever L[f] evaluator reaches them
-    first.
+    target-independent ``("P-weight",)`` nest, tabulated once on the grid
+    nodes.  A target owns everything computed from it: ``_targets`` maps
+    it, by weak reference, to a record of its M/L values, its limits, its
+    L[f] values and L[f] = 0 test and its nests, keyed by label only.  The
+    record goes when the target goes, so a new target at a dead one's
+    address inherits none of its results.  A ``source`` passed to a checker
+    is a promise that L[f] = q_n * source: a target's nests are built from
+    whichever L[f] evaluator reaches them first.
     """
 
     def __init__(self, scale, schedule, build_system=True):
@@ -146,6 +146,7 @@ class ScaleArtifacts:
         self._targets = weakref.WeakKeyDictionary()
         self._nests = {}
         self._den = None  # wronskian_flags of W(phi_1..phi_n) on the grid nodes
+        self._p_nodes = None  # the P-weight nest on the grid nodes
         # classification points: the probe schedule extended geometrically to
         # the grid's reach (table lookups there are free, and integrals need
         # the extra range to classify decisively)
@@ -275,6 +276,25 @@ class ScaleArtifacts:
             rec.lf_zero = zero
         return rec.lf_zero
 
+    def p_weight(self):
+        """The target-independent P-weight nest: P(t) by nested from-T
+        integration of the type-I chain."""
+        n = self.n
+        return self.nest(
+            [self.p_vals[j] for j in range(n - 1, 0, -1)],
+            ["from_T"] * (n - 1),
+            lambda x: 1.0,
+            key=("P-weight",),
+        )
+
+    def p_weight_nodes(self):
+        """P(t) on the grid nodes (NaN where the nest raises), tabulated
+        once per bundle for every target's (6.12) density."""
+        if self._p_nodes is None:
+            pnest = self.p_weight()
+            self._p_nodes = node_values(lambda t: pnest.value(t, 0), self.grid.xnodes)
+        return self._p_nodes
+
     def nest(self, weights, orientations, density, key=None, target=None):
         """NestedIntegral on the shared grid, memoized under ``key`` in
         ``target``'s record, or in the bundle's own table when the nest
@@ -385,7 +405,7 @@ def _limit_status(values, tol=_LIMIT_TOL, loo=True):
     kind = res["kind"]
     if kind in ("diverged_plus", "diverged_minus", "oscillatory"):
         return "diverged", math.nan, math.inf
-    if kind == "converged":
+    if res["n_used"] >= 4:  # classify_sequence extrapolated the finite values
         value, conf = res["value"], res["confidence"]
     else:
         value, conf = extrapolate_limit(values)
@@ -1345,12 +1365,7 @@ def check_absolute(f, artifacts, source=None):
     )
 
     # (6.12): P(t) built by nested from-T integration of the type-I chain
-    pnest = art.nest(
-        [art.p_vals[j] for j in range(n - 1, 0, -1)],
-        ["from_T"] * (n - 1),
-        lambda x: 1.0,
-        key=("P-weight",),
-    )
+    pnest = art.p_weight()
 
     def p_weighted_density(t):
         v = abs_lf(t)
@@ -1362,7 +1377,10 @@ def check_absolute(f, artifacts, source=None):
         v = node_values(abs_lf, ts)
         live = v != 0.0
         out = np.zeros(len(ts))
-        p = node_values(lambda t: pnest.value(t, 0), ts[live])
+        if ts is art.grid.xnodes:
+            p = art.p_weight_nodes()[live]
+        else:
+            p = node_values(lambda t: pnest.value(t, 0), ts[live])
         out[live] = p / node_values(pn, ts)[live] * v[live]
         return out
 

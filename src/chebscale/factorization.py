@@ -263,7 +263,11 @@ def classify_canonicity(chain, schedule=None, endpoints=("x0", "T"), tol=1e-3):
 
     type_I: every reciprocal middle weight has a divergent integral toward
     the endpoint; type_II: every one converges; mixed decisive verdicts give
-    "neither", anything else "unknown".
+    "neither", anything else "unknown".  The probes are cut where a
+    reciprocal weight stops being finite, read off its array form, and each
+    reciprocal weight's integrals between the probes are refined together:
+    one node array of GK15 cells per refinement round
+    (:func:`~chebscale.quadrature.integrate_all`).
     """
     out = {}
     recips = [

@@ -20,13 +20,19 @@ and exponentiated on Kronrod sub-pieces, as many as its slope needs, so the
 tails at the nodes keep their relative accuracy.  No cell gets new nodes,
 and from_T levels are left as tabulated.
 
-Tabulation: a GK15 cell and a grid's node table evaluate their function
+Tabulation: GK15 cells and a grid's node table evaluate their function
 through :func:`tabulate`, once per node array when the function has an
 array form (a :class:`NodeFn`).  An array form returns, at each node, the
 scalar function's value bit for bit or a non-finite value (flagged, where
 the scalar function might raise or does not stay finite); flagged nodes are
 evaluated again, in node order, by the scalar function, so values,
 +inf entries and raised exceptions are those of a node-by-node loop.
+Adaptive quadrature batches its cells per refinement round:
+:func:`integrate_all` runs one adaptive loop per interval, and each round
+tabulates the cells that every unfinished interval splits next as one node
+array.  Each cell is still summed on its own, and each interval keeps its
+own heap, totals and budget, so values and exceptions are those of
+integrating the intervals one after another.
 """
 
 from __future__ import annotations
@@ -201,22 +207,30 @@ class NodeFn:
         return self.scalar(x)
 
 
-def tabulate(fn, xs, catch=(), fill=math.inf):
+def array_form(fn, xs):
+    """The array form of ``fn`` on the float64 array ``xs`` (non-finite at
+    the nodes it flags), or None when ``fn`` has none or it fails."""
+    on_nodes = getattr(fn, "on_nodes", None)
+    if on_nodes is None:
+        return None
+    try:
+        with np.errstate(all="ignore"):
+            return np.array(on_nodes(xs), dtype=float)
+    except _SCALAR_ERRORS:  # e.g. NoArrayForm: a part evaluates point by point
+        return None
+
+
+def tabulate(fn, xs, catch=(), fill=math.inf, raised=None):
     """``fn`` at every node of the float64 array ``xs``, as a new array.
 
     The array form of a :class:`NodeFn` runs first, on the whole array; the
     nodes it flags, or every node when it fails or ``fn`` has none, go
     through the scalar ``fn`` in node order.  A node where that raises one
-    of ``catch`` reads ``fill``; anything else propagates.
+    of ``catch`` reads ``fill``; anything else propagates, unless
+    ``raised`` is a dict: then the node reads NaN and ``raised`` maps its
+    index to the exception.
     """
-    vals = None
-    on_nodes = getattr(fn, "on_nodes", None)
-    if on_nodes is not None:
-        try:
-            with np.errstate(all="ignore"):
-                vals = np.array(on_nodes(xs), dtype=float)
-        except _SCALAR_ERRORS:  # e.g. NoArrayForm: a part evaluates point by point
-            vals = None
+    vals = array_form(fn, xs)
     if vals is None:
         vals = np.empty(len(xs))
         redo = range(len(xs))
@@ -227,6 +241,11 @@ def tabulate(fn, xs, catch=(), fill=math.inf):
             vals[i] = fn(xs[i])
         except catch:
             vals[i] = fill
+        except Exception as exc:
+            if raised is None:
+                raise
+            raised[int(i)] = exc
+            vals[i] = math.nan
     return vals
 
 
@@ -236,14 +255,22 @@ def node_values(fn, xs):
     return tabulate(fn, xs, catch=_SCALAR_ERRORS, fill=math.nan)
 
 
-def _gk15(f, a, b):
-    """Kronrod value, error estimate and node values of f on [a, b]."""
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    vals = tabulate(f, mid + half * XGK)
-    k = half * float(WGK @ vals)
-    g = half * float(WG15 @ vals)
-    return k, abs(k - g), vals
+def _gk15(f, cells):
+    """Kronrod value and error estimate of f on each cell ``(a, b)``, all
+    cells tabulated as one node array; a cell where the scalar f raises
+    gets, in place of its pair, the exception of its first such node."""
+    mid = np.array([0.5 * (a + b) for a, b in cells])
+    half = np.array([0.5 * (b - a) for a, b in cells])
+    raised = {}
+    vals = tabulate(f, (mid[:, None] + half[:, None] * XGK).ravel(), raised=raised)
+    out = []
+    for h, row in zip(half.tolist(), vals.reshape(len(cells), 15)):
+        k = h * float(WGK @ row)
+        g = h * float(WG15 @ row)
+        out.append((k, abs(k - g)))
+    for i in sorted(raised, reverse=True):  # the first node of a cell wins
+        out[i // 15] = raised[i]
+    return out
 
 
 @dataclass
@@ -268,7 +295,8 @@ def integrate(spec, lower=None, upper=None, tol=1e-10, max_intervals=4096):
     ``spec`` may be an :class:`IntegralSpec` (with improper_at == "none") or
     a plain callable together with ``lower`` and ``upper``.  Subdivision
     continues until the summed error estimate drops below
-    ``tol * (1 + |value|)``.  Returns ``(value, error_estimate)``.
+    ``tol * (1 + |value|)``.  Returns ``(value, error_estimate)``; this is
+    the one-interval case of :func:`integrate_all`.
     """
     if isinstance(spec, IntegralSpec):
         if spec.improper_at != "none":
@@ -276,65 +304,117 @@ def integrate(spec, lower=None, upper=None, tol=1e-10, max_intervals=4096):
         f, a, b = spec.integrand, spec.lower, spec.upper
     else:
         f, a, b = spec, lower, upper
-    if a == b:
-        return 0.0, 0.0
-    sign = 1.0
-    if b < a:
-        a, b = b, a
-        sign = -1.0
-    if math.isinf(a) or math.isinf(b):
-        raise EvaluationError("infinite endpoints go through classify_improper")
-    val, err, _ = _gk15(f, a, b)
-    heap = [(-err, a, b, val)]
-    total_val, total_err = val, err
-    splits = 0
-    while total_err > tol * (1.0 + abs(total_val)) and heap:
-        if splits >= max_intervals:
-            raise ToleranceNotMet(
-                f"budget of {max_intervals} subdivisions exhausted",
-                value=sign * total_val,
-                error=total_err,
-            )
-        neg_err, a0, b0, v0 = heapq.heappop(heap)
-        mid = 0.5 * (a0 + b0)
-        if mid <= a0 or mid >= b0:
-            # interval at floating-point resolution; accept its estimate
-            total_err += neg_err  # remove this error from the pool
-            continue
-        v1, e1, _ = _gk15(f, a0, mid)
-        v2, e2, _ = _gk15(f, mid, b0)
-        total_val += v1 + v2 - v0
-        total_err += e1 + e2 + neg_err
-        heapq.heappush(heap, (-e1, a0, mid, v1))
-        heapq.heappush(heap, (-e2, mid, b0, v2))
-        splits += 1
-    return sign * total_val, max(total_err, 0.0)
+    return integrate_all(f, [(a, b)], tol, max_intervals)[0]
 
 
-def _signed_integral(f, a, b, tol):
-    if a == b:
-        return 0.0, 0.0
-    return integrate(f, a, b, tol=tol)
+class _Adaptive:
+    """One interval's adaptive loop in :func:`integrate_all`: its heap,
+    totals and split budget, the ``cells`` it evaluates next, and its
+    outcome, ``result`` or ``error``."""
+
+    __slots__ = ("sign", "heap", "total_val", "total_err", "splits", "popped",
+                 "cells", "result", "error")
+
+    def __init__(self, a, b):
+        self.result = self.error = self.heap = None
+        self.cells = []
+        if a == b:
+            self.result = (0.0, 0.0)
+            return
+        self.sign = 1.0
+        if b < a:
+            a, b = b, a
+            self.sign = -1.0
+        if math.isinf(a) or math.isinf(b):
+            self.error = EvaluationError("infinite endpoints go through classify_improper")
+            return
+        self.cells = [(a, b)]
+
+    def take(self, got, tol, max_intervals):
+        """Apply the round's results on ``cells``, then pick the next."""
+        for g in got:
+            if isinstance(g, Exception):
+                self.error, self.cells = g, []
+                return
+        if self.heap is None:
+            ((val, err),), ((a, b),) = got, self.cells
+            self.heap = [(-err, a, b, val)]
+            self.total_val, self.total_err = val, err
+            self.splits = 0
+        else:
+            (v1, e1), (v2, e2) = got
+            (a0, mid), (_, b0) = self.cells
+            neg_err, v0 = self.popped
+            self.total_val += v1 + v2 - v0
+            self.total_err += e1 + e2 + neg_err
+            heapq.heappush(self.heap, (-e1, a0, mid, v1))
+            heapq.heappush(self.heap, (-e2, mid, b0, v2))
+            self.splits += 1
+        self.cells = []
+        while self.total_err > tol * (1.0 + abs(self.total_val)) and self.heap:
+            if self.splits >= max_intervals:
+                self.error = ToleranceNotMet(
+                    f"budget of {max_intervals} subdivisions exhausted",
+                    value=self.sign * self.total_val,
+                    error=self.total_err,
+                )
+                return
+            neg_err, a0, b0, v0 = heapq.heappop(self.heap)
+            mid = 0.5 * (a0 + b0)
+            if mid <= a0 or mid >= b0:
+                # interval at floating-point resolution; accept its estimate
+                self.total_err += neg_err  # remove this error from the pool
+                continue
+            self.popped = (neg_err, v0)
+            self.cells = [(a0, mid), (mid, b0)]
+            return
+        self.result = (self.sign * self.total_val, max(self.total_err, 0.0))
+
+
+def integrate_all(f, intervals, tol=1e-10, max_intervals=4096):
+    """:func:`integrate` of ``f`` over every ``(lower, upper)`` of
+    ``intervals``, as a list of ``(value, error_estimate)``.
+
+    Every interval runs the adaptive loop on its own; a refinement round
+    tabulates the cells that every unfinished interval evaluates next as
+    one node array (see the module docstring).  An exception is that of the
+    first interval, in order, that raises, as in a loop over the intervals:
+    the intervals after it stop at the round where it raised.
+    """
+    runs = [_Adaptive(a, b) for a, b in intervals]
+    while True:
+        stop = next((i for i, r in enumerate(runs) if r.error is not None), len(runs))
+        todo = [r for r in runs[:stop] if r.cells]
+        if not todo:
+            break
+        got = _gk15(f, [c for r in todo for c in r.cells])
+        for r in todo:
+            n = len(r.cells)
+            r.take(got[:n], tol, max_intervals)
+            got = got[n:]
+    if stop < len(runs):
+        raise runs[stop].error
+    return [r.result for r in runs]
 
 
 def classify_toward(integrand, anchor, points, tol=1e-8, quad_tol=None):
     """Classify ``lim integral(anchor -> x_j)`` as x_j runs through ``points``.
 
     Signed partial integrals, so the same routine serves limits approached
-    from either side.  Returns a :class:`ConvergenceVerdict`.
+    from either side; the steps between consecutive points are integrated
+    together by :func:`integrate_all`.  Returns a :class:`ConvergenceVerdict`.
     """
     if quad_tol is None:
         quad_tol = min(1e-11, tol * 1e-3)
+    points = list(points)
     partials = []
     errs = 0.0
     acc = 0.0
-    prev = anchor
-    for x in points:
-        inc, err = _signed_integral(integrand, prev, x, quad_tol)
+    steps = integrate_all(integrand, list(zip([anchor] + points[:-1], points)), quad_tol)
+    for x, (inc, err) in zip(points, steps):
         acc += inc
         errs += err
         partials.append((x, acc))
-        prev = x
     seq = [v for _, v in partials]
     res = classify_sequence(seq, tol)
     kind = {

@@ -19,6 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import (
     AllImagesVanish,
     BadScheduleParams,
@@ -28,6 +30,7 @@ from .errors import (
 from .expr import ExpressionFunction
 from .extrapolate import extrapolate_limit
 from .jet import JetMemo, jet_derivative
+from .quadrature import array_form
 
 
 @dataclass
@@ -144,14 +147,30 @@ def make_schedule(T, x0, count, ratio):
 def finite_prefix(points, fns):
     """Longest prefix of ``points`` at which every callable evaluates finite:
     a point where some ``fn(x)`` raises ``ArithmeticError`` or
-    ``EvaluationError``, or returns inf or nan, ends it."""
-    good = []
-    for x in points:
-        try:
-            if not all(math.isfinite(fn(x)) for fn in fns):
-                break
-        except (ArithmeticError, EvaluationError):
+    ``EvaluationError``, or returns inf or nan, ends it.
+
+    When every callable has an array form
+    (:func:`~chebscale.quadrature.array_form`), all points are read at once
+    and only the points some array form flags are checked callable by
+    callable: an array form's finite values are the callable's own.
+    """
+    points = list(points)
+    xs = np.array(points, dtype=float)
+    flagged = np.zeros(len(points), dtype=bool)
+    for fn in fns:
+        vals = array_form(fn, xs)
+        if vals is None:
+            flagged[:] = True
             break
+        flagged |= ~np.isfinite(vals)
+    good = []
+    for x, check in zip(points, flagged):
+        if check:
+            try:
+                if not all(math.isfinite(fn(x)) for fn in fns):
+                    break
+            except (ArithmeticError, EvaluationError):
+                break
         good.append(x)
     return good
 

@@ -16,7 +16,7 @@ from chebscale import ChebyshevScale, artifacts_for, check_complete, make_schedu
 from chebscale.errors import EvaluationError
 from chebscale.expr import FUNCTIONS, BinOp, Call, Const, ExpressionFunction, Neg, Var, eval_jet
 from chebscale.factorization import _PrefixWronskians, _endpoint_schedule
-from chebscale.jet import JetMemo, jet_variable, truncate
+from chebscale.jet import Jet, JetMemo, jet_variable, truncate
 from chebscale.wronskian import wronskian_jet
 
 # invalid draws: log/sqrt of negatives, overflow, and constant subtrees such
@@ -42,7 +42,17 @@ POINTS = st.floats(0.1, 5.0)
 
 
 def bits(j):
-    return j.anchor, struct.pack(f"{len(j.coeffs)}d", *j.coeffs)
+    """The jet's anchor and coefficient bits, with every NaN read as the one
+    NaN: a NaN's sign bit means nothing, while -0.0 and 0.0 stay apart."""
+    coeffs = [math.nan if math.isnan(c) else c for c in j.coeffs]
+    return j.anchor, struct.pack(f"{len(coeffs)}d", *coeffs)
+
+
+def test_bits_equate_nans_but_not_signed_zeros():
+    neg_nan = struct.unpack("d", struct.pack("Q", 0xFFF8000000000000))[0]
+    assert math.copysign(1.0, neg_nan) < 0.0
+    assert bits(Jet(1.0, [0.0, math.nan])) == bits(Jet(1.0, [0.0, neg_nan]))
+    assert bits(Jet(1.0, [0.0, math.nan])) != bits(Jet(1.0, [-0.0, math.nan]))
 
 
 @settings(max_examples=200, deadline=None)

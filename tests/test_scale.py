@@ -18,6 +18,7 @@ from chebscale import (
     verify_tas,
 )
 from chebscale.errors import AllImagesVanish, BadScheduleParams, EvaluationError
+from chebscale.quadrature import NodeFn
 
 
 def test_make_schedule_finite_halving():
@@ -186,6 +187,46 @@ def test_finite_prefix_stops_before_the_first_failing_point(count, failures):
     bad = [j for j in range(count) if any(j in fails for fails in failures)]
     expected = points[: bad[0]] if bad else points
     assert finite_prefix(points, [behaving(fails) for fails in failures]) == expected
+
+
+@given(
+    st.integers(0, 12),
+    st.lists(
+        st.tuples(
+            st.dictionaries(st.integers(0, 11), st.sampled_from(sorted(_OUTCOMES))),
+            st.sets(st.integers(0, 11)),
+        ),
+        min_size=1, max_size=3,
+    ),
+)
+def test_finite_prefix_reads_array_forms(count, failures):
+    """Callables with array forms give the prefix of the point-by-point walk;
+    only points an array form flags (its failures and ``flagged``, where the
+    scalar is finite) are evaluated point by point."""
+    points = [1.5**j for j in range(count)]
+    scalar_at = []
+
+    def behaving(fails, flagged):
+        def fn(x):
+            j = points.index(x)
+            scalar_at.append(j)
+            return _OUTCOMES[fails[j]]() if j in fails else -x
+
+        def value(j, x):
+            try:
+                return _OUTCOMES[fails[j]]() if j in fails else -x
+            except (ArithmeticError, EvaluationError):
+                return math.nan
+
+        def on_nodes(xs):
+            return [math.nan if j in flagged else value(j, x) for j, x in enumerate(xs)]
+        return NodeFn(fn, on_nodes)
+
+    bad = [j for j in range(count) if any(j in fails for fails, _ in failures)]
+    expected = points[: bad[0]] if bad else points
+    assert finite_prefix(points, [behaving(*f) for f in failures]) == expected
+    checked = {j for fails, flagged in failures for j in set(fails) | flagged}
+    assert set(scalar_at) <= checked
 
 
 _REACHING = [
