@@ -1374,14 +1374,12 @@ def check_absolute(f, artifacts, source=None):
         return pnest.value(t, 0) / pn(t) * v
 
     def p_weighted_nodes(ts):
+        # the nest tabulates its density on the bundle's grid nodes only
+        assert len(ts) == len(art.grid.xnodes)
         v = node_values(abs_lf, ts)
         live = v != 0.0
         out = np.zeros(len(ts))
-        if ts is art.grid.xnodes:
-            p = art.p_weight_nodes()[live]
-        else:
-            p = node_values(lambda t: pnest.value(t, 0), ts[live])
-        out[live] = p / node_values(pn, ts)[live] * v[live]
+        out[live] = art.p_weight_nodes()[live] / node_values(pn, ts)[live] * v[live]
         return out
 
     verdicts["(6.12) P-weighted"], _ = _integral_verdict(

@@ -307,68 +307,42 @@ def integrate(spec, lower=None, upper=None, tol=1e-10, max_intervals=4096):
     return integrate_all(f, [(a, b)], tol, max_intervals)[0]
 
 
-class _Adaptive:
-    """One interval's adaptive loop in :func:`integrate_all`: its heap,
-    totals and split budget, the ``cells`` it evaluates next, and its
-    outcome, ``result`` or ``error``."""
-
-    __slots__ = ("sign", "heap", "total_val", "total_err", "splits", "popped",
-                 "cells", "result", "error")
-
-    def __init__(self, a, b):
-        self.result = self.error = self.heap = None
-        self.cells = []
-        if a == b:
-            self.result = (0.0, 0.0)
-            return
-        self.sign = 1.0
-        if b < a:
-            a, b = b, a
-            self.sign = -1.0
-        if math.isinf(a) or math.isinf(b):
-            self.error = EvaluationError("infinite endpoints go through classify_improper")
-            return
-        self.cells = [(a, b)]
-
-    def take(self, got, tol, max_intervals):
-        """Apply the round's results on ``cells``, then pick the next."""
-        for g in got:
-            if isinstance(g, Exception):
-                self.error, self.cells = g, []
-                return
-        if self.heap is None:
-            ((val, err),), ((a, b),) = got, self.cells
-            self.heap = [(-err, a, b, val)]
-            self.total_val, self.total_err = val, err
-            self.splits = 0
-        else:
-            (v1, e1), (v2, e2) = got
-            (a0, mid), (_, b0) = self.cells
-            neg_err, v0 = self.popped
-            self.total_val += v1 + v2 - v0
-            self.total_err += e1 + e2 + neg_err
-            heapq.heappush(self.heap, (-e1, a0, mid, v1))
-            heapq.heappush(self.heap, (-e2, mid, b0, v2))
-            self.splits += 1
-        self.cells = []
-        while self.total_err > tol * (1.0 + abs(self.total_val)) and self.heap:
-            if self.splits >= max_intervals:
-                self.error = ToleranceNotMet(
-                    f"budget of {max_intervals} subdivisions exhausted",
-                    value=self.sign * self.total_val,
-                    error=self.total_err,
-                )
-                return
-            neg_err, a0, b0, v0 = heapq.heappop(self.heap)
-            mid = 0.5 * (a0 + b0)
-            if mid <= a0 or mid >= b0:
-                # interval at floating-point resolution; accept its estimate
-                self.total_err += neg_err  # remove this error from the pool
-                continue
-            self.popped = (neg_err, v0)
-            self.cells = [(a0, mid), (mid, b0)]
-            return
-        self.result = (self.sign * self.total_val, max(self.total_err, 0.0))
+def _adaptive(a, b, tol, max_intervals):
+    """One interval's adaptive loop in :func:`integrate_all`: it yields the
+    cells it evaluates next, is sent their ``(value, error)`` pairs (or
+    thrown a cell's exception), and returns ``(value, error_estimate)``."""
+    if a == b:
+        return 0.0, 0.0
+    sign = 1.0
+    if b < a:
+        a, b = b, a
+        sign = -1.0
+    if math.isinf(a) or math.isinf(b):
+        raise EvaluationError("infinite endpoints go through classify_improper")
+    ((val, err),) = yield [(a, b)]
+    heap = [(-err, a, b, val)]
+    total_val, total_err = val, err
+    splits = 0
+    while total_err > tol * (1.0 + abs(total_val)) and heap:
+        if splits >= max_intervals:
+            raise ToleranceNotMet(
+                f"budget of {max_intervals} subdivisions exhausted",
+                value=sign * total_val,
+                error=total_err,
+            )
+        neg_err, a0, b0, v0 = heapq.heappop(heap)
+        mid = 0.5 * (a0 + b0)
+        if mid <= a0 or mid >= b0:
+            # interval at floating-point resolution; accept its estimate
+            total_err += neg_err  # remove this error from the pool
+            continue
+        (v1, e1), (v2, e2) = yield [(a0, mid), (mid, b0)]
+        total_val += v1 + v2 - v0
+        total_err += e1 + e2 + neg_err
+        heapq.heappush(heap, (-e1, a0, mid, v1))
+        heapq.heappush(heap, (-e2, mid, b0, v2))
+        splits += 1
+    return sign * total_val, max(total_err, 0.0)
 
 
 def integrate_all(f, intervals, tol=1e-10, max_intervals=4096):
@@ -381,20 +355,36 @@ def integrate_all(f, intervals, tol=1e-10, max_intervals=4096):
     first interval, in order, that raises, as in a loop over the intervals:
     the intervals after it stop at the round where it raised.
     """
-    runs = [_Adaptive(a, b) for a, b in intervals]
+    runs = [_adaptive(a, b, tol, max_intervals) for a, b in intervals]
+    outcome = [None] * len(runs)  # (value, error_estimate) or the exception
+    cells = [None] * len(runs)  # the cells each unfinished run evaluates next
+
+    def resume(i, step, arg):
+        try:
+            cells[i] = step(arg)
+        except StopIteration as done:
+            cells[i], outcome[i] = None, done.value
+        except Exception as exc:
+            cells[i], outcome[i] = None, exc
+
+    for i, run in enumerate(runs):
+        resume(i, run.send, None)
     while True:
-        stop = next((i for i, r in enumerate(runs) if r.error is not None), len(runs))
-        todo = [r for r in runs[:stop] if r.cells]
+        first = next((i for i, o in enumerate(outcome) if isinstance(o, Exception)), len(runs))
+        todo = [i for i in range(first) if cells[i]]
         if not todo:
             break
-        got = _gk15(f, [c for r in todo for c in r.cells])
-        for r in todo:
-            n = len(r.cells)
-            r.take(got[:n], tol, max_intervals)
-            got = got[n:]
-    if stop < len(runs):
-        raise runs[stop].error
-    return [r.result for r in runs]
+        got = iter(_gk15(f, [c for i in todo for c in cells[i]]))
+        for i in todo:
+            pairs = [next(got) for _ in cells[i]]
+            bad = next((p for p in pairs if isinstance(p, Exception)), None)
+            if bad is None:
+                resume(i, runs[i].send, pairs)
+            else:
+                resume(i, runs[i].throw, bad)
+    if first < len(runs):
+        raise outcome[first]
+    return outcome
 
 
 def classify_toward(integrand, anchor, points, tol=1e-8, quad_tol=None):

@@ -162,6 +162,17 @@ def test_the_first_interval_in_order_raises():
         integrate_all(f.node_fn, [(1.0, 2.0), (2.0, math.inf), (0.6, 0.64)])
 
 
+def test_the_left_cell_of_a_split_raises_first():
+    def f(x):  # no value at the centres of both halves of [0, 1]
+        if abs(x - 0.25) < 1e-3 or abs(x - 0.75) < 1e-3:
+            raise ValueError(f"no value at x={float(x)!r}")
+        return math.sin(5.0 * x)
+
+    want = outcome(lambda: integrate_each(f, [(0.0, 1.0)], 1e-13))
+    assert want[:2] == (ValueError, "no value at x=0.25")
+    assert outcome(lambda: integrate_all(f, [(0.0, 1.0)], 1e-13)) == want
+
+
 def verdict_bits(v):
     """A ConvergenceVerdict as kind and bits."""
     return (v.kind, bits(v.value), bits(v.error_estimate),
