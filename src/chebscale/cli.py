@@ -3,7 +3,9 @@
 Commands: ``analyze`` (hierarchy / Wronskian / Levin verification),
 ``factorize`` (both chains, canonicity, structural constants, algorithm
 cross-check), ``expand`` (both coefficient-extraction routes) and ``verify``
-(theorem report suites).  Exit codes: 0 all consistent, 1 a decisive
+(theorem report suites; each checker runs once, and the theorems it decides
+share its report).  No command builds the principal system: ``factorize``
+reports the ``b`` of the structural constants.  Exit codes: 0 all consistent, 1 a decisive
 inconsistency or failed verdict, 2 input error or a computation that left
 double range (an ``error:`` line on stderr).
 
@@ -34,12 +36,7 @@ from .expansion import (
     extract_recursive,
 )
 from .expr import ExpressionFunction
-from .factorization import (
-    build_type1_chain,
-    build_type2_chain,
-    divide_and_differentiate,
-    fit_ratio_constant,
-)
+from .factorization import divide_and_differentiate, fit_ratio_constant
 from .scale import (
     default_verification_schedule,
     load_scale_file,
@@ -174,7 +171,7 @@ def cmd_expand(scale, args):
     schedule = scale_schedule(scale, args.probes, args.ratio)
     f = ExpressionFunction(args.f)
     rec = extract_recursive(f, scale, schedule)
-    art = artifacts_for(scale, schedule, build_system=False)
+    art = artifacts_for(scale, schedule)
     op = extract_operator(f, scale, art.chain_q, art.constants, schedule)
     m = min(len(rec.coefficients), len(op.coefficients))
     disagreement = None
@@ -213,24 +210,25 @@ def cmd_verify(scale, args):
     f = ExpressionFunction(args.f)
     art = artifacts_for(scale, schedule)
     wanted = THEOREMS if args.theorem == "all" else (args.theorem,)
+    # each checker runs once; the theorems it decides share its report
+    checkers = {
+        ("4.4", "5.2", "6.3"): lambda: check_incomplete(f, max(1, scale.n - 1), art),
+        ("4.5", "5.1", "6.1"): lambda: check_complete(f, art),
+        ("5.3",): lambda: check_O(f, scale.n, art),
+        ("6.2",): lambda: check_absolute(f, art),
+    }
     reports = {}
-    for th in wanted:
-        if th in ("4.5", "5.1", "6.1"):
-            rep = check_complete(f, art)
-        elif th in ("4.4", "5.2", "6.3"):
-            rep = check_incomplete(f, max(1, scale.n - 1), art)
-        elif th == "5.3":
-            rep = check_O(f, scale.n, art)
-        elif th == "6.2":
-            rep = check_absolute(f, art)
-        else:
-            raise ChebscaleError(f"unknown theorem selector {th!r}")
-        reports[th] = {
-            "theorem": rep.theorem,
-            "consistent": rep.consistent,
-            "verdicts": rep.verdicts,
-            "notes": rep.notes,
-        }
+    for theorems, check in checkers.items():
+        decided = [th for th in theorems if th in wanted]
+        if decided:
+            rep = check()
+            entry = {
+                "theorem": rep.theorem,
+                "consistent": rep.consistent,
+                "verdicts": rep.verdicts,
+                "notes": rep.notes,
+            }
+            reports.update((th, entry) for th in decided)
     consistent = all(r["consistent"] for r in reports.values())
     any_fail = any(
         v["status"] == "fails"

@@ -17,6 +17,9 @@ evaluators, constructed functions), one jet per point at the highest order
 asked for there.  Above the jets, a :class:`ScaleArtifacts` bundle owns what
 depends on the scale alone (chains, constants, grid, weight tabulations and
 the target-independent P-weight nest with its values on the grid nodes).
+It builds only what is read: the principal system of Lemma 4.1 on its first
+read (no checker and no extraction route reads it), and the constants'
+``b`` comes from the L_k[phi_{n-k}] constancy test, not from that system.
 Everything computed from a target belongs to that target's record, which
 the bundle holds only as long as the target lives, so a later target can
 never be served an earlier one's results.  The record keeps
@@ -38,6 +41,7 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -106,16 +110,19 @@ class ScaleArtifacts:
     The bundle owns the chains, constants and grid (whose value cache keeps
     the weight tabulations, since the bundle holds the weights) and the
     target-independent ``("P-weight",)`` nest, tabulated once on the grid
-    nodes.  A target owns everything computed from it: ``_targets`` maps
-    it, by weak reference, to a record of its M/L values, its limits, its
-    L[f] values and L[f] = 0 test and its nests, keyed by label only.  The
-    record goes when the target goes, so a new target at a dead one's
-    address inherits none of its results.  A ``source`` passed to a checker
-    is a promise that L[f] = q_n * source: a target's nests are built from
-    whichever L[f] evaluator reaches them first.
+    nodes.  The principal system (``system``) is built on its first read
+    and kept; the constants' ``b`` does not need it (see
+    :func:`~chebscale.operators.operator_constants`).  A target owns
+    everything computed from it: ``_targets`` maps it, by weak reference, to
+    a record of its M/L values, its limits, its L[f] values and L[f] = 0
+    test and its nests, keyed by label only.  The record goes when the
+    target goes, so a new target at a dead one's address inherits none of
+    its results.  A ``source`` passed to a checker is a promise that
+    L[f] = q_n * source: a target's nests are built from whichever L[f]
+    evaluator reaches them first.
     """
 
-    def __init__(self, scale, schedule, build_system=True):
+    def __init__(self, scale, schedule):
         require_verified(scale)
         self.scale = scale
         self.schedule = schedule
@@ -137,12 +144,7 @@ class ScaleArtifacts:
                                  hard_cap=finite_prefix(far, weights)[-1])
         else:
             self.grid = WorkGrid(scale.T, scale.x0, include=self.probes)
-        self.system = (
-            build_principal_system(scale, self.chain_p, schedule) if build_system else None
-        )
-        self.constants = operator_constants(
-            scale, self.chain_q, self.chain_p, self.system, schedule
-        )
+        self.constants = operator_constants(scale, self.chain_q, self.chain_p, schedule)
         self._targets = weakref.WeakKeyDictionary()
         self._nests = {}
         self._den = None  # wronskian_flags of W(phi_1..phi_n) on the grid nodes
@@ -174,6 +176,12 @@ class ScaleArtifacts:
     @property
     def n(self):
         return self.scale.n
+
+    @cached_property
+    def system(self):
+        """The principal system of Lemma 4.1, built on first read: no
+        checker and no extraction route reads it."""
+        return build_principal_system(self.scale, self.chain_p, self.schedule)
 
     def _record(self, f):
         rec = self._targets.get(f)
@@ -329,11 +337,12 @@ def _level_sequence(art, f, k):
     return vals[:cut], [nz for _, nz in pairs[:cut]]
 
 
-def artifacts_for(scale, schedule=None, build_system=True):
-    """The bundle of ``scale`` on ``schedule`` (default :func:`scale_schedule`)."""
+def artifacts_for(scale, schedule=None):
+    """The bundle of ``scale`` on ``schedule`` (default :func:`scale_schedule`):
+    chains, constants and grid; the principal system waits for its first read."""
     if schedule is None:
         schedule = scale_schedule(scale)
-    return ScaleArtifacts(scale, schedule, build_system=build_system)
+    return ScaleArtifacts(scale, schedule)
 
 
 # -- extraction -------------------------------------------------------------------
@@ -344,8 +353,6 @@ class ExpansionResult:
     coefficients: list
     confidences: list
     method: str
-    remainder_samples: dict = field(default_factory=dict)
-    source_density: object = None
     partial: bool = False
     statuses: list = field(default_factory=list)
 
@@ -538,11 +545,7 @@ def extract_recursive(f, scale, schedule, refine_sweeps=5):
         noise = max(floors[j] / abs(phis[i][j]) for j in keep[-3:])
         if noise > conf and status in ("stable", "loose"):
             conf = noise
-            scale0 = 1.0 + abs(value)
-            if conf > 1e-2 * scale0:
-                status = "unstable"
-            elif conf > _LIMIT_TOL * scale0:
-                status = "loose"
+            status = _status_from_conf(value, conf)
         return status, value, conf
 
     coeffs = []
@@ -596,12 +599,10 @@ def extract_recursive(f, scale, schedule, refine_sweeps=5):
             partial = True
     if stopped is not None:
         statuses.append(stopped)
-    samples = {0: list(zip(pts, peeled()))}
     return ExpansionResult(
         coefficients=coeffs,
         confidences=confs,
         method="recursive_1_3",
-        remainder_samples=samples,
         partial=partial,
         statuses=statuses,
     )
@@ -620,7 +621,6 @@ def extract_operator(f, scale, chain, constants, schedule):
     n = scale.n
     coeffs, confs, statuses = [], [], []
     partial = False
-    pts = None
     for k in range(n):
         # level k touches prefix Wronskians up to order k+2; deeper probes
         # stay usable for the shallow levels
@@ -657,29 +657,10 @@ def extract_operator(f, scale, chain, constants, schedule):
             continue
         coeffs.append(value / eps[k])
         confs.append(conf / abs(eps[k]))
-    samples = {}
-    if all(math.isfinite(c) for c in coeffs):
-        for k in range(n):
-            rows = []
-            for x in pts:
-                acc = apply_chain(chain, f, x, level=k)
-                for i in range(k + 1, n + 1):
-                    acc -= coeffs[i - 1] * apply_chain(
-                        chain, scale.functions[i - 1], x, level=k
-                    )
-                rows.append((x, acc))
-            samples[k] = rows
-    qn_jetfn = chain.weights[n]
-
-    def source_density(x):
-        return apply_full_operator(scale, f, x) / qn_jetfn(x, 0).value
-
     return ExpansionResult(
         coefficients=coeffs,
         confidences=confs,
         method="operator_limits",
-        remainder_samples=samples,
-        source_density=source_density,
         partial=partial,
         statuses=statuses,
     )
@@ -741,13 +722,6 @@ class ConstructedFunction:
 
     def __call__(self, x, order):
         return self._memo(x, order)
-
-    def lf(self, x):
-        """L[f](x) = q_n(x) * source(x), exact by construction."""
-        v = self.source(x, 0).value
-        if v == 0.0:
-            return 0.0
-        return self.artifacts.q_vals[self.artifacts.n](x) * v
 
 
 def construct_from_source(artifacts, coefficients, source_jetfn, mode="tail"):

@@ -25,14 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DivergentTail,
-    DivisionByZeroJet,
-    EvaluationError,
-    NotAsymptoticScale,
-    PivotVanishes,
-    WronskianDegenerate,
-)
+from .errors import EvaluationError, PivotVanishes, WronskianDegenerate
 from .jet import JetMemo, antiderivative, derivative, jet_constant, jet_derivative, truncate
 from .quadrature import NestedIntegral, NodeFn, WorkGrid, classify_toward
 from .scale import finite_prefix, make_schedule, require_verified, scale_schedule
@@ -87,7 +80,6 @@ class WeightChain:
     n: int
     provenance: str
     canonicity: dict = field(default_factory=lambda: {"x0": "unknown", "T": "unknown"})
-    labels: tuple = ()
     sign_flips: list = field(default_factory=list)  # Wronskian zeros inside
 
     def weight_jet(self, i, x, order):
@@ -123,7 +115,7 @@ def _signed_sign(value, where):
     return 1 if value > 0 else -1
 
 
-def _chain_from_signed(signed_fns, scale, provenance, probes, labels=(), arrays=False):
+def _chain_from_signed(signed_fns, scale, provenance, probes, arrays=False):
     """Detect signs at the latest finite probe and memoize unsigned evaluators.
 
     Signs are read near x0 (they are constant wherever the defining
@@ -157,7 +149,6 @@ def _chain_from_signed(signed_fns, scale, provenance, probes, labels=(), arrays=
         interval=(scale.T, scale.x0),
         n=scale.n,
         provenance=provenance,
-        labels=labels,
     )
     chain.sign_flips = flips
     return chain
@@ -474,10 +465,7 @@ def divide_and_differentiate(scale, pivot, schedule=None):
         rest = images[1:] if pivot == "first" else images[:-1]
         images = [JetMemo(_DDImage(m, g), "dd") for m in rest]
     signed = [_Reciprocal(g) for g in pivots] + [_Product(pivots)]
-    chain = _chain_from_signed(
-        signed, scale, "divide_and_differentiate", probes,
-        labels=("pivot=" + pivot,),
-    )
+    chain = _chain_from_signed(signed, scale, "divide_and_differentiate", probes)
     classify_canonicity(chain)
     return chain
 

@@ -57,7 +57,9 @@ class OperatorConstants:
     function, for k = 0..n-1 (always of modulus one).  ``epsilon_hk`` maps
     (h, k) with h >= k+2 to the empirically detected sign of M_k[phi_h].
     ``b[i-1]`` is the proportionality constant of phi_i to the principal
-    system.
+    system: the constant value of L_{n-i}[phi_i], the mean that the
+    ``L_k[phi_{n-k}]`` constancy test computes along the schedule.  No
+    principal system is built to find it.
     """
 
     epsilon: list
@@ -82,11 +84,13 @@ def detect_constant(values, rel_tol=1e-8):
     return mean, spread
 
 
-def operator_constants(scale, chain_q, chain_p, system, schedule, rel_tol=1e-8):
+def operator_constants(scale, chain_q, chain_p, schedule, rel_tol=1e-8):
     """Detect the structural constants along the schedule.
 
-    Raises :class:`NotConstant` if a type-II image of its own kernel-edge
-    function fails the constancy test, which signals a broken chain.
+    ``epsilon`` and ``b`` are the means of the constancy tests of
+    M_k[phi_{k+1}] and L_k[phi_{n-k}].  Raises :class:`NotConstant` if a
+    chain image of its own kernel-edge function fails its constancy test,
+    which signals a broken chain.
     """
     pts = scale.toward_x0(schedule.points)
     n = scale.n
@@ -108,19 +112,12 @@ def operator_constants(scale, chain_q, chain_p, system, schedule, rel_tol=1e-8):
             elif late and all(v < 0 for v in late):
                 sign = -1
             epsilon_hk[(h, k)] = sign
-    b = list(system.b) if system is not None else []
-    if system is None:
-        b = []
-        for k in range(n):
-            vals = [apply_chain(chain_p, scale.functions[n - k - 1], x, level=k) for x in pts]
-            mean, spread = detect_constant(vals, rel_tol)
-            b.insert(0, mean)
-            constancy[f"L_{k}[phi_{n - k}]"] = {"value": mean, "spread": spread}
-    else:
-        for k in range(n):
-            vals = [apply_chain(chain_p, scale.functions[n - k - 1], x, level=k) for x in pts]
-            mean, spread = detect_constant(vals, rel_tol)
-            constancy[f"L_{k}[phi_{n - k}]"] = {"value": mean, "spread": spread}
+    b = [0.0] * n
+    for k in range(n):
+        vals = [apply_chain(chain_p, scale.functions[n - k - 1], x, level=k) for x in pts]
+        mean, spread = detect_constant(vals, rel_tol)
+        b[n - k - 1] = mean
+        constancy[f"L_{k}[phi_{n - k}]"] = {"value": mean, "spread": spread}
 
     positivity = True
     for i in range(1, n + 1):

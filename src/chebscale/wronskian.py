@@ -260,16 +260,6 @@ def wronskian_jet(scale, indices, x, order):
     return det_jet(matrix)
 
 
-def bordered_wronskian_jet(scale, indices, f, x, order):
-    """W(phi_{i1}, ..., phi_{ik}, f) at x as a jet (f appended as last column)."""
-    indices = tuple(indices)
-    k = len(indices) + 1
-    jets = [scale.phi_jet(i, x, order + k - 1) for i in indices]
-    jets.append(f(x, order + k - 1))
-    matrix = [[derivative(jets[c], r) for c in range(k)] for r in range(k)]
-    return det_jet(matrix)
-
-
 def bordered_wronskian(scale, indices, f, x):
     """Float value of W(phi_{i1}, ..., phi_{ik}, f) at x."""
     indices = tuple(indices)

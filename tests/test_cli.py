@@ -79,3 +79,23 @@ def test_default_schedule_stays_finite(capsys, tmp_path, command, scale):
     for sched in schedules:
         assert len(sched["points"]) >= 6
         assert all(math.isfinite(float(p)) for p in sched["points"])
+
+
+def test_verify_runs_each_checker_once(capsys, monkeypatch):
+    calls = []
+    for name in ("check_complete", "check_incomplete", "check_O", "check_absolute"):
+        real = getattr(cli, name)
+
+        def counted(*args, _name=name, _real=real):
+            calls.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(cli, name, counted)
+    cli.run(["verify", "--scale", APPENDIX, "--f", KERNEL, "--json"] + PAPER)
+    everything = json.loads(capsys.readouterr().out)["results"]
+    assert sorted(calls) == ["check_O", "check_absolute", "check_complete", "check_incomplete"]
+    # a theorem's report is the one its selector alone gives
+    cli.run(["verify", "--scale", APPENDIX, "--f", KERNEL, "--json", "--theorem", "6.1"]
+            + PAPER)
+    alone = json.loads(capsys.readouterr().out)["results"]
+    assert cli.render_json(alone["6.1"]) == cli.render_json(everything["6.1"])

@@ -21,7 +21,7 @@ from chebscale import (
 )
 from chebscale.errors import ChebscaleError, LimitDiverged
 from chebscale.expr import ExpressionFunction
-from chebscale.factorization import apply_full_operator
+from chebscale.factorization import apply_full_operator, build_type1_chain
 
 
 def test_extract_recursive_f1_example():
@@ -62,7 +62,7 @@ def test_extract_operator_exact_kernel(appendix_artifacts):
 def test_extract_operator_taylor_case():
     sc = ChebyshevScale.from_exprs(["1", "1-x", "(1-x)^2", "(1-x)^3"], T=0.0, x0=1.0)
     sched = make_schedule(0.0, 1.0, 12, 0.5)
-    art = artifacts_for(sc, sched, build_system=False)
+    art = artifacts_for(sc, sched)
     f = ExpressionFunction("exp(x)")
     res = extract_operator(f, sc, art.chain_q, art.constants, sched)
     e = math.e
@@ -92,7 +92,7 @@ def test_route_agreement_invariant():
         sched = make_schedule(T, x0, cnt, ratio)
         f = ExpressionFunction(text)
         rec = extract_recursive(f, sc, sched)
-        art = artifacts_for(sc, sched, build_system=False)
+        art = artifacts_for(sc, sched)
         op = extract_operator(f, sc, art.chain_q, art.constants, sched)
         for a, b, ca, cb in zip(
             rec.coefficients, op.coefficients, rec.confidences, op.confidences
@@ -403,3 +403,29 @@ def test_limits_stop_at_the_target_reach(poly_artifacts):
         check_complete(f, poly_artifacts)
     except ChebscaleError:
         pass
+
+
+def test_principal_system_is_built_on_first_read(appendix_scale, appendix_schedule,
+                                                  monkeypatch):
+    expansion = importlib.import_module("chebscale.expansion")
+    real = expansion.build_principal_system
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(expansion, "build_principal_system", counted)
+    art = artifacts_for(appendix_scale, appendix_schedule)
+    check_complete(ExpressionFunction("2*exp(x) - x + 3*log(x) + 5"), art)
+    assert calls == []
+    system = art.system
+    assert art.system is system
+    assert len(calls) == 1
+    # the lazy system is the one a standalone build gives, bit for bit
+    chain_p = build_type1_chain(appendix_scale, appendix_schedule)
+    alone = real(appendix_scale, chain_p, appendix_schedule)
+    assert system.b == alone.b
+    assert np.array_equal(system.beta, alone.beta)
+    for P, P_alone in zip(system.P, alone.P):
+        assert [P.value(x) for x in art.probes] == [P_alone.value(x) for x in art.probes]

@@ -130,7 +130,7 @@ def test_admissibility_kernel_operator_constant_image(cubic_artifacts):
     sched = make_schedule(-1.0, 0.0, 10, 0.5)
     from chebscale import artifacts_for
 
-    art = artifacts_for(sc, sched, build_system=False)
+    art = artifacts_for(sc, sched)
     op = WeightedOperator(art.chain_q, 1, "M")
     out = check_admissibility(sc, op, sched)
     assert out["m"] == 2
