@@ -401,13 +401,9 @@ def _status_from_conf(value, conf, tol=_LIMIT_TOL):
     return "stable" if conf <= tol * scale0 else "loose"
 
 
-def _limit_status(values, tol=_LIMIT_TOL, loo=True):
-    """Limit detection with leave-one-out validation of the confidence.
-
-    The extrapolators can land on accidental deep-tableau coincidences; the
-    shift of the estimate when the last probe is withheld is a real
-    stability measure that an accidental claim cannot fake.
-    """
+def _limit_status(values, tol=_LIMIT_TOL):
+    """Limit detection on one sequence: the kind ``classify_sequence`` gives
+    it, and the extrapolated value with its confidence."""
     res = classify_sequence(values, tol)
     kind = res["kind"]
     if kind in ("diverged_plus", "diverged_minus", "oscillatory"):
@@ -416,28 +412,30 @@ def _limit_status(values, tol=_LIMIT_TOL, loo=True):
         value, conf = res["value"], res["confidence"]
     else:
         value, conf = extrapolate_limit(values)
-    if loo and len(values) >= 7 and math.isfinite(value):
-        _, v2, _ = _limit_status(values[:-1], tol, loo=False)
-        if math.isfinite(v2):
-            conf = max(conf, abs(value - v2))
     return _status_from_conf(value, conf, tol), value, conf
 
 
 def _deflated_limit_status(values, basis_rows, tol=_LIMIT_TOL):
-    """Limit detection after removing exactly-computable correction terms.
+    """Limit detection after removing exactly-computable correction terms,
+    with leave-one-out validation of the confidence.
 
     ``basis_rows`` hold sampled functions that tend to zero toward x0 (the
     operator images of the deeper scale members, or their ratios).  A least
     squares fit of the sequence against [1, basis...] identifies their
     contribution; the deflated sequence has the same limit but a far smaller
     transient, which the standard detector then resolves.  Divergent
-    sequences stay divergent under deflation by decaying terms.
+    sequences stay divergent under deflation by decaying terms.  The raw
+    sequence is the same pipeline with no basis rows, and wins when its
+    claim is tighter.
+
+    The extrapolators can land on accidental deep-tableau coincidences; the
+    shift of the estimate when the last probe is withheld (refit included)
+    is a real stability measure that an accidental claim cannot fake.
     """
-    clean = [b for b in basis_rows if all(math.isfinite(v) for v in b)]
-    if not clean or not all(math.isfinite(v) for v in values):
-        return _limit_status(values, tol)
 
     def deflate(vals, rows):
+        if not rows:
+            return list(vals)
         # fit on the late probes only: whatever the basis cannot represent
         # (the true remainder) is smallest there and cannot smear the fit
         m = len(vals)
@@ -453,27 +451,34 @@ def _deflated_limit_status(values, basis_rows, tol=_LIMIT_TOL):
             out = [d - betas[c] * v for d, v in zip(out, row)]
         return out
 
+    def pipeline(rows):
+        status, value, conf = _limit_status(deflate(values, rows), tol)
+        # leave-one-out: an absorbed genuine transient or a tableau fluke
+        # shifts under point removal
+        if len(values) >= 7 and math.isfinite(value):
+            try:
+                defl2 = deflate(values[:-1], [r[:-1] for r in rows])
+                _, v2, _ = _limit_status(defl2, tol)
+                if math.isfinite(v2):
+                    conf = max(conf, abs(value - v2))
+            except np.linalg.LinAlgError:
+                pass
+            status = _status_from_conf(value, conf, tol) if status != "diverged" else status
+        return status, value, conf
+
+    raw = pipeline([])
+    clean = [b for b in basis_rows if all(math.isfinite(v) for v in b)]
+    if not clean or not all(math.isfinite(v) for v in values):
+        return raw
     try:
-        deflated = deflate(values, clean)
+        status, value, conf = pipeline(clean)
     except np.linalg.LinAlgError:
-        return _limit_status(values, tol)
-    status, value, conf = _limit_status(deflated, tol, loo=False)
-    # leave-one-out over the whole pipeline (refit included): an absorbed
-    # genuine transient or a tableau fluke shifts under point removal
-    if len(values) >= 7 and math.isfinite(value):
-        try:
-            defl2 = deflate(values[:-1], [r[:-1] for r in clean])
-            _, v2, _ = _limit_status(defl2, tol, loo=False)
-            if math.isfinite(v2):
-                conf = max(conf, abs(value - v2))
-        except np.linalg.LinAlgError:
-            pass
-        status = _status_from_conf(value, conf, tol) if status != "diverged" else status
-    raw_status, raw_value, raw_conf = _limit_status(values, tol)
+        return raw
+    raw_status, raw_value, raw_conf = raw
     if raw_status == "diverged" and status == "unstable":
-        return raw_status, raw_value, raw_conf
+        return raw
     if raw_status in ("stable", "loose") and raw_conf < conf:
-        return raw_status, raw_value, raw_conf
+        return raw
     return status, value, conf
 
 
