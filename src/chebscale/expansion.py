@@ -210,18 +210,16 @@ class ScaleArtifacts:
         return self.L(k, self.scale.functions[i - 1], x)
 
     def limit(self, f, k):
-        """Deflated operator-limit status of M_k[f] along the
-        classification points that ``_level_sequence`` keeps."""
+        """The operator limit of M_k[f] (:func:`_operator_limit`) along the
+        classification points, kept in f's record; the deeper members'
+        images are read through the memoized ``M_phi``."""
         limits = self._record(f).limits
         out = limits.get(k)
         if out is None:
-            vals, _ = _level_sequence(self, f, k)
-            pts = self.class_points[: len(vals)]
-            basis = [
-                [self.M_phi(k, i, x) for x in pts]
-                for i in range(k + 2, self.n + 1)
-            ]
-            out = limits[k] = _deflated_limit_status(vals, basis)
+            out = limits[k] = _operator_limit(
+                self.chain_q, self.scale, f, k, self.class_points,
+                lambda i, x: self.M_phi(k, i, x),
+            )
         return out
 
     def lf_evaluator(self, f, source=None):
@@ -316,16 +314,22 @@ class ScaleArtifacts:
         return out
 
 
-def _level_sequence(art, f, k):
-    """M_k[f] along the classification points, cut where it dies numerically,
-    and the rounding-noise estimate of each kept value.
+def _level_sequence(chain, scale, f, k, points):
+    """The one cut of an M_k[f] sequence along ``points`` (ordered toward
+    x0): the kept points, M_k[f] at them through ``chain`` and the
+    rounding-noise estimate of each kept value.
 
-    Probes where the noise rivals the values themselves are masked from the
-    seventh point on; beyond that point, or past a collapse or explosion
-    (``_sane_prefix``), the sequence is dead.  Points past the target's own
-    finite reach are cut first."""
-    pts = finite_prefix(art.class_points, [lambda x: f(x, 0).value])
-    pairs = [apply_chain(art.chain_q, f, x, level=k, with_noise=True) for x in pts]
+    The rules apply in this order: points past the target's own finite
+    reach go; then the points where f's double value no longer resolves
+    phi_n (``_informative_points``); then, from the seventh kept point on,
+    the sequence ends at the first value its noise rivals; and it ends at a
+    collapse or explosion (``_sane_prefix``)."""
+    pts = finite_prefix(points, [lambda x: f(x, 0).value])
+    info = _informative_points(
+        pts, [f(x, 0).value for x in pts], [scale.phi_value(scale.n, x) for x in pts]
+    )
+    pts = [pts[j] for j in info]
+    pairs = [apply_chain(chain, f, x, level=k, with_noise=True) for x in pts]
     vals = [v for v, _ in pairs]
     typical = _median([abs(v) for v in vals[: max(4, len(vals) // 2)]])
     usable = len(vals)
@@ -334,7 +338,23 @@ def _level_sequence(art, f, k):
             usable = j
             break
     cut = min(usable, _sane_prefix(vals))
-    return vals[:cut], [nz for _, nz in pairs[:cut]]
+    return pts[:cut], vals[:cut], [nz for _, nz in pairs[:cut]]
+
+
+def _operator_limit(chain, scale, f, k, points, image):
+    """The limit of M_k[f] toward x0 as ``(status, value, confidence)``: the
+    sequence :func:`_level_sequence` keeps along ``points``, deflated by the
+    images ``image(i, x)`` = M_k[phi_i](x) of the members i >= k+2.  A
+    sequence called divergent that spans no more than its largest noise
+    estimate is flat, not divergent: its median is the value and that
+    noise the confidence."""
+    pts, vals, noise = _level_sequence(chain, scale, f, k, points)
+    basis = [[image(i, x) for x in pts] for i in range(k + 2, scale.n + 1)]
+    out = _deflated_limit_status(vals, basis)
+    if out[0] == "diverged" and vals and max(vals) - min(vals) <= max(noise):
+        value, conf = _median(vals), max(noise)
+        out = _status_from_conf(value, conf), value, conf
+    return out
 
 
 def artifacts_for(scale, schedule=None):
@@ -425,12 +445,10 @@ def _deflated_limit_status(values, basis_rows, tol=_LIMIT_TOL):
     contribution; the deflated sequence has the same limit but a far smaller
     transient, which the standard detector then resolves.  Divergent
     sequences stay divergent under deflation by decaying terms.  The raw
-    sequence is the same pipeline with no basis rows, and wins when its
-    claim is tighter.
-
-    The extrapolators can land on accidental deep-tableau coincidences; the
-    shift of the estimate when the last probe is withheld (refit included)
-    is a real stability measure that an accidental claim cannot fake.
+    sequence (the pipeline with no basis rows) wins when its claim is
+    tighter.  The extrapolators can land on accidental deep-tableau
+    coincidences; the shift of the estimate when the last probe is withheld
+    (refit included) is a stability measure an accidental claim cannot fake.
     """
 
     def deflate(vals, rows):
@@ -471,15 +489,13 @@ def _deflated_limit_status(values, basis_rows, tol=_LIMIT_TOL):
     if not clean or not all(math.isfinite(v) for v in values):
         return raw
     try:
-        status, value, conf = pipeline(clean)
+        out = pipeline(clean)
     except np.linalg.LinAlgError:
         return raw
-    raw_status, raw_value, raw_conf = raw
-    if raw_status == "diverged" and status == "unstable":
+    if (raw[0] == "diverged" and out[0] == "unstable"
+            or raw[0] in ("stable", "loose") and raw[2] < out[2]):
         return raw
-    if raw_status in ("stable", "loose") and raw_conf < conf:
-        return raw
-    return status, value, conf
+    return out
 
 
 def extract_recursive(f, scale, schedule, refine_sweeps=5):
@@ -617,51 +633,32 @@ def extract_operator(f, scale, chain, constants, schedule):
     """Coefficients from the independent operator limits, no peeling.
 
     ``chain`` must be the type-II chain (canonical at x0) and ``constants``
-    its detected structural constants; ``a_{k+1}`` is the extrapolated limit
-    of the level-k weighted derivative divided by the unit constant.
+    its detected structural constants; ``a_{k+1}`` is the limit of the
+    level-k weighted derivative divided by the unit constant.  Each limit
+    is the bundle's rule (:func:`_operator_limit`, the one cut and limit of
+    :meth:`ScaleArtifacts.limit`) run on the schedule's points.
     """
     if chain.canonicity.get("x0") not in ("type_II", "unknown"):
         raise EvaluationError("extract_operator needs a chain of type II at x0")
     eps = constants.epsilon
-    n = scale.n
+    pts = scale.toward_x0(schedule.points)
     coeffs, confs, statuses = [], [], []
     partial = False
-    for k in range(n):
-        # level k touches prefix Wronskians up to order k+2; deeper probes
-        # stay usable for the shallow levels
-        pts = scale.toward_x0(
-            well_conditioned_probes(
-                scale, schedule.points, minimum=6, depth=min(k + 2, n)
-            )
+    for k in range(scale.n):
+        status, value, conf = _operator_limit(
+            chain, scale, f, k, pts,
+            lambda i, x: apply_chain(chain, scale.functions[i - 1], x, level=k),
         )
-        fv = [f(x, 0).value for x in pts]
-        pn = [scale.phi_value(n, x) for x in pts]
-        info = _informative_points(pts, fv, pn)
-        pts = [pts[j] for j in info]
-        vals = [apply_chain(chain, f, x, level=k) for x in pts]
-        sane = _sane_prefix(vals)
-        pts_k = pts[:sane]
-        vals = vals[:sane]
-        basis = [
-            [apply_chain(chain, scale.functions[i - 1], x, level=k) for x in pts_k]
-            for i in range(k + 2, n + 1)
-        ]
-        status, value, conf = _deflated_limit_status(vals, basis)
         statuses.append(status)
-        if status == "diverged":
-            if k == 0:
-                raise LimitDiverged("M_0[f] has no finite limit")
+        if status == "diverged" and k == 0:
+            raise LimitDiverged("M_0[f] has no finite limit")
+        if status in ("diverged", "unstable"):
             partial = True
             coeffs.append(math.nan)
             confs.append(math.inf)
-            continue
-        if status == "unstable":
-            partial = True
-            coeffs.append(math.nan)
-            confs.append(math.inf)
-            continue
-        coeffs.append(value / eps[k])
-        confs.append(conf / abs(eps[k]))
+        else:
+            coeffs.append(value / eps[k])
+            confs.append(conf / abs(eps[k]))
     return ExpansionResult(
         coefficients=coeffs,
         confidences=confs,
@@ -1302,7 +1299,7 @@ def check_O(f, i, artifacts, source=None, coefficients=None):
         verdicts["(5.29) coefficients"] = _v(
             "holds" if coeffs is not None else "inconclusive", values=coeffs
         )
-    seq, noise = _level_sequence(art, f, i - 1)
+    _, seq, noise = _level_sequence(art.chain_q, art.scale, f, i - 1, art.class_points)
     noisy = [j for j, (v, nz) in enumerate(zip(seq, noise)) if nz > 1e-3 * abs(v)]
     if noisy:
         # a kept value inside its own rounding noise decides nothing

@@ -154,22 +154,18 @@ def _chain_from_signed(signed_fns, scale, provenance, probes, arrays=False):
     return chain
 
 
-def well_conditioned_probes(scale, points, threshold=1e12, minimum=4, depth=None):
-    """Probes where the prefix Wronskians are numerically trustworthy.
+def well_conditioned_probes(scale, points, threshold=1e12, minimum=4):
+    """Probes where the full Wronskian W(phi_1..phi_n) is numerically
+    trustworthy: the bundle's probes and the default factorization probes.
 
     The conditioning diagnostic (largest over smallest row scale) bounds the
     relative noise of the determinant; beyond the threshold the value is
-    unusable and the probe is skipped.  ``depth`` restricts the check to the
-    prefix W(phi_1..phi_depth) (weighted derivatives of level k only touch
-    prefixes up to k+1, so shallow levels may keep deeper probes).
+    unusable and the probe is skipped.  Operator-limit sequences are not cut
+    here: they have their own cut (``expansion._level_sequence``).
     """
-    depth = scale.n if depth is None else depth
-    idx = tuple(range(1, depth + 1))
+    idx = tuple(range(1, scale.n + 1))
     kept = []
     for x in points:
-        if len(idx) < 2:
-            kept.append(x)
-            continue
         try:
             ev = wronskian(scale, idx, x)
         except (ArithmeticError, EvaluationError):

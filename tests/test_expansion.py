@@ -121,6 +121,46 @@ def test_constructed_function_recovers_coefficients(appendix_artifacts):
     assert max(abs(c - t) for c, t in zip(res.coefficients, truth)) < 2e-4
 
 
+@pytest.mark.parametrize("text, coefficients", [
+    ("exp(-x)", [-2.730258, -1.21719, 0.89816, -1.66871]),
+    ("x^-3", [-1.510562, 1.17712, 1.460924, -2.377872]),
+])
+def test_tail_limit_k1_returns_a2(appendix_artifacts, text, coefficients):
+    # the bundle's M_1[g] sequence drops the probes where g's double value no
+    # longer resolves phi_4, so its limit is a_2 within its confidence
+    art = appendix_artifacts
+    psi = ExpressionFunction(text)
+    g = construct_from_source(art, coefficients, psi, mode="tail")
+    rep = check_complete(
+        g, art, source=lambda x: psi(x, 0).value,
+        remainder=g.remainder, coefficients=g.coefficients,
+    )
+    v = rep.verdicts["(5.7) limit k=1"]
+    eps1 = art.constants.epsilon[1]
+    assert v["status"] == "holds"
+    tol = max(10 * v["confidence"] / abs(eps1), 1e-4)
+    assert abs(v["value"] / eps1 - coefficients[1]) <= tol
+
+
+def test_kernel_targets_consistent_and_recovered(appendix_artifacts):
+    # M_3[f] = c4*eps_3 is constant: a sequence flat within its noise is a
+    # limit, not a divergence, and both routes cut it alike
+    art = appendix_artifacts
+    for c1, c2, c3, c4 in [
+        [-0.706214, 2.893744, 2.224616, 1.904134],
+        [-2.398362, 0.514664, 1.407756, 2.9944],
+        [0.571094, -0.593879, 1.200544, 2.812888],
+        [1.319894, 2.697645, 0.626728, -2.88149],
+        [-2.638166, -0.743341, -1.410254, -1.715419],
+        [1.989289, -2.240435, 1.828185, 2.206605],
+    ]:
+        f = ExpressionFunction(f"{c1}*(exp(x)) + {c2}*(x) + {c3}*(log(x)) + {c4}*(1)")
+        assert check_complete(f, art).consistent
+        res = extract_operator(f, art.scale, art.chain_q, art.constants, art.schedule)
+        truth = [c1, c2, c3, c4]
+        assert all(abs(c - t) < 1e-4 for c, t in zip(res.coefficients, truth))  # NaN too
+
+
 def test_remainder_identity_and_bound(appendix_artifacts):
     art = appendix_artifacts
     psi = ExpressionFunction("exp(-x)")
