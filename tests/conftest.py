@@ -1,8 +1,14 @@
 import math
 
 import pytest
+from hypothesis import settings
 
 from chebscale import ChebyshevScale, artifacts_for, make_schedule
+
+# property tests draw the same examples on every run and keep no example
+# database between runs, so the suite's outcome depends on the code alone
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture(scope="session")
