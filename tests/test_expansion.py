@@ -1,7 +1,9 @@
 import gc
 import importlib
+import json
 import math
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,7 +32,7 @@ def test_extract_recursive_f1_example():
     f = ExpressionFunction("x^2 + log(x) + 1 + x^-1 + exp(-x)")
     res = extract_recursive(f, sc, sched)
     assert len(res.coefficients) == 4
-    assert max(abs(c - 1.0) for c in res.coefficients) < 1e-3
+    assert all(abs(c - 1.0) < 1e-3 for c in res.coefficients)  # NaN too
     assert all(c < 1e-3 for c in res.confidences)
 
 
@@ -40,14 +42,14 @@ def test_extract_recursive_f2_example():
     f = ExpressionFunction("log(x) + 1 + sqrt(x) + x^2")
     res = extract_recursive(f, sc, sched)
     truth = [1.0, 1.0, 1.0, 0.0]
-    assert max(abs(c - t) for c, t in zip(res.coefficients, truth)) < 1e-3
+    assert all(abs(c - t) < 1e-3 for c, t in zip(res.coefficients, truth))  # NaN too
 
 
 def test_extract_recursive_basis_element(appendix_scale):
     sched = make_schedule(4.0, math.inf, 12, 1.3)
     res = extract_recursive(appendix_scale.functions[1], appendix_scale, sched)
     truth = [0.0, 1.0, 0.0, 0.0]
-    assert max(abs(c - t) for c, t in zip(res.coefficients, truth)) < 1e-8
+    assert all(abs(c - t) < 1e-8 for c, t in zip(res.coefficients, truth))  # NaN too
 
 
 def test_extract_operator_exact_kernel(appendix_artifacts):
@@ -56,7 +58,7 @@ def test_extract_operator_exact_kernel(appendix_artifacts):
     res = extract_operator(f, art.scale, art.chain_q, art.constants, art.schedule)
     truth = [2.0, -1.0, 3.0, 5.0]
     # the huge leading term sets an information floor of about 1e-5 here
-    assert max(abs(c - t) for c, t in zip(res.coefficients, truth)) < 1e-4
+    assert all(abs(c - t) < 1e-4 for c, t in zip(res.coefficients, truth))  # NaN too
 
 
 def test_extract_operator_taylor_case():
@@ -67,7 +69,7 @@ def test_extract_operator_taylor_case():
     res = extract_operator(f, sc, art.chain_q, art.constants, sched)
     e = math.e
     truth = [e, -e, e / 2, -e / 6]
-    assert max(abs(c - t) for c, t in zip(res.coefficients, truth)) < 1e-9
+    assert all(abs(c - t) < 1e-9 for c, t in zip(res.coefficients, truth))  # NaN too
 
 
 def test_extract_diverging_first_limit(appendix_scale):
@@ -118,7 +120,7 @@ def test_constructed_function_recovers_coefficients(appendix_artifacts):
     g = construct_from_source(art, [2.0, -1.0, 3.0, 5.0], psi, mode="tail")
     res = extract_operator(g, art.scale, art.chain_q, art.constants, art.schedule)
     truth = [2.0, -1.0, 3.0, 5.0]
-    assert max(abs(c - t) for c, t in zip(res.coefficients, truth)) < 2e-4
+    assert all(abs(c - t) < 2e-4 for c, t in zip(res.coefficients, truth))  # NaN too
 
 
 @pytest.mark.parametrize("text, coefficients", [
@@ -265,21 +267,24 @@ def _corpus(art, cubic_art, taylor_art):
     return out
 
 
-@pytest.fixture(scope="module")
-def taylor_artifacts():
-    sc = ChebyshevScale.from_exprs(["1", "1-x", "(1-x)^2", "(1-x)^3"], T=0.0, x0=1.0)
-    return artifacts_for(sc, make_schedule(0.0, 1.0, 12, 0.5))
+CORPUS_STATUSES = Path(__file__).parent / "data" / "corpus_statuses.json"
 
 
 def test_theorem_suite_consistency(appendix_artifacts, cubic_artifacts, taylor_artifacts):
+    # every case is consistent and gives the pinned status for every label
+    pinned = json.loads(CORPUS_STATUSES.read_text())
     corpus = _corpus(appendix_artifacts, cubic_artifacts, taylor_artifacts)
-    assert len(corpus) >= 12
-    failures = []
+    assert [label for label, _ in corpus] == list(pinned)
+    failures, moved = [], []
     for label, run in corpus:
         rep = run()
         if not rep.consistent:
             failures.append((label, rep.statuses()))
+        got, want = rep.statuses(), pinned[label]
+        moved += [(label, key, want.get(key), got.get(key))
+                  for key in sorted(set(got) | set(want)) if got.get(key) != want.get(key)]
     assert not failures, failures
+    assert not moved, moved
 
 
 def test_divergent_source_fails_together(appendix_artifacts):
@@ -300,6 +305,15 @@ def test_convexity_verdicts_on_cubic(cubic_artifacts):
     assert rep.verdicts["(6.9) sign"]["status"] == "holds"
     assert rep.verdicts["(6.10) monotonicity"]["status"] == "holds"
     assert rep.verdicts["(6.2) O-form"]["status"] == "holds"
+
+
+def test_convexity_off_without_nonnegative_image(cubic_artifacts):
+    # L[-exp(x)] < 0 on the schedule: the all-positive cubic scale checks no
+    # generalized-convexity fact
+    rep = check_complete(ExpressionFunction("-exp(x)"), cubic_artifacts)
+    assert rep.consistent
+    assert not {"(6.2) O-form", "(6.9) sign", "(6.10) monotonicity"} & set(rep.verdicts)
+    assert not any("convexity" in note for note in rep.notes)
 
 
 def test_check_O_boundary_cases(appendix_artifacts):
