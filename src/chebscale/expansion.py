@@ -8,7 +8,10 @@ bounds) and report ``consistent=False`` only when two decisive verdicts
 contradict a claimed equivalence: that is the artifact's primary
 bug-detector, since the theory guarantees it cannot happen for correct code
 on valid inputs.  Marginal numerical evidence yields "inconclusive", never a
-forced verdict.
+forced verdict.  Each checker runs on one ``_Check``, which owns the target
+under check (f, L[f] and whether it vanishes, the coefficients and their
+confidences, the verdicts and notes) and holds, once, the rules the four
+checkers share.
 
 Cache policy: jets are cached in one place only, the
 :class:`~chebscale.jet.JetMemo` of the evaluator that produces them (scale
@@ -27,13 +30,14 @@ L[f] = W(phi_1..phi_n, f)/W(phi_1..phi_n) as plain values: one array over
 the grid nodes, eliminated as one stack of bordered determinants, and one
 value per other point it was asked at (probes, and grid nodes flagged in
 the array).  Every nest of every check of f reads them, and the record
-holds no closure over f, which would keep f alive.  The denominator W(phi_1..phi_n) on the grid nodes depends on the
-scale alone: the bundle tabulates it, with the nodes where it vanishes,
-once, and every target's L[f] array divides by it.  Grid tables of the
-weights and of L[f] go through array forms, which keep no point in any jet
-memo.  A ``source`` passed to a checker is a promise
-that L[f] = q_n * source: a target's nests are keyed by label only, and
-whichever call builds one first fixes it for every later call.
+holds no closure over f, which would keep f alive.  The denominator
+W(phi_1..phi_n) on the grid nodes depends on the scale alone: the bundle
+tabulates it, with the nodes where it vanishes, once, and every target's
+L[f] array divides by it.  Grid tables of the weights and of L[f] go
+through array forms, which keep no point in any jet memo.  A ``source``
+passed to a checker is a promise that L[f] = q_n * source: a target's nests
+are keyed by label only, and whichever call builds one first fixes it for
+every later call.
 """
 
 from __future__ import annotations
@@ -301,12 +305,10 @@ class ScaleArtifacts:
             self._p_nodes = node_values(lambda t: pnest.value(t, 0), self.grid.xnodes)
         return self._p_nodes
 
-    def nest(self, weights, orientations, density, key=None, target=None):
+    def nest(self, weights, orientations, density, key, target=None):
         """NestedIntegral on the shared grid, memoized under ``key`` in
         ``target``'s record, or in the bundle's own table when the nest
         depends on no target."""
-        if key is None:
-            return NestedIntegral(self.grid, weights, orientations, density)
         nests = self._nests if target is None else self._record(target).nests
         out = nests.get(key)
         if out is None:
@@ -771,56 +773,6 @@ def _weakest(statuses):
     return "holds" if all(s == "holds" for s in statuses) else "inconclusive"
 
 
-def _group_consistent(verdicts, labels):
-    decisive = {
-        verdicts[l]["status"] for l in labels if l in verdicts
-        and verdicts[l]["status"] in ("holds", "fails")
-    }
-    return len(decisive) <= 1
-
-
-def _report(theorem, verdicts, notes, groups, must_not_fail=()):
-    """Consistent unless two decisive verdicts of one equivalence group
-    disagree or a label of ``must_not_fail`` fails."""
-    consistent = all(_group_consistent(verdicts, g) for g in groups) and all(
-        verdicts.get(label, {}).get("status") != "fails" for label in must_not_fail
-    )
-    return TheoremReport(theorem, verdicts, consistent, notes)
-
-
-def _operator_image(art, f, source, notes):
-    """(x -> L[f](x), whether L[f] vanishes identically)."""
-    if source is None and art.lf_is_zero(f):
-        notes.append("L[f] below detection threshold: treated as identically zero")
-        return (lambda x: 0.0), True
-    return art.lf_evaluator(f, source), False
-
-
-def _limit_ladder(art, f, eq, count, coefficients, verdicts, last=None):
-    """The operator limits of M_k[f], k < count, as "<eq> limit k=" verdicts,
-    plus "<eq> limits" and a copy of the deepest one as "<last> last limit"
-    when ``last`` is given.
-
-    Returns the coefficients with their confidences: the supplied ones
-    (exact), else a_{k+1} = lim M_k[f] / eps_k once every limit exists, else
-    (None, None)."""
-    limits = [art.limit(f, k) for k in range(count)]
-    for k, (status, value, conf) in enumerate(limits):
-        verdicts[f"{eq} limit k={k}"] = _v(_status(status), value=value, confidence=conf)
-    if last is not None:
-        verdicts[f"{eq} limits"] = _v(_weakest(_status(s) for s, _, _ in limits))
-        verdicts[f"{last} last limit"] = verdicts[f"{eq} limit k={count - 1}"].copy()
-    if coefficients is not None:
-        return list(coefficients), [0.0] * len(coefficients)
-    if all(_status(s) == "holds" for s, _, _ in limits):
-        eps = art.constants.epsilon
-        return (
-            [v / eps[k] for k, (_, v, _) in enumerate(limits)],
-            [c / abs(eps[k]) for k, (_, _, c) in enumerate(limits)],
-        )
-    return None, None
-
-
 def _without_coefficients(limits):
     """An expansion set whose coefficients do not exist: it fails exactly
     when one of the defining limits diverges."""
@@ -849,59 +801,6 @@ def _zero_limit_status(residuals, comparisons, floors):
     return "inconclusive", diag
 
 
-def _residual_values(f, coeffs, art, k, chain="M", upto=None, remainder=None,
-                     coeff_confs=None):
-    """R_k(x) over the probes; uses the exact remainder evaluator if given.
-
-    The floor below which a residual counts as numerically zero combines the
-    rounding floor with the uncertainty each coefficient carries into the
-    subtraction."""
-    n = art.n
-    upto = n if upto is None else upto
-    apply_k = art.M if chain == "M" else art.L
-    phi_k = art.M_phi if chain == "M" else art.L_phi
-    # M_k kills the first k scale members, L_k the last k: the expansion of
-    # the level-k image starts at i = k+1 on the type-II side but at i = 1
-    # on the type-I side
-    start = k + 1 if chain == "M" else 1
-    rows, floors = [], []
-    for x in art.probes:
-        terms = []
-        uncertainty = 0.0
-        for i in range(start, upto + 1):
-            img = phi_k(k, i, x)
-            terms.append(coeffs[i - 1] * img)
-            if coeff_confs is not None and i - 1 < len(coeff_confs):
-                c = coeff_confs[i - 1]
-                if math.isfinite(c):
-                    uncertainty += c * abs(img)
-        if remainder is not None:
-            val = apply_k(k, remainder, x)
-        else:
-            val = apply_k(k, f, x)
-            for t in terms:
-                val -= t
-        scale_mag = abs(apply_k(k, f, x)) + sum(abs(t) for t in terms)
-        rows.append(val)
-        floors.append(1e-11 * (scale_mag + 1e-300) + 3.0 * uncertainty)
-    return rows, floors
-
-
-def _residual_set(f, coeffs, confs, art, remainder, chain, levels):
-    """The expansion-set rule of (4.22), (4.23), (4.31), (5.5)-(5.6) and
-    (5.20)-(5.21): for each ``(k, upto, i)`` of ``levels`` the level-k
-    residual of the expansion up to phi_upto is o(image of phi_i), or o(1)
-    when i is None.  Returns the weakest status and the status per entry."""
-    image = art.M_phi if chain == "M" else art.L_phi
-    per = {}
-    for j, (k, upto, i) in enumerate(levels):
-        rows, floors = _residual_values(f, coeffs, art, k, chain, upto=upto,
-                                        remainder=remainder, coeff_confs=confs)
-        cmps = [1.0] * len(rows) if i is None else [image(k, i, x) for x in art.probes]
-        per[j], _ = _zero_limit_status(rows, cmps, floors)
-    return _weakest(per.values()), per
-
-
 def _outer_partials(art, nest):
     """Outer-level values on the classification points, cropped to the
     nest's reliable range (cells whose embedded quadrature error rivals
@@ -912,22 +811,6 @@ def _outer_partials(art, nest):
     if len(pts) < 6:
         pts = art.class_points[:6]
     return [nest.value(x, 0) for x in pts]
-
-
-def _integral_verdict(art, f, key, weights, orientations, density):
-    """Does the outer integral of f's nest ``key`` converge toward x0?
-
-    A DivergentTail fails the verdict when it is decisive and leaves it
-    inconclusive otherwise; else the partials decide.  Returns the verdict
-    and the integral (nan unless it converged)."""
-    try:
-        nest = art.nest(weights, orientations, density, key=key, target=f)
-    except DivergentTail as exc:
-        decisive = getattr(exc, "decisive", True)
-        return _v("fails" if decisive else "inconclusive", reason=str(exc)), math.nan
-    res = classify_sequence(_outer_partials(art, nest), tol=1e-6)
-    value = res["value"] if res["kind"] == "converged" else math.nan
-    return _v(_status(res["kind"]), kind=res["kind"]), value
 
 
 def _partial_levels(art, i):
@@ -967,10 +850,146 @@ def _o_form_verdict(rows):
     )
 
 
-def _nonneg(lf, art):
-    vals = [lf(x) for x in art.probes]
-    mag = max(abs(v) for v in vals) + 1e-300
-    return all(v >= -1e-9 * mag for v in vals)
+class _Check:
+    """One check of one target: the bundle ``art``; the target ``f`` with
+    its exact ``remainder`` evaluator when one is supplied; its operator
+    image ``lf`` and whether that vanishes identically (``lf_zero``); the
+    coefficients ``coeffs`` and their confidences ``confs`` once
+    :meth:`ladder` has read them; and the ``verdicts`` and ``notes`` of the
+    report being built.  Every ``check_*`` runs on one, and the rules they
+    share are its methods."""
+
+    def __init__(self, art, f, source=None, remainder=None):
+        self.art = art
+        self.f = f
+        self.remainder = remainder
+        self.verdicts = {}
+        self.notes = []
+        self.coeffs = self.confs = None
+        # a source is a promise about L[f], so only an unknown image is tested
+        self.lf_zero = source is None and art.lf_is_zero(f)
+        if self.lf_zero:
+            self.notes.append("L[f] below detection threshold: treated as identically zero")
+            self.lf = None  # read by no rule: each decides L[f] = 0 first
+        else:
+            self.lf = art.lf_evaluator(f, source)
+
+    def ladder(self, eq, count, coefficients, last=None):
+        """The operator limits of M_k[f], k < count, as "<eq> limit k="
+        verdicts, plus "<eq> limits" and a copy of the deepest one as
+        "<last> last limit" when ``last`` is given.
+
+        Sets the coefficients with their confidences: the supplied ones
+        (exact), else a_{k+1} = lim M_k[f] / eps_k once every limit exists,
+        else None."""
+        verdicts = self.verdicts
+        limits = [self.art.limit(self.f, k) for k in range(count)]
+        for k, (status, value, conf) in enumerate(limits):
+            verdicts[f"{eq} limit k={k}"] = _v(_status(status), value=value, confidence=conf)
+        if last is not None:
+            verdicts[f"{eq} limits"] = _v(_weakest(_status(s) for s, _, _ in limits))
+            verdicts[f"{last} last limit"] = verdicts[f"{eq} limit k={count - 1}"].copy()
+        if coefficients is not None:
+            self.coeffs, self.confs = list(coefficients), [0.0] * len(coefficients)
+        elif all(_status(s) == "holds" for s, _, _ in limits):
+            eps = self.art.constants.epsilon
+            self.coeffs = [v / eps[k] for k, (_, v, _) in enumerate(limits)]
+            self.confs = [c / abs(eps[k]) for k, (_, _, c) in enumerate(limits)]
+
+    def integral(self, label, key, weights, orientations, density):
+        """The verdict ``label``: does the outer integral of f's nest ``key``
+        converge toward x0?  Every density is built from L[f], so it holds
+        when L[f] vanishes identically.  A DivergentTail fails the verdict
+        when it is decisive and leaves it inconclusive otherwise; else the
+        partials decide.  Returns the integral (nan unless it converged)."""
+        if self.lf_zero:
+            self.verdicts[label] = _v("holds", zero=True)
+            return 0.0
+        try:
+            nest = self.art.nest(weights, orientations, density, key=key, target=self.f)
+        except DivergentTail as exc:
+            decisive = getattr(exc, "decisive", True)
+            self.verdicts[label] = _v("fails" if decisive else "inconclusive", reason=str(exc))
+            return math.nan
+        res = classify_sequence(_outer_partials(self.art, nest), tol=1e-6)
+        self.verdicts[label] = _v(_status(res["kind"]), kind=res["kind"])
+        return res["value"] if res["kind"] == "converged" else math.nan
+
+    def residuals(self, k, chain="M", upto=None):
+        """R_k(x) over the probes, from the exact remainder evaluator when
+        one is supplied, and the floor below which each counts as
+        numerically zero: the rounding floor plus the uncertainty each
+        coefficient carries into the subtraction."""
+        art = self.art
+        upto = art.n if upto is None else upto
+        apply_k = art.M if chain == "M" else art.L
+        phi_k = art.M_phi if chain == "M" else art.L_phi
+        # M_k kills the first k scale members, L_k the last k: the expansion of
+        # the level-k image starts at i = k+1 on the type-II side but at i = 1
+        # on the type-I side
+        start = k + 1 if chain == "M" else 1
+        rows, floors = [], []
+        for x in art.probes:
+            terms = []
+            uncertainty = 0.0
+            for i in range(start, upto + 1):
+                img = phi_k(k, i, x)
+                terms.append(self.coeffs[i - 1] * img)
+                c = self.confs[i - 1]
+                if math.isfinite(c):
+                    uncertainty += c * abs(img)
+            if self.remainder is not None:
+                val = apply_k(k, self.remainder, x)
+            else:
+                val = apply_k(k, self.f, x)
+                for t in terms:
+                    val -= t
+            scale_mag = abs(apply_k(k, self.f, x)) + sum(abs(t) for t in terms)
+            rows.append(val)
+            floors.append(1e-11 * (scale_mag + 1e-300) + 3.0 * uncertainty)
+        return rows, floors
+
+    def residual_set(self, chain, levels):
+        """The expansion-set rule of (4.22), (4.23), (4.31), (5.5)-(5.6) and
+        (5.20)-(5.21): for each ``(k, upto, i)`` of ``levels`` the level-k
+        residual of the expansion up to phi_upto is o(image of phi_i), or
+        o(1) when i is None.  Returns the weakest status and the status per
+        entry."""
+        art = self.art
+        image = art.M_phi if chain == "M" else art.L_phi
+        per = {}
+        for j, (k, upto, i) in enumerate(levels):
+            rows, floors = self.residuals(k, chain, upto)
+            cmps = [1.0] * len(rows) if i is None else [image(k, i, x) for x in art.probes]
+            per[j], _ = _zero_limit_status(rows, cmps, floors)
+        return _weakest(per.values()), per
+
+    def r0(self):
+        """R_0 at the probes with the level-0 weight undone (M_0 = q_0 f),
+        and the slack 10 * floor / q_0 of each value."""
+        rows, floors = self.residuals(0)
+        q0 = self.art.q_vals[0]
+        probes = self.art.probes
+        return ([r / q0(x) for r, x in zip(rows, probes)],
+                [10 * fl / q0(x) for fl, x in zip(floors, probes)])
+
+    def nonneg(self):
+        """L[f] >= 0 along the probes (an identically zero image is)."""
+        if self.lf_zero:
+            return True
+        vals = [self.lf(x) for x in self.art.probes]
+        mag = max(abs(v) for v in vals) + 1e-300
+        return all(v >= -1e-9 * mag for v in vals)
+
+    def report(self, theorem, groups, must_not_fail=()):
+        """Consistent unless two decisive verdicts of one equivalence group
+        disagree or a label of ``must_not_fail`` fails."""
+        status = {label: v["status"] for label, v in self.verdicts.items()}
+        consistent = all(
+            len({status.get(label) for label in group} & {"holds", "fails"}) <= 1
+            for group in groups
+        ) and all(status.get(label) != "fails" for label in must_not_fail)
+        return TheoremReport(theorem, self.verdicts, consistent, self.notes)
 
 
 # -- check_complete -------------------------------------------------------------------
@@ -985,58 +1004,50 @@ def check_complete(f, artifacts, source=None, remainder=None, coefficients=None)
     """
     art = artifacts
     n = art.n
-    verdicts = {}
-    notes = []
-    lf, lf_zero = _operator_image(art, f, source, notes)
+    ck = _Check(art, f, source, remainder)
+    verdicts = ck.verdicts
 
     # (5.7)/(5.8): operator limits, and the coefficients (supplied ones first)
-    coeffs, confs = _limit_ladder(art, f, "(5.7)", n, coefficients, verdicts, last="(5.8)")
+    ck.ladder("(5.7)", n, coefficients, last="(5.8)")
 
     # (5.9): convergence of the source integral
-    if lf_zero:
-        verdicts["(5.9) integral"] = _v("holds", value=0.0, zero=True)
-    else:
-        verdict, value = _integral_verdict(art, f, "(5.9)", [None], ["from_T"],
-                                           _guarded_ratio(lf, art.q_vals[n]))
-        verdicts["(5.9) integral"] = dict(verdict, value=value)
+    value = ck.integral("(5.9) integral", "(5.9)", [None], ["from_T"],
+                        _guarded_ratio(ck.lf, art.q_vals[n]))
+    verdicts["(5.9) integral"]["value"] = value
 
     # (5.5)-(5.6): the expansion set
-    if lf_zero and coeffs is not None:
+    if ck.lf_zero and ck.coeffs is not None:
         # identically-zero operator image: f lies in the kernel span, the
         # expansion is exact and every formally differentiated set is too
         verdicts["(5.5)-(5.6) set"] = _v("holds", zero=True)
-    elif coeffs is not None:
-        status, per = _residual_set(f, coeffs, confs, art, remainder, "M",
-                                    [(k, n, n) for k in range(n)])
+    elif ck.coeffs is not None:
+        status, per = ck.residual_set("M", [(k, n, n) for k in range(n)])
         verdicts["(5.5)-(5.6) set"] = _v(status, per_k=per)
     else:
         verdicts["(5.5)-(5.6) set"] = _without_coefficients(verdicts["(5.7) limits"])
 
     # remainder identity (5.14)-(5.15) and bounds, only in the convergent case
-    int_converges = verdicts["(5.9) integral"]["status"] == "holds"
-    if int_converges and coeffs is not None and not lf_zero:
+    if ck.lf_zero and ck.coeffs is not None:
+        rows, floors = ck.residuals(0)
+        ok = all(abs(r) <= fl * 100 for r, fl in zip(rows, floors))
+        verdicts["(5.14)-(5.15) identity"] = _v("holds" if ok else "fails", zero=True)
+    elif ck.coeffs is not None and verdicts["(5.9) integral"]["status"] == "holds":
         try:
-            nest = art.nest([art.q_vals[i] for i in range(1, n + 1)], ["to_x0"] * n, lf,
+            nest = art.nest([art.q_vals[i] for i in range(1, n + 1)], ["to_x0"] * n, ck.lf,
                             key="(5.14)", target=f)
         except DivergentTail:
             verdicts["(5.14)-(5.15) identity"] = _v(
                 "inconclusive", reason="tail tables did not stabilize"
             )
         else:
-            _remainder_identity(f, coeffs, art, nest, remainder, verdicts, confs)
-            _remainder_bounds(f, coeffs, art, nest, lf, remainder, verdicts, confs)
-    elif lf_zero and coeffs is not None:
-        rows, floors = _residual_values(f, coeffs, art, 0, "M", remainder=remainder,
-                                        coeff_confs=confs)
-        ok = all(abs(r) <= fl * 100 for r, fl in zip(rows, floors))
-        verdicts["(5.14)-(5.15) identity"] = _v("holds" if ok else "fails", zero=True)
+            _remainder_identity(ck, nest)
+            _remainder_bounds(ck, nest)
 
     # type-I side: (4.31) ladder and (4.32)
-    if lf_zero and coeffs is not None:
+    if ck.lf_zero and ck.coeffs is not None:
         verdicts["(4.31) set"] = _v("holds" if _term_loss(art, n) else "fails", zero=True)
-    elif coeffs is not None:
-        status, per = _residual_set(f, coeffs, confs, art, remainder, "L",
-                                    [(k, n - k, None) for k in range(n)])
+    elif ck.coeffs is not None:
+        status, per = ck.residual_set("L", [(k, n - k, None) for k in range(n)])
         # term-loss rule: the lost term is annihilated identically
         loss_ok = _term_loss(art, n)
         if not loss_ok and status == "holds":
@@ -1046,15 +1057,11 @@ def check_complete(f, artifacts, source=None, remainder=None, coefficients=None)
         verdicts["(4.31) set"] = _v("inconclusive", reason="no coefficients")
     else:
         verdicts["(4.31) set"] = _v("inconclusive")
-    if lf_zero:
-        verdicts["(4.32) integral"] = _v("holds", zero=True)
-    else:
-        verdicts["(4.32) integral"], _ = _integral_verdict(
-            art, f, ("type-I", n), *_type1_levels(art, n), _guarded_ratio(lf, art.p_vals[n])
-        )
+    ck.integral("(4.32) integral", ("type-I", n), *_type1_levels(art, n),
+                _guarded_ratio(ck.lf, art.p_vals[n]))
 
     # generalized convexity branch (needs the all-positive Wronskian case)
-    convex = _convexity(f, coeffs, art, lf, lf_zero, remainder, verdicts, notes, confs)
+    convex = _convexity(ck)
 
     groups = [
         ["(5.5)-(5.6) set", "(5.7) limits", "(5.8) last limit", "(5.9) integral"],
@@ -1062,21 +1069,21 @@ def check_complete(f, artifacts, source=None, remainder=None, coefficients=None)
     ]
     if convex:
         groups = [groups[0] + groups[1] + ["(6.2) O-form"]]
-    return _report(
-        "complete (type-I and type-II formal differentiation)", verdicts, notes, groups,
+    return ck.report(
+        "complete (type-I and type-II formal differentiation)", groups,
         ("(5.14)-(5.15) identity", "(5.16) bound", "(5.17) bound", "(6.9) sign",
          "(6.10) monotonicity"),
     )
 
 
-def _remainder_identity(f, coeffs, art, nest, remainder, verdicts, coeff_confs=None):
+def _remainder_identity(ck, nest):
+    art = ck.art
     n = art.n
     ok_probes = 0
     bad = 0
     details = []
     for k in range(n):
-        rows, floors = _residual_values(f, coeffs, art, k, "M", remainder=remainder,
-                                        coeff_confs=coeff_confs)
+        rows, floors = ck.residuals(k)
         for x, direct, fl in zip(art.probes, rows, floors):
             rep = (-1) ** (n + k) * nest.value(x, k)
             scale_mag = abs(direct) + abs(rep)
@@ -1089,9 +1096,9 @@ def _remainder_identity(f, coeffs, art, nest, remainder, verdicts, coeff_confs=N
             else:
                 bad += 1
     if ok_probes + bad < 3:
-        verdicts["(5.14)-(5.15) identity"] = _v("inconclusive", checked=ok_probes + bad)
+        ck.verdicts["(5.14)-(5.15) identity"] = _v("inconclusive", checked=ok_probes + bad)
     else:
-        verdicts["(5.14)-(5.15) identity"] = _v(
+        ck.verdicts["(5.14)-(5.15) identity"] = _v(
             "holds" if bad == 0 else "fails",
             checked=ok_probes + bad,
             failures=bad,
@@ -1099,39 +1106,36 @@ def _remainder_identity(f, coeffs, art, nest, remainder, verdicts, coeff_confs=N
         )
 
 
-def _remainder_bounds(f, coeffs, art, nest, lf, remainder, verdicts, coeff_confs=None):
+def _remainder_bounds(ck, nest):
+    art = ck.art
     n = art.n
     # (5.16): |R_0| <= |phi_n| * sup over later probes of |innermost tail|
     tails = [nest.value(x, n - 1) for x in art.probes]
-    rows, floors = _residual_values(f, coeffs, art, 0, "M", remainder=remainder,
-                                    coeff_confs=coeff_confs)
-    q0 = art.q_vals[0]
+    r0, slack = ck.r0()
     ok16 = True
     for j, x in enumerate(art.probes):
-        r0 = rows[j] / q0(x)  # undo the level-0 weight: M_0 = q_0 f
         sup_tail = max(abs(t) for t in tails[j:])
-        bound = abs(art.scale.phi_value(n, x)) * sup_tail + 10 * floors[j] / q0(x)
-        if abs(r0) > bound * (1 + 1e-9) + 1e-300:
+        bound = abs(art.scale.phi_value(n, x)) * sup_tail + slack[j]
+        if abs(r0[j]) > bound * (1 + 1e-9) + 1e-300:
             ok16 = False
-    verdicts["(5.16) bound"] = _v("holds" if ok16 else "fails")
+    ck.verdicts["(5.16) bound"] = _v("holds" if ok16 else "fails")
     # (5.17): absolute-convergence bound with the quadrature error folded in
     try:
         abs_nest = art.nest(
-            [art.q_vals[n]], ["to_x0"], _abs(lf), key="(5.17)", target=f
+            [art.q_vals[n]], ["to_x0"], _abs(ck.lf), key="(5.17)", target=ck.f
         )
     except DivergentTail:
-        verdicts["(5.17) bound"] = _v("inconclusive", reason="not absolutely convergent")
+        ck.verdicts["(5.17) bound"] = _v("inconclusive", reason="not absolutely convergent")
         return
     ok17 = True
     for j, x in enumerate(art.probes):
-        r0 = rows[j] / q0(x)
         bound = (
             abs(art.scale.phi_value(n, x)) * (abs(abs_nest.value(x)) + abs_nest.value_error)
-            + 10 * floors[j] / q0(x)
+            + slack[j]
         )
-        if abs(r0) > bound + 1e-300:
+        if abs(r0[j]) > bound + 1e-300:
             ok17 = False
-    verdicts["(5.17) bound"] = _v("holds" if ok17 else "fails")
+    ck.verdicts["(5.17) bound"] = _v("holds" if ok17 else "fails")
 
 
 def _term_loss(art, i):
@@ -1150,36 +1154,30 @@ def _term_loss(art, i):
     return True
 
 
-def _convexity(f, coeffs, art, lf, lf_zero, remainder, verdicts, notes,
-               coeff_confs=None):
+def _convexity(ck):
     """Generalized-convexity branch: needs L[f] >= 0 along the schedule and
     the all-positive leading-Wronskian case, which fixes the sign pattern."""
+    art = ck.art
     n = art.n
-    if not art.constants.positivity_case:
+    if not art.constants.positivity_case or not ck.nonneg():
         return False
-    if not (lf_zero or _nonneg(lf, art)):
-        return False
-    notes.append("L[f] >= 0 on the schedule: generalized-convexity checks apply")
-    if coeffs is None:
+    ck.notes.append("L[f] >= 0 on the schedule: generalized-convexity checks apply")
+    if ck.coeffs is None:
         return True
     # (6.2): O-form with n-1 terms
     rows = []
     for x in art.probes:
-        acc = f(x, 0).value
+        acc = ck.f(x, 0).value
         for i in range(1, n):
-            acc -= coeffs[i - 1] * art.scale.phi_value(i, x)
+            acc -= ck.coeffs[i - 1] * art.scale.phi_value(i, x)
         rows.append(acc / art.scale.phi_value(n, x))
-    verdicts["(6.2) O-form"] = _o_form_verdict(rows)
+    ck.verdicts["(6.2) O-form"] = _o_form_verdict(rows)
     # (6.9)/(6.10): remainder sign and monotone products; the products are
     # taken with the positive chain weights ((-1)^n R_0 p_0 and
     # (-1)^n R_0 q_0), which is the sign-convention-free form
-    rows0, floors0 = _residual_values(f, coeffs, art, 0, "M", remainder=remainder,
-                                      coeff_confs=coeff_confs)
-    q0 = art.q_vals[0]
-    r0 = [r / q0(x) for r, x in zip(rows0, art.probes)]
-    slack = [10 * fl / q0(x) for fl, x in zip(floors0, art.probes)]
+    r0, slack = ck.r0()
     sign_ok = all((-1) ** n * r >= -s for r, s in zip(r0, slack))
-    verdicts["(6.9) sign"] = _v("holds" if sign_ok else "fails")
+    ck.verdicts["(6.9) sign"] = _v("holds" if sign_ok else "fails")
     mono_ok = True
     for weight in (art.p_vals[0], art.q_vals[0]):
         prods, slacks = [], []
@@ -1190,7 +1188,7 @@ def _convexity(f, coeffs, art, lf, lf_zero, remainder, verdicts, notes,
         for j in range(len(prods) - 1):
             if prods[j + 1] > prods[j] + slacks[j] + slacks[j + 1]:
                 mono_ok = False
-    verdicts["(6.10) monotonicity"] = _v("holds" if mono_ok else "fails")
+    ck.verdicts["(6.10) monotonicity"] = _v("holds" if mono_ok else "fails")
     return True
 
 
@@ -1203,59 +1201,46 @@ def check_incomplete(f, i, artifacts, source=None, remainder=None, coefficients=
     n = art.n
     if not 1 <= i <= n - 1:
         raise EvaluationError(f"i must lie in [1, {n - 1}]")
-    verdicts = {}
-    notes = []
-    lf, lf_zero = _operator_image(art, f, source, notes)
+    ck = _Check(art, f, source, remainder)
+    verdicts = ck.verdicts
 
     # (5.22)/(5.23) limits up to order i-1
-    coeffs, confs = _limit_ladder(art, f, "(5.22)", i, coefficients, verdicts, last="(5.23)")
-    if coeffs is not None and len(coeffs) < n:
-        coeffs = coeffs + [0.0] * (n - len(coeffs))
-        confs = confs + [0.0] * (n - len(confs))
+    ck.ladder("(5.22)", i, coefficients, last="(5.23)")
+    if ck.coeffs is not None:
+        pad = [0.0] * (n - len(ck.coeffs))
+        ck.coeffs, ck.confs = ck.coeffs + pad, ck.confs + pad
 
     # (5.20)-(5.21) expansion set up to phi_i
-    if coeffs is not None:
-        status, per = _residual_set(f, coeffs, confs, art, remainder, "M",
-                                    [(k, i, i) for k in range(i)])
+    if ck.coeffs is not None:
+        status, per = ck.residual_set("M", [(k, i, i) for k in range(i)])
         verdicts["(5.20)-(5.21) set"] = _v(status, per_k=per)
     else:
         verdicts["(5.20)-(5.21) set"] = _without_coefficients(verdicts["(5.22) limits"])
 
     # (5.24): outer improper integral of the mixed from-T nest
-    if lf_zero:
-        verdicts["(5.24) integral"] = _v("holds", zero=True)
-    else:
-        verdicts["(5.24) integral"], _ = _integral_verdict(
-            art, f, ("partial", i), *_partial_levels(art, i), lf
-        )
+    ck.integral("(5.24) integral", ("partial", i), *_partial_levels(art, i), ck.lf)
 
     # type-I side: (4.23) set, (4.22) first group, (4.24) integral
-    if coeffs is not None:
-        st23, per_h = _residual_set(f, coeffs, confs, art, remainder, "L",
-                                    [(n - i + h, i - h, None) for h in range(i)])
+    if ck.coeffs is not None:
+        st23, per_h = ck.residual_set("L", [(n - i + h, i - h, None) for h in range(i)])
         verdicts["(4.23) set"] = _v(st23, per_h=per_h)
-        st22, per_k = _residual_set(f, coeffs, confs, art, remainder, "L",
-                                    [(k, i, i) for k in range(n - i + 1)])
+        st22, per_k = ck.residual_set("L", [(k, i, i) for k in range(n - i + 1)])
         if st22 == "holds" and st23 != "holds":
             st22 = st23
         verdicts["(4.22) set"] = _v(st22, per_k=per_k, term_loss=_term_loss(art, i))
     else:
         verdicts["(4.23) set"] = _v("inconclusive")
         verdicts["(4.22) set"] = _v("inconclusive")
-    if lf_zero:
-        verdicts["(4.24) integral"] = _v("holds", zero=True)
-    else:
-        verdicts["(4.24) integral"], _ = _integral_verdict(
-            art, f, ("type-I", i), *_type1_levels(art, i), _guarded_ratio(lf, art.p_vals[n])
-        )
+    ck.integral("(4.24) integral", ("type-I", i), *_type1_levels(art, i),
+                _guarded_ratio(ck.lf, art.p_vals[n]))
 
     # (6.18) O-estimates in the convex case
-    convex = lf_zero or _nonneg(lf, art)
-    if convex and not lf_zero:
-        notes.append("L[f] >= 0 on the schedule: (6.18) O-estimates checked")
+    convex = ck.nonneg()
+    if convex and not ck.lf_zero:
+        ck.notes.append("L[f] >= 0 on the schedule: (6.18) O-estimates checked")
         ok18 = True
         for k in range(i, n):
-            nest = art.nest(*_partial_levels(art, k + 1), lf, key=("partial", k + 1),
+            nest = art.nest(*_partial_levels(art, k + 1), ck.lf, key=("partial", k + 1),
                             target=f)
             ratios = []
             for x in art.probes:
@@ -1272,8 +1257,7 @@ def check_incomplete(f, i, artifacts, source=None, remainder=None, coefficients=
     ]
     if convex:
         groups = [groups[0] + groups[1]]
-    return _report(f"incomplete expansion, i={i}", verdicts, notes, groups,
-                   ("(6.18) O-estimates",))
+    return ck.report(f"incomplete expansion, i={i}", groups, ("(6.18) O-estimates",))
 
 
 # -- check_O ---------------------------------------------------------------------------
@@ -1286,18 +1270,17 @@ def check_O(f, i, artifacts, source=None, coefficients=None):
     n = art.n
     if not 1 <= i <= n:
         raise EvaluationError(f"i must lie in [1, {n}]")
-    verdicts = {}
-    notes = []
-    lf, lf_zero = _operator_image(art, f, source, notes)
+    ck = _Check(art, f, source)
+    verdicts = ck.verdicts
 
     if i == 1:
         rows = [f(x, 0).value / art.scale.phi_value(1, x) for x in art.probes]
         verdicts["(5.36) O-form"] = _o_form_verdict(rows)
     else:
         # (5.31): limits below the boundary order, then boundedness at i-1
-        coeffs, _ = _limit_ladder(art, f, "(5.31)", i - 1, coefficients, verdicts)
+        ck.ladder("(5.31)", i - 1, coefficients)
         verdicts["(5.29) coefficients"] = _v(
-            "holds" if coeffs is not None else "inconclusive", values=coeffs
+            "holds" if ck.coeffs is not None else "inconclusive", values=ck.coeffs
         )
     _, seq, noise = _level_sequence(art.chain_q, art.scale, f, i - 1, art.class_points)
     noisy = [j for j, (v, nz) in enumerate(zip(seq, noise)) if nz > 1e-3 * abs(v)]
@@ -1307,15 +1290,14 @@ def check_O(f, i, artifacts, source=None, coefficients=None):
     else:
         verdicts["(5.32) bounded"] = _bounded_verdict(seq)
 
-    if lf_zero:
+    if ck.lf_zero:
         verdicts["(5.33) partial bounded"] = _v("holds", zero=True)
     else:
-        nest = art.nest(*_partial_levels(art, i), lf, key=("partial", i), target=f)
+        nest = art.nest(*_partial_levels(art, i), ck.lf, key=("partial", i), target=f)
         verdicts["(5.33) partial bounded"] = _bounded_verdict(_outer_partials(art, nest))
 
     label32 = "(5.36) O-form" if i == 1 else "(5.32) bounded"
-    return _report(f"O-estimates, i={i}", verdicts, notes,
-                   [[label32, "(5.33) partial bounded"]])
+    return ck.report(f"O-estimates, i={i}", [[label32, "(5.33) partial bounded"]])
 
 
 # -- check_absolute ---------------------------------------------------------------------
@@ -1325,23 +1307,16 @@ def check_absolute(f, artifacts, source=None):
     """Equivalence of the three absolute-convergence integral conditions."""
     art = artifacts
     n = art.n
-    labels = ["(6.11) type-I nest", "(6.12) P-weighted", "(6.13) direct"]
-    verdicts = {}
-    notes = []
-    lf, lf_zero = _operator_image(art, f, source, notes)
-    if lf_zero:
-        for label in labels:
-            verdicts[label] = _v("holds", zero=True)
-        return _report("absolute convergence", verdicts, notes, [labels])
-    abs_lf = _abs(lf)
+    ck = _Check(art, f, source)
+    abs_lf = _abs(ck.lf)
     pn = art.p_vals[n]
 
-    verdicts["(6.11) type-I nest"], _ = _integral_verdict(
-        art, f, "(6.11)", *_type1_levels(art, n), _guarded_ratio(abs_lf, pn)
-    )
+    ck.integral("(6.11) type-I nest", "(6.11)", *_type1_levels(art, n),
+                _guarded_ratio(abs_lf, pn))
 
-    # (6.12): P(t) built by nested from-T integration of the type-I chain
-    pnest = art.p_weight()
+    # (6.12): P(t) built by nested from-T integration of the type-I chain; no
+    # density reads it when L[f] vanishes
+    pnest = None if ck.lf_zero else art.p_weight()
 
     def p_weighted_density(t):
         v = abs_lf(t)
@@ -1358,10 +1333,9 @@ def check_absolute(f, artifacts, source=None):
         out[live] = art.p_weight_nodes()[live] / node_values(pn, ts)[live] * v[live]
         return out
 
-    verdicts["(6.12) P-weighted"], _ = _integral_verdict(
-        art, f, "(6.12)", [None], ["from_T"], NodeFn(p_weighted_density, p_weighted_nodes)
-    )
-    verdicts["(6.13) direct"], _ = _integral_verdict(
-        art, f, "(6.13)", [None], ["from_T"], _guarded_ratio(abs_lf, art.q_vals[n])
-    )
-    return _report("absolute convergence", verdicts, notes, [labels])
+    ck.integral("(6.12) P-weighted", "(6.12)", [None], ["from_T"],
+                NodeFn(p_weighted_density, p_weighted_nodes))
+    ck.integral("(6.13) direct", "(6.13)", [None], ["from_T"],
+                _guarded_ratio(abs_lf, art.q_vals[n]))
+    return ck.report("absolute convergence",
+                     [["(6.11) type-I nest", "(6.12) P-weighted", "(6.13) direct"]])
