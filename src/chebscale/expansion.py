@@ -829,7 +829,7 @@ def _type1_levels(art, i):
 
 
 def _bounded_verdict(seq):
-    """(5.32)/(5.33): does the sequence stay O(1) toward x0?"""
+    """(5.32), (5.33) and (5.36): does the sequence stay O(1) toward x0?"""
     kind = classify_sequence(seq, tol=_LIMIT_TOL)["kind"]
     bounded, diag = is_bounded_tail(seq)
     if kind.startswith("diverged") or bounded is False:
@@ -842,7 +842,7 @@ def _bounded_verdict(seq):
 
 
 def _o_form_verdict(rows):
-    """(5.36)/(6.2): is the remainder over the comparison function O(1)?"""
+    """(6.2): is the remainder over the comparison function O(1)?"""
     bounded, diag = is_bounded_tail(rows)
     return _v(
         "holds" if bounded else ("inconclusive" if bounded is None else "fails"),
@@ -1275,7 +1275,7 @@ def check_O(f, i, artifacts, source=None, coefficients=None):
 
     if i == 1:
         rows = [f(x, 0).value / art.scale.phi_value(1, x) for x in art.probes]
-        verdicts["(5.36) O-form"] = _o_form_verdict(rows)
+        verdicts["(5.36) O-form"] = _bounded_verdict(rows)
     else:
         # (5.31): limits below the boundary order, then boundedness at i-1
         ck.ladder("(5.31)", i - 1, coefficients)

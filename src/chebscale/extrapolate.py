@@ -216,13 +216,14 @@ def classify_sequence(values, tol=1e-8):
 
 def is_bounded_tail(values, window=5, factor=10.0):
     """O(1) detector: the last ``window`` magnitudes stay within ``factor``
-    times their median.  Returns (verdict bool or None, diagnostics)."""
+    times the larger of their median and the first of them, so a tail that
+    decays fast is bounded.  Returns (verdict bool or None, diagnostics)."""
     seq = [abs(v) for v in values if isinstance(v, (int, float)) and math.isfinite(v)]
     if len(seq) < window:
         return None, {}
     tail = seq[-window:]
     med = _median(tail)
-    bound = factor * (med + 1e-300)
+    bound = factor * (max(med, tail[0]) + 1e-300)
     ok = max(tail) <= bound
     return ok, {"median": med, "max": max(tail), "bound": bound}
 

@@ -336,6 +336,29 @@ def test_check_O_reads_no_verdict_from_noise():
     assert rep.consistent
 
 
+@pytest.mark.parametrize("scale, text, status", [
+    ("appendix", "x^2", "holds"),
+    ("appendix", "exp(x)*x", "fails"),
+    ("appendix", "x*log(x)", "holds"),
+    ("appendix", "exp(x)*sin(x)", "holds"),
+    ("taylor", "log(1-x)", "fails"),
+    ("taylor", "exp(x)", "holds"),
+    ("taylor", "1/(1-x)", "fails"),
+    ("cubic", "exp(x)", "holds"),
+    ("cubic", "1/x", "fails"),
+    ("poly", "x^4", "fails"),
+    ("poly", "x^2*log(x)", "holds"),
+    ("poly", "x^3*sin(x)", "holds"),
+    ("poly", "x^2", "holds"),
+])
+def test_check_O_first_order(request, scale, text, status):
+    # f/phi_1 = O(1) iff M_0[f] = O(1) iff the order-1 partial integral stays
+    # bounded: slow growth (x, 1/(1-x)) fails and fast decay (x^2 e^-x) holds
+    rep = check_O(ExpressionFunction(text), 1, request.getfixturevalue(f"{scale}_artifacts"))
+    assert rep.verdicts["(5.36) O-form"]["status"] == status
+    assert rep.consistent
+
+
 def test_hierarchy_verdict_ignores_earlier_checks():
     # the narrow paper schedule does not show log(x)/x -> 0; checking it
     # there first must not decide the scale's verdict for the bundle
