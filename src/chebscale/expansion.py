@@ -465,7 +465,7 @@ def _deflated_limit_status(values, basis_rows, tol=_LIMIT_TOL):
             a[:, c] = row[start:]
         scalecols = np.maximum(np.abs(a).max(axis=0), 1e-300)
         sol, *_ = np.linalg.lstsq(a / scalecols, np.array(vals[start:]), rcond=None)
-        betas = sol / scalecols
+        betas = (sol / scalecols).tolist()
         out = list(vals)
         for c, row in enumerate(rows, start=1):
             out = [d - betas[c] * v for d, v in zip(out, row)]

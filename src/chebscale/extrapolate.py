@@ -4,7 +4,9 @@ All asymptotic statements in the library (limits toward the scale's limit
 point, convergence of improper integrals, hierarchy checks) are reduced to
 finite probe sequences.  This module holds the shared decision rules:
 
-* iterated Aitken delta-squared extrapolation with a confidence estimate,
+* a consensus extrapolated limit: Aitken delta-squared and Richardson
+  (Neville in 1/j) on up to three tail windows, sharing one Aitken
+  diagonal per sequence and one Neville table per sequence length,
 * a sequence classifier (converged / diverged / oscillatory / inconclusive),
 * the bounded-tail ("O(1)") detector.
 
@@ -14,22 +16,22 @@ inconclusive rather than forced into a verdict.
 
 from __future__ import annotations
 
+import functools
 import math
 
 
 def aitken_step(seq):
     """One Aitken delta-squared pass; length shrinks by two."""
     out = []
-    for j in range(len(seq) - 2):
-        d1 = seq[j + 1] - seq[j]
-        d2 = seq[j + 2] - seq[j + 1]
+    for a, b, c in zip(seq, seq[1:], seq[2:]):
+        d1 = b - a
+        d2 = c - b
         den = d2 - d1
-        scale = abs(seq[j + 2]) + abs(d1) + abs(d2)
-        if not math.isfinite(den) or abs(den) <= 1e-305 + 1e-16 * scale:
-            out.append(seq[j + 2])
+        if not math.isfinite(den) or abs(den) <= 1e-305 + 1e-16 * (abs(c) + abs(d1) + abs(d2)):
+            out.append(c)
             continue
-        acc = seq[j + 2] - d2 * d2 / den
-        out.append(acc if math.isfinite(acc) else seq[j + 2])
+        acc = c - d2 * d2 / den
+        out.append(acc if math.isfinite(acc) else c)
     return out
 
 
@@ -58,61 +60,57 @@ def _scan_diagonal(estimates):
     return best_v, best_g
 
 
-def aitken_limit(values):
-    """Iterated Aitken extrapolation with noise-aware stopping.
-
-    Exact for geometric transients ``C + A*r**j``.  Returns
-    ``(value, confidence)``; ``(nan, inf)`` with fewer than two finite
-    entries.
-    """
-    seq = [v for v in values if isinstance(v, (int, float)) and math.isfinite(v)]
-    if len(seq) < 2:
-        return (seq[-1] if seq else math.nan, math.inf)
+def aitken_diagonal(seq):
+    """The last two entries of ``seq``, then the last entry of each Aitken
+    pass.  A pass entry reads three neighbours only, so the diagonal of the
+    tail ``seq[-L:]`` is the first ``2 + (L - 1) // 2`` entries of this one."""
     diagonal = [seq[-2], seq[-1]]
     cur = seq
     while len(cur) >= 3:
         cur = aitken_step(cur)
         diagonal.append(cur[-1])
-    return _scan_diagonal(diagonal)
+    return diagonal
 
 
-def richardson_limit(values):
-    """Neville polynomial extrapolation in 1/j to j = infinity.
-
-    Exact (up to truncation) for sequences analytic in 1/j, e.g. partial
-    integrals behaving like C - 1/(a + b*j); these defeat Aitken, which is
-    tuned to geometric transients.
-    """
-    seq = [v for v in values if isinstance(v, (int, float)) and math.isfinite(v)]
-    m = len(seq)
-    if m < 2:
-        return (seq[-1] if seq else math.nan, math.inf)
+@functools.lru_cache(maxsize=64)
+def _neville_table(m):
+    """Per Neville level k, the (t_j, t_{j+k}, t_j - t_{j+k}) for t_j = 1/(j+1)."""
     t = [1.0 / (j + 1.0) for j in range(m)]
-    tab = list(seq)
+    return tuple(tuple((a, b, a - b) for a, b in zip(t, t[k:])) for k in range(1, m))
+
+
+def richardson_diagonal(seq):
+    """Neville extrapolation in t_j = 1/(j+1) to t = 0: the last two entries
+    of ``seq``, then the last entry of each tableau level.  Exact (up to
+    truncation) for sequences analytic in 1/j, such as partial integrals
+    like C - 1/(a + b*j), which defeat Aitken's geometric model."""
+    tab = seq
     diagonal = [seq[-2], seq[-1]]
-    for k in range(1, m):
-        nxt = []
-        for j in range(m - k):
-            den = t[j] - t[j + k]
-            nxt.append((t[j] * tab[j + 1] - t[j + k] * tab[j]) / den)
-        tab = nxt
+    for level in _neville_table(len(seq)):
+        tab = [(tj * b - tk * a) / den for (tj, tk, den), a, b in zip(level, tab, tab[1:])]
         diagonal.append(tab[-1])
-    return _scan_diagonal(diagonal)
+    return diagonal
+
+
+def _finite(values):
+    return [v for v in values if isinstance(v, (int, float)) and math.isfinite(v)]
 
 
 def extrapolate_limit(values):
     """Consensus extrapolated limit over methods and tail windows.
 
     Runs Aitken (geometric transients) and Richardson (1/j transients) on
-    the full sequence and on a tail window.  The best-confidence candidate
+    up to three windows: all finite entries, all but the first two (from 8
+    entries on) and the last 8 (from 11 on).  The best-confidence candidate
     must be seconded by another candidate within the pair's confidences;
     an unseconded claim has its confidence inflated to its distance from
     the nearest rival.  This guards against accidental deep-tableau
     coincidences masquerading as convergence.
     """
-    seq = [v for v in values if isinstance(v, (int, float)) and math.isfinite(v)]
+    seq = _finite(values)
     if len(seq) < 2:
         return (seq[-1] if seq else math.nan, math.inf)
+    aitken = aitken_diagonal(seq)
     windows = [seq]
     if len(seq) >= 8:
         windows.append(seq[2:])
@@ -120,8 +118,8 @@ def extrapolate_limit(values):
         windows.append(seq[-8:])
     cands = []
     for w in windows:
-        for method in (aitken_limit, richardson_limit):
-            v, c = method(w)
+        for diagonal in (aitken[: 2 + (len(w) - 1) // 2], richardson_diagonal(w)):
+            v, c = _scan_diagonal(diagonal)
             if math.isfinite(v):
                 cands.append((v, c))
     if not cands:
@@ -157,7 +155,7 @@ def classify_sequence(values, tol=1e-8):
     finite schedules cannot reach any fixed magnitude threshold for slowly
     divergent integrals, so the increment test is load-bearing.
     """
-    seq = [v for v in values if isinstance(v, (int, float)) and math.isfinite(v)]
+    seq = _finite(values)
     res = {
         "kind": "inconclusive",
         "value": math.nan,
@@ -169,9 +167,9 @@ def classify_sequence(values, tol=1e-8):
     scale0 = 1.0 + abs(seq[0])
     deltas = []
     dsigns = []  # per-increment sign with a local noise floor
-    for j in range(len(seq) - 1):
-        d = seq[j + 1] - seq[j]
-        tiny = 1e-14 * (abs(seq[j]) + abs(seq[j + 1]))
+    for a, b in zip(seq, seq[1:]):
+        d = b - a
+        tiny = 1e-14 * (abs(a) + abs(b))
         deltas.append(d)
         dsigns.append(0 if abs(d) <= tiny else (1 if d > 0 else -1))
     last_d = _tail(deltas, 5)

@@ -195,7 +195,8 @@ def ratio_decreases_to_zero(ratios, tol=1e-4):
     """Finite-sample surrogate for ``ratio -> 0`` along the schedule.
 
     Pass rule: the last five ratios decrease monotonically, and either the
-    final ratio is below 1e-2 or the Aitken-extrapolated limit is within
+    final ratio is below 1e-2 or the extrapolated limit (the Aitken and
+    Richardson consensus of ``extrapolate_limit``) is within
     max(tol, 5% of the final ratio) of zero.  The extrapolation escape is
     needed for logarithmic hierarchies, which no finite schedule can push
     under an absolute threshold.
