@@ -17,27 +17,22 @@ Cache policy: jets are cached in one place only, the
 :class:`~chebscale.jet.JetMemo` of the evaluator that produces them (scale
 members, expression targets, prefix Wronskians, chain weights, nest
 evaluators, constructed functions), one jet per point at the highest order
-asked for there.  Above the jets, a :class:`ScaleArtifacts` bundle owns what
-depends on the scale alone (chains, constants, grid, weight tabulations and
-the target-independent P-weight nest with its values on the grid nodes).
-It builds only what is read: the principal system of Lemma 4.1 on its first
-read (no checker and no extraction route reads it), and the constants'
+asked for there; the shared :class:`~chebscale.quadrature.WorkGrid` keeps
+each live evaluator's table on its nodes.  Above these, a
+:class:`ScaleArtifacts` bundle owns what depends on the scale alone (chains,
+constants, grid) and builds the rest on its first read: the principal system
+of Lemma 4.1 (no checker and no extraction route reads it), the P-weight
+nest of (6.12) with its values on the grid nodes, and W(phi_1..phi_n) on the
+grid nodes, which every target's L[f] table divides by.  The constants'
 ``b`` comes from the L_k[phi_{n-k}] constancy test, not from that system.
-Everything computed from a target belongs to that target's record, which
-the bundle holds only as long as the target lives, so a later target can
-never be served an earlier one's results.  The record keeps
-L[f] = W(phi_1..phi_n, f)/W(phi_1..phi_n) as plain values: one array over
-the grid nodes, eliminated as one stack of bordered determinants, and one
-value per other point it was asked at (probes, and grid nodes flagged in
-the array).  Every nest of every check of f reads them, and the record
-holds no closure over f, which would keep f alive.  The denominator
-W(phi_1..phi_n) on the grid nodes depends on the scale alone: the bundle
-tabulates it, with the nodes where it vanishes, once, and every target's
-L[f] array divides by it.  Grid tables of the weights and of L[f] go
-through array forms, which keep no point in any jet memo.  A ``source``
-passed to a checker is a promise that L[f] = q_n * source: a target's nests
-are keyed by label only, and whichever call builds one first fixes it for
-every later call.
+A target's record keeps what later calls read again: its M/L images per
+point, its operator limits, L[f] over the grid nodes (one stack of bordered
+determinants) and whether L[f] vanishes along the probes.  The bundle holds
+the record only as long as the target lives, so a later target can never be
+served an earlier one's results, and the record holds plain values, never a
+closure over f, which would keep f alive.  Every other nest is built afresh
+on the shared grid by the check that reads it.  Grid tables of the weights
+and of L[f] go through array forms, which keep no point in any jet memo.
 """
 
 from __future__ import annotations
@@ -67,6 +62,7 @@ from .scale import finite_prefix, ratio_decreases_to_zero, require_verified, sca
 from .wronskian import bordered_wronskian, wronskian_flags
 
 _LIMIT_TOL = 1e-6  # "a limit exists" when confidence < tol * (1 + |value|)
+_REFINE_SWEEPS = 5  # Gauss-Seidel sweeps of extract_recursive; fewer move coefficients
 
 
 def _guarded_ratio(num_fn, den_fn):
@@ -97,33 +93,29 @@ def _abs(fn):
 class _TargetRecord:
     """Everything a bundle computed from one target."""
 
-    __slots__ = ("images", "limits", "lf", "lf_nodes", "lf_zero", "nests")
+    __slots__ = ("images", "limits", "lf_nodes", "lf_zero")
 
     def __init__(self):
         self.images = {}  # ("M" | "L", k, x) -> weighted derivative
         self.limits = {}  # k -> (status, value, confidence) of M_k[f]
-        self.lf = {}  # x -> L[f](x), the Wronskian quotient
         self.lf_nodes = None  # L[f] on the grid nodes (NaN: flagged)
         self.lf_zero = None  # L[f] vanishes along the probes
-        self.nests = {}  # label -> NestedIntegral
 
 
 class ScaleArtifacts:
     """Chains, constants, principal system and shared grid for one scale.
 
     The bundle owns the chains, constants and grid (whose value cache keeps
-    the weight tabulations, since the bundle holds the weights) and the
-    target-independent ``("P-weight",)`` nest, tabulated once on the grid
-    nodes.  The principal system (``system``) is built on its first read
-    and kept; the constants' ``b`` does not need it (see
-    :func:`~chebscale.operators.operator_constants`).  A target owns
-    everything computed from it: ``_targets`` maps it, by weak reference, to
-    a record of its M/L values, its limits, its L[f] values and L[f] = 0
-    test and its nests, keyed by label only.  The record goes when the
-    target goes, so a new target at a dead one's address inherits none of
-    its results.  A ``source`` passed to a checker is a promise that
-    L[f] = q_n * source: a target's nests are built from whichever L[f]
-    evaluator reaches them first.
+    the weight tabulations, since the bundle holds the weights).  Its
+    target-independent values are built on their first read and kept:
+    the principal system (``system``; the constants' ``b`` does not need
+    it, see :func:`~chebscale.operators.operator_constants`), the P-weight
+    nest (``p_weight``) and its values on the grid nodes
+    (``p_weight_nodes``).  ``_targets`` maps each target, by weak
+    reference, to a record of its M/L images, its limits, its L[f] grid
+    table and its L[f] = 0 test.  The record goes when the target goes, so
+    a new target at a dead one's address inherits none of its results.
+    :meth:`nest` builds a new nest on the shared grid at every call.
     """
 
     def __init__(self, scale, schedule):
@@ -150,9 +142,6 @@ class ScaleArtifacts:
             self.grid = WorkGrid(scale.T, scale.x0, include=self.probes)
         self.constants = operator_constants(scale, self.chain_q, self.chain_p, schedule)
         self._targets = weakref.WeakKeyDictionary()
-        self._nests = {}
-        self._den = None  # wronskian_flags of W(phi_1..phi_n) on the grid nodes
-        self._p_nodes = None  # the P-weight nest on the grid nodes
         # classification points: the probe schedule extended geometrically to
         # the grid's reach (table lookups there are free, and integrals need
         # the extra range to classify decisively)
@@ -228,9 +217,9 @@ class ScaleArtifacts:
 
     def lf_evaluator(self, f, source=None):
         """``x -> L[f](x)`` with its array form (a :class:`NodeFn`); a known
-        source density short-circuits the Wronskian quotient.  Quotient
-        values are kept in f's record, per point and as one array over the
-        grid nodes, so every nest and every later check of f tabulates each
+        source density (a promise that L[f] = q_n * source) short-circuits
+        the Wronskian quotient.  The quotient over the grid nodes is kept in
+        f's record, so every nest and every later check of f tabulates each
         node once."""
         if source is not None:
             qn = self.q_vals[self.n]
@@ -248,29 +237,21 @@ class ScaleArtifacts:
             return NodeFn(lf, lf_nodes)
         scale = self.scale
         rec = self._record(f)  # values only: no closure over f
-        values = rec.lf
-
-        def lf(x):
-            v = values.get(x)
-            if v is None:
-                v = values[x] = apply_full_operator(scale, f, x)
-            return v
 
         def lf_nodes(xs):
             if xs is not self.grid.xnodes:
                 return apply_full_operator(scale, f, xs)
             if rec.lf_nodes is None:
-                rec.lf_nodes = apply_full_operator(scale, f, xs, den=self._denominator())
+                rec.lf_nodes = apply_full_operator(scale, f, xs, den=self._denominator)
             return rec.lf_nodes
 
-        return NodeFn(lf, lf_nodes)
+        return NodeFn(lambda x: apply_full_operator(scale, f, x), lf_nodes)
 
+    @cached_property
     def _denominator(self):
         """W(phi_1..phi_n) on the grid nodes and the nodes where it vanishes
         or overflows: every target's L[f] table divides by this one."""
-        if self._den is None:
-            self._den = wronskian_flags(self.scale, range(1, self.n + 1), self.grid.xnodes)
-        return self._den
+        return wronskian_flags(self.scale, range(1, self.n + 1), self.grid.xnodes)
 
     def lf_is_zero(self, f):
         """Constant-zero detection for L[f] along the schedule."""
@@ -286,6 +267,7 @@ class ScaleArtifacts:
             rec.lf_zero = zero
         return rec.lf_zero
 
+    @cached_property
     def p_weight(self):
         """The target-independent P-weight nest: P(t) by nested from-T
         integration of the type-I chain."""
@@ -294,26 +276,18 @@ class ScaleArtifacts:
             [self.p_vals[j] for j in range(n - 1, 0, -1)],
             ["from_T"] * (n - 1),
             lambda x: 1.0,
-            key=("P-weight",),
         )
 
+    @cached_property
     def p_weight_nodes(self):
         """P(t) on the grid nodes (NaN where the nest raises), tabulated
         once per bundle for every target's (6.12) density."""
-        if self._p_nodes is None:
-            pnest = self.p_weight()
-            self._p_nodes = node_values(lambda t: pnest.value(t, 0), self.grid.xnodes)
-        return self._p_nodes
+        pnest = self.p_weight
+        return node_values(lambda t: pnest.value(t, 0), self.grid.xnodes)
 
-    def nest(self, weights, orientations, density, key, target=None):
-        """NestedIntegral on the shared grid, memoized under ``key`` in
-        ``target``'s record, or in the bundle's own table when the nest
-        depends on no target."""
-        nests = self._nests if target is None else self._record(target).nests
-        out = nests.get(key)
-        if out is None:
-            out = nests[key] = NestedIntegral(self.grid, weights, orientations, density)
-        return out
+    def nest(self, weights, orientations, density):
+        """A new NestedIntegral on the shared grid."""
+        return NestedIntegral(self.grid, weights, orientations, density)
 
 
 def _level_sequence(chain, scale, f, k, points):
@@ -500,12 +474,12 @@ def _deflated_limit_status(values, basis_rows, tol=_LIMIT_TOL):
     return out
 
 
-def extract_recursive(f, scale, schedule, refine_sweeps=5):
+def extract_recursive(f, scale, schedule):
     """Coefficients by peeling: a_i from the residual-over-phi_i limits.
 
-    After the defining recursive pass, a few Gauss-Seidel sweeps re-extract
-    each coefficient from the residual with *all* other extracted terms
-    removed.  The limits are mathematically identical; the sweeps damp the
+    After the defining recursive pass, ``_REFINE_SWEEPS`` Gauss-Seidel
+    sweeps re-extract each coefficient from the residual with *all* other
+    extracted terms removed.  The limits are mathematically identical; the sweeps damp the
     pollution a small error in an early coefficient injects into later
     ratios through the scale's dynamic range.
     """
@@ -595,7 +569,7 @@ def extract_recursive(f, scale, schedule, refine_sweeps=5):
         # Gauss-Seidel sweeps: each coefficient re-extracted with all other
         # terms removed (same limits, far less pollution); the full residual
         # rides along as an empirical remainder shape
-        for _ in range(refine_sweeps if coeffs else 0):
+        for _ in range(_REFINE_SWEEPS if coeffs else 0):
             rem_row = peeled()
             for i in range(len(coeffs)):
                 status, value, conf = ratio_limit(peeled(skip=i), i, rem_row)
@@ -896,9 +870,9 @@ class _Check:
             self.coeffs = [v / eps[k] for k, (_, v, _) in enumerate(limits)]
             self.confs = [c / abs(eps[k]) for k, (_, _, c) in enumerate(limits)]
 
-    def integral(self, label, key, weights, orientations, density):
-        """The verdict ``label``: does the outer integral of f's nest ``key``
-        converge toward x0?  Every density is built from L[f], so it holds
+    def integral(self, label, weights, orientations, density):
+        """The verdict ``label``: does the outer integral of the nest of
+        ``density`` converge toward x0?  Every density is built from L[f], so it holds
         when L[f] vanishes identically.  A DivergentTail fails the verdict
         when it is decisive and leaves it inconclusive otherwise; else the
         partials decide.  Returns the integral (nan unless it converged)."""
@@ -906,7 +880,7 @@ class _Check:
             self.verdicts[label] = _v("holds", zero=True)
             return 0.0
         try:
-            nest = self.art.nest(weights, orientations, density, key=key, target=self.f)
+            nest = self.art.nest(weights, orientations, density)
         except DivergentTail as exc:
             decisive = getattr(exc, "decisive", True)
             self.verdicts[label] = _v("fails" if decisive else "inconclusive", reason=str(exc))
@@ -1011,7 +985,7 @@ def check_complete(f, artifacts, source=None, remainder=None, coefficients=None)
     ck.ladder("(5.7)", n, coefficients, last="(5.8)")
 
     # (5.9): convergence of the source integral
-    value = ck.integral("(5.9) integral", "(5.9)", [None], ["from_T"],
+    value = ck.integral("(5.9) integral", [None], ["from_T"],
                         _guarded_ratio(ck.lf, art.q_vals[n]))
     verdicts["(5.9) integral"]["value"] = value
 
@@ -1033,8 +1007,7 @@ def check_complete(f, artifacts, source=None, remainder=None, coefficients=None)
         verdicts["(5.14)-(5.15) identity"] = _v("holds" if ok else "fails", zero=True)
     elif ck.coeffs is not None and verdicts["(5.9) integral"]["status"] == "holds":
         try:
-            nest = art.nest([art.q_vals[i] for i in range(1, n + 1)], ["to_x0"] * n, ck.lf,
-                            key="(5.14)", target=f)
+            nest = art.nest([art.q_vals[i] for i in range(1, n + 1)], ["to_x0"] * n, ck.lf)
         except DivergentTail:
             verdicts["(5.14)-(5.15) identity"] = _v(
                 "inconclusive", reason="tail tables did not stabilize"
@@ -1057,7 +1030,7 @@ def check_complete(f, artifacts, source=None, remainder=None, coefficients=None)
         verdicts["(4.31) set"] = _v("inconclusive", reason="no coefficients")
     else:
         verdicts["(4.31) set"] = _v("inconclusive")
-    ck.integral("(4.32) integral", ("type-I", n), *_type1_levels(art, n),
+    ck.integral("(4.32) integral", *_type1_levels(art, n),
                 _guarded_ratio(ck.lf, art.p_vals[n]))
 
     # generalized convexity branch (needs the all-positive Wronskian case)
@@ -1121,9 +1094,7 @@ def _remainder_bounds(ck, nest):
     ck.verdicts["(5.16) bound"] = _v("holds" if ok16 else "fails")
     # (5.17): absolute-convergence bound with the quadrature error folded in
     try:
-        abs_nest = art.nest(
-            [art.q_vals[n]], ["to_x0"], _abs(ck.lf), key="(5.17)", target=ck.f
-        )
+        abs_nest = art.nest([art.q_vals[n]], ["to_x0"], _abs(ck.lf))
     except DivergentTail:
         ck.verdicts["(5.17) bound"] = _v("inconclusive", reason="not absolutely convergent")
         return
@@ -1218,7 +1189,7 @@ def check_incomplete(f, i, artifacts, source=None, remainder=None, coefficients=
         verdicts["(5.20)-(5.21) set"] = _without_coefficients(verdicts["(5.22) limits"])
 
     # (5.24): outer improper integral of the mixed from-T nest
-    ck.integral("(5.24) integral", ("partial", i), *_partial_levels(art, i), ck.lf)
+    ck.integral("(5.24) integral", *_partial_levels(art, i), ck.lf)
 
     # type-I side: (4.23) set, (4.22) first group, (4.24) integral
     if ck.coeffs is not None:
@@ -1231,7 +1202,7 @@ def check_incomplete(f, i, artifacts, source=None, remainder=None, coefficients=
     else:
         verdicts["(4.23) set"] = _v("inconclusive")
         verdicts["(4.22) set"] = _v("inconclusive")
-    ck.integral("(4.24) integral", ("type-I", i), *_type1_levels(art, i),
+    ck.integral("(4.24) integral", *_type1_levels(art, i),
                 _guarded_ratio(ck.lf, art.p_vals[n]))
 
     # (6.18) O-estimates in the convex case
@@ -1240,8 +1211,7 @@ def check_incomplete(f, i, artifacts, source=None, remainder=None, coefficients=
         ck.notes.append("L[f] >= 0 on the schedule: (6.18) O-estimates checked")
         ok18 = True
         for k in range(i, n):
-            nest = art.nest(*_partial_levels(art, k + 1), ck.lf, key=("partial", k + 1),
-                            target=f)
+            nest = art.nest(*_partial_levels(art, k + 1), ck.lf)
             ratios = []
             for x in art.probes:
                 ref = max(1.0, abs(nest.value(x, 0)))
@@ -1293,7 +1263,7 @@ def check_O(f, i, artifacts, source=None, coefficients=None):
     if ck.lf_zero:
         verdicts["(5.33) partial bounded"] = _v("holds", zero=True)
     else:
-        nest = art.nest(*_partial_levels(art, i), ck.lf, key=("partial", i), target=f)
+        nest = art.nest(*_partial_levels(art, i), ck.lf)
         verdicts["(5.33) partial bounded"] = _bounded_verdict(_outer_partials(art, nest))
 
     label32 = "(5.36) O-form" if i == 1 else "(5.32) bounded"
@@ -1311,12 +1281,12 @@ def check_absolute(f, artifacts, source=None):
     abs_lf = _abs(ck.lf)
     pn = art.p_vals[n]
 
-    ck.integral("(6.11) type-I nest", "(6.11)", *_type1_levels(art, n),
+    ck.integral("(6.11) type-I nest", *_type1_levels(art, n),
                 _guarded_ratio(abs_lf, pn))
 
     # (6.12): P(t) built by nested from-T integration of the type-I chain; no
     # density reads it when L[f] vanishes
-    pnest = None if ck.lf_zero else art.p_weight()
+    pnest = None if ck.lf_zero else art.p_weight
 
     def p_weighted_density(t):
         v = abs_lf(t)
@@ -1330,12 +1300,12 @@ def check_absolute(f, artifacts, source=None):
         v = node_values(abs_lf, ts)
         live = v != 0.0
         out = np.zeros(len(ts))
-        out[live] = art.p_weight_nodes()[live] / node_values(pn, ts)[live] * v[live]
+        out[live] = art.p_weight_nodes[live] / node_values(pn, ts)[live] * v[live]
         return out
 
-    ck.integral("(6.12) P-weighted", "(6.12)", [None], ["from_T"],
+    ck.integral("(6.12) P-weighted", [None], ["from_T"],
                 NodeFn(p_weighted_density, p_weighted_nodes))
-    ck.integral("(6.13) direct", "(6.13)", [None], ["from_T"],
+    ck.integral("(6.13) direct", [None], ["from_T"],
                 _guarded_ratio(abs_lf, art.q_vals[n]))
     return ck.report("absolute convergence",
                      [["(6.11) type-I nest", "(6.12) P-weighted", "(6.13) direct"]])

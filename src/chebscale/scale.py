@@ -121,7 +121,9 @@ def make_schedule(T, x0, count, ratio):
 
     Finite x0: ``x_j = x0 - (x0 - s) * ratio**j`` with s the midpoint of
     [T, x0); requires 0 < ratio < 1.  Infinite x0: ``x_j = s * ratio**j``
-    with ``s = max(T, 1) + 1``; requires ratio > 1.
+    with ``s = max(T, 1) + 1``; requires ratio > 1.  The schedule is the
+    longest prefix that moves strictly toward x0, finite and distinct from
+    it, and needs 6 points.
     """
     if count < 6:
         raise BadScheduleParams("a schedule needs at least 6 points")
@@ -132,16 +134,26 @@ def make_schedule(T, x0, count, ratio):
             raise BadScheduleParams("limit point must be finite or +inf")
         if ratio <= 1.0:
             raise BadScheduleParams("ratio must exceed 1 for an infinite limit")
-        s = max(T, 1.0) + 1.0
-        pts = tuple(s * ratio**j for j in range(count))
-        return ProbeSchedule(pts, "geometric-growth")
-    if T == x0:
+        s, kind = max(T, 1.0) + 1.0, "geometric-growth"
+    elif T == x0:
         raise BadScheduleParams("T must differ from x0")
-    if not 0.0 < ratio < 1.0:
+    elif not 0.0 < ratio < 1.0:
         raise BadScheduleParams("ratio must lie in (0, 1) for a finite limit")
-    s = 0.5 * (T + x0)
-    pts = tuple(x0 - (x0 - s) * ratio**j for j in range(count))
-    return ProbeSchedule(pts, "geometric-approach")
+    else:
+        s, kind = 0.5 * (T + x0), "geometric-approach"
+    toward = 1.0 if x0 > s else -1.0
+    pts = []
+    for j in range(count):
+        try:
+            x = s * ratio**j if math.isinf(x0) else x0 - (x0 - s) * ratio**j
+        except OverflowError:
+            break
+        if not math.isfinite(x) or x == x0 or pts and toward * (x - pts[-1]) <= 0.0:
+            break
+        pts.append(x)
+    if len(pts) < 6:
+        raise BadScheduleParams(f"only {len(pts)} schedule points move toward x0")
+    return ProbeSchedule(tuple(pts), kind)
 
 
 def finite_prefix(points, fns):

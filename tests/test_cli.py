@@ -46,6 +46,15 @@ def test_overflow_is_an_input_error(capsys):
         assert err.startswith("error: ") and "Traceback" not in err, target
 
 
+def test_long_schedule_is_cut_where_it_overflows(capsys):
+    # 1.6**j leaves double range from j = 1510 on
+    code = cli.run(["analyze", "--scale", APPENDIX, "--probes", "2000", "--json"])
+    captured = capsys.readouterr()
+    assert code in (0, 1), captured.err
+    points = [float(p) for p in json.loads(captured.out)["scale"]["schedule"]["points"]]
+    assert len(points) >= 6 and all(math.isfinite(p) for p in points)
+
+
 def _scale_file(tmp_path, name, x0, T, exprs):
     path = tmp_path / f"{name}.scale"
     path.write_text(f"x0 = {x0}\nT = {T}\n" + "\n".join(exprs) + "\n")

@@ -22,6 +22,7 @@ from chebscale import (
     verify_hierarchy,
 )
 from chebscale.errors import ChebscaleError, LimitDiverged
+from chebscale.expansion import _abs, _guarded_ratio, _type1_levels
 from chebscale.expr import ExpressionFunction
 from chebscale.factorization import apply_full_operator, build_type1_chain
 
@@ -374,17 +375,19 @@ def test_type1_nests_leave_shared_grid_alone(appendix_artifacts):
     # touching the bundle's grid, its value cache or any earlier nest; the
     # (6.12) density reads the P-weight nest at the grid's own nodes
     art = appendix_artifacts
+    n = art.n
     psi_exp = ExpressionFunction("exp(-x)")
     g1 = construct_from_source(art, [1.0, 1.0, 1.0, 1.0], psi_exp, mode="tail")
-    check_absolute(g1, art, source=lambda x: psi_exp(x, 0).value)
+    src1 = lambda x: psi_exp(x, 0).value
+    check_absolute(g1, art, source=src1)
+    # earlier nests: the bundle's P-weight nest and g1's (6.11) and (4.32) nests
+    lf1, pn = art.lf_evaluator(g1, src1), art.p_vals[n]
+    earlier = [art.p_weight,
+               art.nest(*_type1_levels(art, n), _guarded_ratio(_abs(lf1), pn)),
+               art.nest(*_type1_levels(art, n), _guarded_ratio(lf1, pn))]
     nodes = art.grid.nodes.copy()
     cached = {fn: vals.copy() for fn, vals in art.grid._value_cache.items()}
-    # every nest of every live target (g1's among them) and the bundle's own
-    owners = [(None, art._nests)] + [(t, rec.nests) for t, rec in art._targets.items()]
-    nests = {(t, key): [nest.value(x, 0) for x in art.class_points]
-             for t, table in owners for key, nest in table.items()}
-    assert (None, ("P-weight",)) in nests
-    assert any(t is g1 for t, _ in nests)
+    before = [[nest.value(x, 0) for x in art.class_points] for nest in earlier]
 
     psi = ExpressionFunction("x^-3")
     g2 = construct_from_source(art, [2.0, -1.0, 0.5, 1.5], psi, mode="tail")
@@ -399,10 +402,30 @@ def test_type1_nests_leave_shared_grid_alone(appendix_artifacts):
     assert np.array_equal(art.grid.nodes, nodes)
     for fn, vals in cached.items():
         assert np.array_equal(art.grid._value_cache[fn], vals, equal_nan=True)
-    for (t, key), before in nests.items():
-        table = art._nests if t is None else art._targets[t].nests
-        after = [table[key].value(x, 0) for x in art.class_points]
-        assert np.array_equal(after, before, equal_nan=True)
+    for nest, vals in zip(earlier, before):
+        after = [nest.value(x, 0) for x in art.class_points]
+        assert np.array_equal(after, vals, equal_nan=True)
+
+
+def test_a_check_reads_no_nest_built_for_an_earlier_source():
+    # a nest built from one check's source must not serve a later check of
+    # the same target that computes L[f] itself
+    sched = make_schedule(4.0, math.inf, 10, 1.22)
+    psi = ExpressionFunction("exp(-x)")
+    verdicts = []
+    for earlier in (False, True):
+        sc = ChebyshevScale.from_exprs(["exp(x)", "x", "log(x)", "1"], T=4.0, x0=math.inf)
+        art = artifacts_for(sc, sched)
+        g = construct_from_source(art, [1.0, 1.0, 1.0, 1.0], psi, mode="tail")
+        if earlier:
+            check_complete(g, art, source=lambda x: 0.0)
+        verdicts.append(check_complete(g, art).verdicts)
+    fresh, after = verdicts
+    assert {k: v["status"] for k, v in after.items()} == {
+        k: v["status"] for k, v in fresh.items()}
+    for label, v in fresh.items():
+        if "value" in v:
+            assert np.array_equal(after[label]["value"], v["value"], equal_nan=True), label
 
 
 def test_reused_id_gets_its_own_limit(appendix_artifacts):

@@ -8,6 +8,7 @@ from chebscale import (
     ChebyshevScale,
     DerivativeOperator,
     WeightedOperator,
+    artifacts_for,
     check_admissibility,
     default_verification_schedule,
     finite_prefix,
@@ -40,6 +41,34 @@ def test_make_schedule_rejects_bad_params():
         make_schedule(0.0, 1.0, 8, 1.5)
     with pytest.raises(BadScheduleParams):
         make_schedule(1.0, math.inf, 8, 0.5)
+
+
+@pytest.mark.parametrize("T,x0,count,ratio,kept", [
+    (0.0, 1.0, 20, 0.1, 16),  # 1 - 0.5e-16 rounds to 1.0
+    (0.0, 1.0, 400, 0.9, 324),  # 0.9999999999999992 repeats
+    (1.0, math.inf, 2000, 1.6, 1509),  # 1.6**1509 overflows
+])
+def test_make_schedule_keeps_the_strictly_approaching_prefix(T, x0, count, ratio, kept):
+    pts = make_schedule(T, x0, count, ratio).points
+    assert len(pts) == kept
+    assert all(math.isfinite(x) and x != x0 for x in pts)
+    assert all(a < b for a, b in zip(pts, pts[1:]))
+    s = 0.5 * (T + x0) if math.isfinite(x0) else max(T, 1.0) + 1.0
+    formula = [s * ratio**j if math.isinf(x0) else x0 - (x0 - s) * ratio**j
+               for j in range(kept)]
+    assert list(pts) == formula
+
+
+def test_make_schedule_rejects_fewer_than_six_approaching_points():
+    with pytest.raises(BadScheduleParams):
+        make_schedule(0.0, 1.0, 8, 1e-4)  # the fifth point rounds to 1.0
+    with pytest.raises(BadScheduleParams):
+        make_schedule(1.0, math.inf, 8, 1e100)  # the fifth point overflows
+
+
+def test_cut_schedule_builds_a_bundle(taylor_scale):
+    art = artifacts_for(taylor_scale, make_schedule(0.0, 1.0, 20, 0.1))
+    assert len(art.probes) >= 6 and max(art.probes) < 1.0
 
 
 def test_make_schedule_mirrored_orientation():
