@@ -13,26 +13,32 @@ under check (f, L[f] and whether it vanishes, the coefficients and their
 confidences, the verdicts and notes) and holds, once, the rules the four
 checkers share.
 
-Cache policy: jets are cached in one place only, the
-:class:`~chebscale.jet.JetMemo` of the evaluator that produces them (scale
-members, expression targets, prefix Wronskians, chain weights, nest
-evaluators, constructed functions), one jet per point at the highest order
-asked for there; the shared :class:`~chebscale.quadrature.WorkGrid` keeps
-each live evaluator's table on its nodes.  Above these, a
-:class:`ScaleArtifacts` bundle owns what depends on the scale alone (chains,
-constants, grid) and builds the rest on its first read: the principal system
-of Lemma 4.1 (no checker and no extraction route reads it), the P-weight
-nest of (6.12) with its values on the grid nodes, and W(phi_1..phi_n) on the
-grid nodes, which every target's L[f] table divides by.  The constants'
-``b`` comes from the L_k[phi_{n-k}] constancy test, not from that system.
-A target's record keeps what later calls read again: its M/L images per
-point, its operator limits, L[f] over the grid nodes (one stack of bordered
-determinants) and whether L[f] vanishes along the probes.  The bundle holds
-the record only as long as the target lives, so a later target can never be
-served an earlier one's results, and the record holds plain values, never a
-closure over f, which would keep f alive.  Every other nest is built afresh
-on the shared grid by the check that reads it.  Grid tables of the weights
-and of L[f] go through array forms, which keep no point in any jet memo.
+Cache policy: the memos below are all that is kept, and each has one owner.
+
+- Jets: the :class:`~chebscale.jet.JetMemo` of the evaluator that produces
+  them (scale members, expression targets, prefix Wronskians, chain
+  weights, nest evaluators, constructed functions) keeps one jet per point,
+  at the highest order asked there, and the jet of the last node array.
+- Grid tables: the shared :class:`~chebscale.quadrature.WorkGrid` keeps
+  each live evaluator's values on its nodes.
+- Scale values: a :class:`ScaleArtifacts` bundle owns the chains, constants
+  and grid, and builds on first read the principal system of Lemma 4.1 (no
+  checker and no extraction route reads it; the constants' ``b`` comes
+  from the L_k[phi_{n-k}] constancy test), the P-weight nest of (6.12) with
+  its values on the grid nodes, and W(phi_1..phi_n) on the grid nodes,
+  which every target's L[f] table divides by.
+- Target values: the bundle's record of a target keeps its M/L images per
+  point, its operator limits, L[f] over the grid nodes (one stack of
+  bordered determinants) and whether L[f] vanishes along the probes.  The
+  bundle holds the record only as long as the target lives, so a later
+  target can never be served an earlier one's results, and the record
+  holds plain values, never a closure over f, which would keep f alive.
+
+Every other nest is built afresh on the shared grid by the check that reads
+it.  Grid tables of the weights and of L[f] go through array forms, which
+keep no point in any jet memo.  Outside these layers, ``scale.verified``
+keeps the hierarchy verdict, ``extrapolate`` one Neville table per sequence
+length and ``quadrature`` its rule tables.
 """
 
 from __future__ import annotations
@@ -107,11 +113,12 @@ class ScaleArtifacts:
 
     The bundle owns the chains, constants and grid (whose value cache keeps
     the weight tabulations, since the bundle holds the weights).  Its
-    target-independent values are built on their first read and kept:
-    the principal system (``system``; the constants' ``b`` does not need
-    it, see :func:`~chebscale.operators.operator_constants`), the P-weight
-    nest (``p_weight``) and its values on the grid nodes
-    (``p_weight_nodes``).  ``_targets`` maps each target, by weak
+    target-independent values are cached properties, built on their first
+    read: the principal system (``system``; the constants' ``b`` does not
+    need it, see :func:`~chebscale.operators.operator_constants`), the
+    P-weight nest (``p_weight``), its values on the grid nodes
+    (``p_weight_nodes``) and W(phi_1..phi_n) on the grid nodes
+    (``_denominator``).  ``_targets`` maps each target, by weak
     reference, to a record of its M/L images, its limits, its L[f] grid
     table and its L[f] = 0 test.  The record goes when the target goes, so
     a new target at a dead one's address inherits none of its results.
@@ -220,7 +227,7 @@ class ScaleArtifacts:
         source density (a promise that L[f] = q_n * source) short-circuits
         the Wronskian quotient.  The quotient over the grid nodes is kept in
         f's record, so every nest and every later check of f tabulates each
-        node once."""
+        node once; at any other point it is computed at each call."""
         if source is not None:
             qn = self.q_vals[self.n]
 
@@ -479,9 +486,9 @@ def extract_recursive(f, scale, schedule):
 
     After the defining recursive pass, ``_REFINE_SWEEPS`` Gauss-Seidel
     sweeps re-extract each coefficient from the residual with *all* other
-    extracted terms removed.  The limits are mathematically identical; the sweeps damp the
-    pollution a small error in an early coefficient injects into later
-    ratios through the scale's dynamic range.
+    extracted terms removed.  The limits are mathematically identical; the
+    sweeps damp the pollution a small error in an early coefficient injects
+    into later ratios through the scale's dynamic range.
     """
     require_verified(scale)
     pts = scale.toward_x0(schedule.points)
@@ -872,10 +879,11 @@ class _Check:
 
     def integral(self, label, weights, orientations, density):
         """The verdict ``label``: does the outer integral of the nest of
-        ``density`` converge toward x0?  Every density is built from L[f], so it holds
-        when L[f] vanishes identically.  A DivergentTail fails the verdict
-        when it is decisive and leaves it inconclusive otherwise; else the
-        partials decide.  Returns the integral (nan unless it converged)."""
+        ``density`` converge toward x0?  Every density is built from L[f], so
+        it holds when L[f] vanishes identically.  A DivergentTail fails the
+        verdict when it is decisive and leaves it inconclusive otherwise;
+        else the partials decide.  Returns the integral (nan unless it
+        converged)."""
         if self.lf_zero:
             self.verdicts[label] = _v("holds", zero=True)
             return 0.0

@@ -510,18 +510,15 @@ def _nest_jetfn(nest, weight_jets, density_jet, prefactor_jet=None, name=""):
     Jets follow the calculus of the tables: a from_T level differentiates to
     +(1/w)*inner, a to_x0 level to -(1/w)*inner, with the innermost density
     supplied as a jet-evaluator.  The level values at x are read from the
-    nest once and kept beside the memo's jets: the memo evaluates a point
-    again when a higher order is asked there.
+    nest once per evaluation; the memo keeps one jet per point, at the
+    highest order asked there.
     """
     weight_jets = list(weight_jets)
-    levels = {}  # x -> nest.level_values(x)
 
     def fn(x, order):
         depth = nest.depth
         cur = density_jet(x, max(order - depth, 0))
-        level_values = levels.get(x)
-        if level_values is None:
-            level_values = levels[x] = nest.level_values(x)
+        level_values = nest.level_values(x)
         for l in range(depth - 1, -1, -1):
             o = max(order - l - 1, 0)
             wj = weight_jets[l]
