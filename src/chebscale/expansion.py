@@ -13,32 +13,29 @@ under check (f, L[f] and whether it vanishes, the coefficients and their
 confidences, the verdicts and notes) and holds, once, the rules the four
 checkers share.
 
-Cache policy: the memos below are all that is kept, and each has one owner.
+Cache policy: these memos are all that is kept, each by one owner.
 
-- Jets: the :class:`~chebscale.jet.JetMemo` of the evaluator that produces
-  them (scale members, expression targets, prefix Wronskians, chain
-  weights, nest evaluators, constructed functions) keeps one jet per point,
-  at the highest order asked there, and the jet of the last node array.
+- Jets: the :class:`~chebscale.jet.JetMemo` of each evaluator (scale
+  members, expression targets, prefix Wronskians, chain weights, nest
+  evaluators, constructed functions) keeps one jet per point, at the
+  highest order asked there, and the jet of the last node array.
 - Grid tables: the shared :class:`~chebscale.quadrature.WorkGrid` keeps
   each live evaluator's values on its nodes.
-- Scale values: a :class:`ScaleArtifacts` bundle owns the chains, constants
-  and grid, and builds on first read the principal system of Lemma 4.1 (no
-  checker and no extraction route reads it; the constants' ``b`` comes
-  from the L_k[phi_{n-k}] constancy test), the P-weight nest of (6.12) with
-  its values on the grid nodes, and W(phi_1..phi_n) on the grid nodes,
-  which every target's L[f] table divides by.
-- Target values: the bundle's record of a target keeps its M/L images per
-  point, its operator limits, L[f] over the grid nodes (one stack of
-  bordered determinants) and whether L[f] vanishes along the probes.  The
-  bundle holds the record only as long as the target lives, so a later
-  target can never be served an earlier one's results, and the record
-  holds plain values, never a closure over f, which would keep f alive.
+- Scale values: a :class:`ScaleArtifacts` bundle builds on first read the
+  principal system of Lemma 4.1 (no checker and no extraction route reads
+  it; the constants' ``b`` comes from the L_k[phi_{n-k}] constancy test),
+  the P-weight nest of (6.12) with its values on the grid nodes, and
+  W(phi_1..phi_n) on the grid nodes, which every L[f] table divides by.
+- Target values: the bundle's record of a live target keeps its M/L images
+  per point, its operator limits, L[f] on the grid nodes and whether L[f]
+  vanishes along the probes.  It goes with the target, so no later target
+  is served its results, and holds plain values, never a closure over f.
 
 Every other nest is built afresh on the shared grid by the check that reads
-it.  Grid tables of the weights and of L[f] go through array forms, which
-keep no point in any jet memo.  Outside these layers, ``scale.verified``
-keeps the hierarchy verdict, ``extrapolate`` one Neville table per sequence
-length and ``quadrature`` its rule tables.
+it; grid tables go through array forms, which keep no point in any jet memo.
+Outside these layers, ``scale.verified`` keeps the hierarchy verdict,
+``extrapolate`` a Neville table per sequence length and ``quadrature`` its
+rule tables.
 """
 
 from __future__ import annotations
