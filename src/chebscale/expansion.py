@@ -26,6 +26,10 @@ Cache policy: these memos are all that is kept, each by one owner.
   it; the constants' ``b`` comes from the L_k[phi_{n-k}] constancy test),
   the P-weight nest of (6.12) with its values on the grid nodes, and
   W(phi_1..phi_n) on the grid nodes, which every L[f] table divides by.
+  Each chain classifies its canonicity on first read
+  (:attr:`~chebscale.factorization.WeightChain.canonicity`; only
+  :func:`extract_operator` and ``factorize`` read it), and representation
+  weights their integrability.
 - Target values: the bundle's record of a live target keeps its M/L images
   per point, its operator limits, L[f] on the grid nodes and whether L[f]
   vanishes along the probes.  It goes with the target, so no later target
@@ -339,7 +343,8 @@ def _operator_limit(chain, scale, f, k, points, image):
 
 def artifacts_for(scale, schedule=None):
     """The bundle of ``scale`` on ``schedule`` (default :func:`scale_schedule`):
-    chains, constants and grid; the principal system waits for its first read."""
+    chains, constants and grid; the principal system and the chains'
+    canonicity wait for their first read."""
     if schedule is None:
         schedule = scale_schedule(scale)
     return ScaleArtifacts(scale, schedule)

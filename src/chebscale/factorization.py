@@ -8,9 +8,10 @@ Given a verified scale, this module builds
 * the principal fundamental system by nested integration of the type-I
   chain,
 
-classifies chain canonicity at both endpoints, runs the divide-and-
-differentiate construction and applies the full operator as a Wronskian
-quotient.
+runs the divide-and-differentiate construction and applies the full
+operator as a Wronskian quotient.  A chain's canonicity at both endpoints
+and the integrability of the representation weights are classified on
+their first read, not when the chain is built.
 
 Weights are stored unsigned (positive) together with a sign word; the sign
 pattern has product +1, so composing the unsigned chain to full depth
@@ -22,10 +23,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .errors import EvaluationError, PivotVanishes, WronskianDegenerate
+from .errors import EvaluationError, PivotVanishes, ToleranceNotMet, WronskianDegenerate
 from .jet import JetMemo, antiderivative, derivative, jet_constant, jet_derivative, truncate
 from .quadrature import NestedIntegral, NodeFn, WorkGrid, classify_toward
 from .scale import finite_prefix, make_schedule, require_verified, scale_schedule
@@ -72,25 +74,29 @@ class _PrefixWronskians:
 
 @dataclass
 class WeightChain:
-    """Factorization weights r_0..r_n, unsigned, with a separate sign word."""
+    """Factorization weights r_0..r_n, unsigned, with a separate sign word.
+
+    ``canonicity`` is classified on its first read
+    (:func:`classify_canonicity`), so an error raised while classifying
+    surfaces at that read, not where the chain is built.
+    """
 
     weights: list  # jet-evaluators for |r_i|
     signs: list  # sign(r_i), read off near x0
     interval: tuple
     n: int
     provenance: str
-    canonicity: dict = field(default_factory=lambda: {"x0": "unknown", "T": "unknown"})
     sign_flips: list = field(default_factory=list)  # Wronskian zeros inside
+
+    @cached_property
+    def canonicity(self):
+        return classify_canonicity(self)
 
     def weight_jet(self, i, x, order):
         return self.weights[i](x, order)
 
     def weight_value(self, i, x):
         return self.weights[i](x, 0).value
-
-    def signed_weight_jet(self, i, x, order):
-        j = self.weights[i](x, order)
-        return j if self.signs[i] > 0 else -j
 
     def report(self, schedule):
         """Weights sampled on the schedule's finite prefix plus canonicity,
@@ -130,9 +136,7 @@ def _chain_from_signed(signed_fns, scale, provenance, probes, arrays=False):
     if not ordered:
         raise WronskianDegenerate(f"no probe keeps the {provenance} weights finite")
     x_ref = ordered[-1]
-    signs = []
-    for fn in signed_fns:
-        signs.append(_signed_sign(fn(x_ref, 0).value, x_ref))
+    signs = [_signed_sign(fn(x_ref, 0).value, x_ref) for fn in signed_fns]
     flips = []
     for x in ordered:
         for k, (fn, s) in enumerate(zip(signed_fns, signs)):
@@ -143,15 +147,8 @@ def _chain_from_signed(signed_fns, scale, provenance, probes, arrays=False):
         JetMemo(fn if s > 0 else lambda x, m, f=fn: -f(x, m), f"{provenance}:r{k}", arrays)
         for k, (fn, s) in enumerate(zip(signed_fns, signs))
     ]
-    chain = WeightChain(
-        weights=unsigned,
-        signs=signs,
-        interval=(scale.T, scale.x0),
-        n=scale.n,
-        provenance=provenance,
-    )
-    chain.sign_flips = flips
-    return chain
+    return WeightChain(weights=unsigned, signs=signs, interval=(scale.T, scale.x0),
+                       n=scale.n, provenance=provenance, sign_flips=flips)
 
 
 def well_conditioned_probes(scale, points, threshold=1e12, minimum=4):
@@ -214,39 +211,50 @@ def _polya_chain(scale, prefixes, provenance, schedule):
 
 
 def build_type2_chain(scale, schedule=None):
-    """Polya chain from forward prefixes; canonical of type II at x0."""
+    """Polya chain from forward prefixes; canonical of type II at x0 (its
+    ``canonicity`` is classified on first read)."""
     require_verified(scale)
-    chain = _polya_chain(scale, _PrefixWronskians(scale), "polya_q", schedule)
-    classify_canonicity(chain)
-    return chain
+    return _polya_chain(scale, _PrefixWronskians(scale), "polya_q", schedule)
 
 
 def build_type1_chain(scale, schedule=None):
-    """Polya chain from reversed prefixes; "the" type-I chain at x0."""
+    """Polya chain from reversed prefixes; "the" type-I chain at x0 (its
+    ``canonicity`` is classified on first read)."""
     require_verified(scale)
-    chain = _polya_chain(
-        scale, _PrefixWronskians(scale, reverse=True), "polya_p", schedule
-    )
-    classify_canonicity(chain)
-    return chain
+    return _polya_chain(scale, _PrefixWronskians(scale, reverse=True), "polya_p", schedule)
 
 
 # -- canonicity classification ---------------------------------------------------
 
 
-def _endpoint_schedule(interval, endpoint, count=16):
+def _endpoint_schedule(interval, endpoint):
     T, x0 = interval
     if endpoint == "x0":
-        if math.isinf(x0):
-            return make_schedule(T, x0, count, 1.7)
-        return make_schedule(T, x0, count, 0.5)
+        return make_schedule(T, x0, 16, 1.7 if math.isinf(x0) else 0.5)
     # toward T: anchor strictly inside, probes approach T geometrically
     anchor = T + 0.5 * (x0 - T) if math.isfinite(x0) else T + 1.0
-    return make_schedule(anchor, T, count, 0.5)
+    return make_schedule(anchor, T, 16, 0.5)
 
 
-def classify_canonicity(chain, schedule=None, endpoints=("x0", "T"), tol=1e-3):
-    """Endpoint classification from the reciprocal-weight integrals.
+def _endpoint_kinds(integrands, pts):
+    """Kinds of the integrals of ``integrands`` from ``pts[0]`` along the
+    other points.  Under 7 points, and where the quadrature runs out of
+    budget, an integral is undecided: "inconclusive"."""
+    if len(pts) < 7:
+        return ["inconclusive"] * len(integrands)
+    kinds = []
+    for g in integrands:
+        try:
+            kinds.append(classify_toward(g, pts[0], pts[1:], tol=1e-3).kind)
+        except ToleranceNotMet:
+            kinds.append("inconclusive")
+    return kinds
+
+
+def classify_canonicity(chain):
+    """Endpoint classification ``{"x0": ..., "T": ...}`` from the
+    reciprocal-weight integrals; :attr:`WeightChain.canonicity` calls it on
+    its first read, so an error raised here surfaces at that read.
 
     type_I: every reciprocal middle weight has a divergent integral toward
     the endpoint; type_II: every one converges; mixed decisive verdicts give
@@ -256,50 +264,34 @@ def classify_canonicity(chain, schedule=None, endpoints=("x0", "T"), tol=1e-3):
     one node array of GK15 cells per refinement round
     (:func:`~chebscale.quadrature.integrate_all`).
     """
-    out = {}
     recips = [
         NodeFn(lambda x, w=w: 1.0 / w.value(x), lambda xs, w=w: 1.0 / w.values(xs))
         for w in chain.weights[1:chain.n]
     ]
     # A sign flip marks a Wronskian zero: reciprocal weights have poles
     # there, so classification toward x0 must anchor past the last flip.
-    flip_edge = None
-    if chain.sign_flips:
-        sigma = 1.0 if chain.interval[1] > chain.interval[0] else -1.0
-        flip_edge = max(sigma * f["x"] for f in chain.sign_flips)
-    for endpoint in endpoints:
+    sigma = 1.0 if chain.interval[1] > chain.interval[0] else -1.0
+    flip_edge = max((sigma * f["x"] for f in chain.sign_flips), default=None)
+    out = {}
+    for endpoint in ("x0", "T"):
         if endpoint == "T" and flip_edge is not None:
             # the chain is only a factorization past the last interior zero,
             # so the T side has no meaningful classification
             out[endpoint] = "unknown"
-            chain.canonicity[endpoint] = "unknown"
             continue
-        sched = schedule if (schedule is not None and endpoint == "x0") else None
-        if sched is None:
-            sched = _endpoint_schedule(chain.interval, endpoint)
-        pts = finite_prefix(sched.points, recips)
+        pts = finite_prefix(_endpoint_schedule(chain.interval, endpoint).points, recips)
         if endpoint == "x0" and flip_edge is not None:
-            sigma = 1.0 if chain.interval[1] > chain.interval[0] else -1.0
-            kept = [x for x in pts if sigma * x > flip_edge]
-            pts = kept[1:]  # one-probe safety margin past the last flip
-        if len(pts) < 7:
-            out[endpoint] = "unknown"
-            chain.canonicity[endpoint] = "unknown"
-            continue
-        anchor = pts[0]
-        pts = pts[1:]
-        kinds = [classify_toward(g, anchor, pts, tol=tol).kind for g in recips]
+            # one-probe safety margin past the last flip
+            pts = [x for x in pts if sigma * x > flip_edge][1:]
+        kinds = _endpoint_kinds(recips, pts)
         if all(k.startswith("diverges") for k in kinds):
             out[endpoint] = "type_I"
         elif all(k == "converges" for k in kinds):
             out[endpoint] = "type_II"
-        elif any(k.startswith("diverges") for k in kinds) and any(
-            k == "converges" for k in kinds
-        ):
+        elif any(k.startswith("diverges") for k in kinds) and "converges" in kinds:
             out[endpoint] = "neither"
         else:
             out[endpoint] = "unknown"
-        chain.canonicity[endpoint] = out[endpoint]
     return out
 
 
@@ -308,15 +300,25 @@ def classify_canonicity(chain, schedule=None, endpoints=("x0", "T"), tol=1e-3):
 
 @dataclass
 class RepresentationWeights:
+    """Weights w_0..w_{n-1} of the tail representation on ``interval``; the
+    kinds of the integrals of |w_1|..|w_{n-1}| toward x0 on first read."""
+
     w: list  # signed jet-evaluators w_0..w_{n-1}
-    integrability: list = field(default_factory=list)
+    interval: tuple
+
+    @cached_property
+    def integrability(self):
+        pts = finite_prefix(_endpoint_schedule(self.interval, "x0").points,
+                            [fn.value for fn in self.w])
+        return _endpoint_kinds([lambda x, f=fn: abs(f(x, 0).value) for fn in self.w[1:]], pts)
 
 
-def build_representation_weights(scale, schedule=None, classify=True):
+def build_representation_weights(scale, schedule=None):
     """Weights of the nested tail representation of the scale.
 
     w_0 = phi_1, w_1 = -(phi_2/phi_1)', and for 2 <= i <= n-1
     w_i = -[W(phi_1..phi_{i-1}, phi_{i+1}) / W(phi_1..phi_{i-1}, phi_i)]'.
+    Their ``integrability`` is classified on first read.
     """
     require_verified(scale)
     n = scale.n
@@ -344,20 +346,7 @@ def build_representation_weights(scale, schedule=None, classify=True):
     for i in range(2, n):
         fns.append(JetMemo(wi(i), f"w{i}"))
 
-    integrability = []
-    if classify:
-        sched = _endpoint_schedule((scale.T, scale.x0), "x0")
-        pts = finite_prefix(sched.points, [fn.value for fn in fns])
-        for i in range(1, n):
-            fn = fns[i]
-            if len(pts) < 7:
-                integrability.append("inconclusive")
-                continue
-            verdict = classify_toward(
-                lambda x, f=fn: abs(f(x, 0).value), pts[0], pts[1:], tol=1e-3
-            )
-            integrability.append(verdict.kind)
-    return RepresentationWeights(w=fns, integrability=integrability)
+    return RepresentationWeights(w=fns, interval=(scale.T, scale.x0))
 
 
 # -- the full operator -------------------------------------------------------------
@@ -443,7 +432,8 @@ def divide_and_differentiate(scale, pivot, schedule=None):
     ``pivot="first"`` factors out the currently-largest term and yields a
     type-II chain; ``pivot="last"`` factors out the smallest and yields the
     type-I chain.  Terms are never re-expanded: every image stays one opaque
-    jet-evaluator, so compound terms remain grouped exactly.
+    jet-evaluator, so compound terms remain grouped exactly.  The chain's
+    ``canonicity`` is classified on first read.
     """
     if pivot not in ("first", "last"):
         raise EvaluationError("pivot must be 'first' or 'last'")
@@ -461,15 +451,13 @@ def divide_and_differentiate(scale, pivot, schedule=None):
         rest = images[1:] if pivot == "first" else images[:-1]
         images = [JetMemo(_DDImage(m, g), "dd") for m in rest]
     signed = [_Reciprocal(g) for g in pivots] + [_Product(pivots)]
-    chain = _chain_from_signed(signed, scale, "divide_and_differentiate", probes)
-    classify_canonicity(chain)
-    return chain
+    return _chain_from_signed(signed, scale, "divide_and_differentiate", probes)
 
 
 # -- chain application (shared with the operators module) ---------------------------
 
 
-def apply_chain(chain, f, x, level=None, signed=False, with_noise=False):
+def apply_chain(chain, f, x, level=None, with_noise=False):
     """Weighted derivative of ``f`` at ``x`` through the chain up to ``level``.
 
     Level k evaluates r_k (r_{k-1} ( ... (r_0 f)' ... )')' in jet arithmetic,
@@ -483,7 +471,7 @@ def apply_chain(chain, f, x, level=None, signed=False, with_noise=False):
     k = chain.n if level is None else level
     if not 0 <= k <= chain.n:
         raise EvaluationError(f"level {k} outside [0, {chain.n}]")
-    w = chain.signed_weight_jet if signed else chain.weight_jet
+    w = chain.weight_jet
     fj = truncate(f(x, k), k)
     cur = w(0, x, k) * fj
     eps = 2.2e-16

@@ -90,7 +90,8 @@ def operator_constants(scale, chain_q, chain_p, schedule, rel_tol=1e-8):
     ``epsilon`` and ``b`` are the means of the constancy tests of
     M_k[phi_{k+1}] and L_k[phi_{n-k}].  Raises :class:`NotConstant` if a
     chain image of its own kernel-edge function fails its constancy test,
-    which signals a broken chain.
+    which signals a broken chain.  ``positivity_case`` reads the signs of
+    the leading Wronskians at the last point where they are all finite.
     """
     pts = scale.toward_x0(schedule.points)
     n = scale.n
@@ -119,12 +120,15 @@ def operator_constants(scale, chain_q, chain_p, schedule, rel_tol=1e-8):
         b[n - k - 1] = mean
         constancy[f"L_{k}[phi_{n - k}]"] = {"value": mean, "spread": spread}
 
-    positivity = True
-    for i in range(1, n + 1):
-        ev = wronskian(scale, tuple(range(1, i + 1)), pts[-1])
-        if ev.value <= 0:
-            positivity = False
+    positivity = False
+    for x in reversed(pts):  # the last point where the leading Wronskians are finite
+        try:
+            positivity = all(
+                wronskian(scale, tuple(range(1, i + 1)), x).value > 0 for i in range(1, n + 1)
+            )
             break
+        except EvaluationError:  # one of them overflows at x
+            pass
     matches = None
     if positivity:
         matches = all(e == 1 for e in epsilon[1:]) and all(

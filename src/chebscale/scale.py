@@ -296,39 +296,43 @@ def verify_tas(scale, grid):
 
     A violation is any determinant that vanishes to double precision
     (:attr:`~chebscale.wronskian.WronskianEvaluation.vanishes`) or changes
-    sign between grid points.  When all scale functions are positive near x0
-    the observed signs of the leading Wronskians are compared against the
-    alternating pattern ``(-1)^(i(i-1)/2)`` and reported (not enforced).
+    sign between grid points.  The grid is cut before the first point where
+    one of these Wronskians leaves double range.  When all scale functions
+    are positive near x0 the observed signs of the leading Wronskians are
+    compared against the alternating pattern ``(-1)^(i(i-1)/2)`` and
+    reported (not enforced).
     """
     from .wronskian import wronskian  # local import to avoid a module cycle
 
+    n = scale.n
+    sets = [ix for i in range(1, n + 1)
+            for ix in (tuple(range(1, i + 1)), tuple(range(n, i - 1, -1)))]
+    rows = []  # the Wronskians of ``sets`` at each point of the reach
+    for x in scale.toward_x0(grid):
+        try:
+            rows.append([wronskian(scale, indices, x) for indices in sets])
+        except (ArithmeticError, EvaluationError):
+            break
+    if not rows:
+        raise EvaluationError("no grid point keeps the Wronskians finite")
     violations = []
     signs_near_x0 = {}
-    pts = scale.toward_x0(grid)
-    for i in range(1, scale.n + 1):
-        forward = list(range(1, i + 1))
-        reversed_ix = list(range(scale.n, i - 1, -1))
-        for label, indices in (("forward", forward), ("reversed", reversed_ix)):
-            prev_sign = 0
-            for x in pts:
-                ev = wronskian(scale, indices, x)
-                if ev.vanishes:
-                    violations.append(
-                        {"indices": tuple(indices), "x": x, "value": ev.value}
-                    )
-                    continue
-                sgn = 1 if ev.value > 0 else -1
-                if prev_sign and sgn != prev_sign:
-                    # a sign change between grid points implies a zero inside
-                    violations.append(
-                        {"indices": tuple(indices), "x": x, "value": ev.value,
-                         "kind": "sign change"}
-                    )
-                prev_sign = sgn
-            last = wronskian(scale, indices, pts[-1])
-            if label == "forward":
-                signs_near_x0[i] = 1 if last.value > 0 else -1
-    all_positive = all(scale.phi_value(i, pts[-1]) > 0 for i in range(1, scale.n + 1))
+    for col, indices in enumerate(sets):
+        prev_sign = 0
+        for ev in (row[col] for row in rows):
+            if ev.vanishes:
+                violations.append({"indices": indices, "x": ev.point, "value": ev.value})
+                continue
+            sgn = 1 if ev.value > 0 else -1
+            if prev_sign and sgn != prev_sign:
+                # a sign change between grid points implies a zero inside
+                violations.append(
+                    {"indices": indices, "x": ev.point, "value": ev.value, "kind": "sign change"}
+                )
+            prev_sign = sgn
+        if indices[0] == 1:  # a leading Wronskian (reversed ones start at n)
+            signs_near_x0[len(indices)] = 1 if rows[-1][col].value > 0 else -1
+    all_positive = all(scale.phi_value(i, rows[-1][0].point) > 0 for i in range(1, n + 1))
     sign_report = None
     if all_positive:
         sign_report = {
@@ -345,7 +349,7 @@ def verify_tas(scale, grid):
         details={
             "violations": violations,
             "sign_pattern": sign_report,
-            "grid_points": len(pts),
+            "grid_points": len(rows),
         },
     )
 

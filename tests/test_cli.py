@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -108,3 +111,60 @@ def test_verify_runs_each_checker_once(capsys, monkeypatch):
             + PAPER)
     alone = json.loads(capsys.readouterr().out)["results"]
     assert cli.render_json(alone["6.1"]) == cli.render_json(everything["6.1"])
+
+
+@pytest.mark.parametrize("command", ["analyze", "factorize", "expand", "verify"])
+def test_appendix_from_T_3_runs(capsys, command):
+    # the default schedule ends at x = 703.69, where exp(x) is finite but
+    # W(exp(x), x) = exp(x)(1 - x) is not; toward T = 3 the type-II chain's
+    # reciprocal weights cross the zero of W(phi_1, phi_2, phi_3) near 3.35
+    code = cli.run([command, "--scale", APPENDIX, "--T", "3", "--f", KERNEL, "--json"])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    report = json.loads(captured.out)
+    points = report["scale"]["schedule"]["points"]
+    if command == "analyze":
+        assert report["results"]["tas"]["grid_points"] == len(points) - 1
+    if command == "factorize":
+        assert report["verdicts"]["canonicity_type_II"]["T"] == "unknown"
+
+
+@pytest.mark.parametrize("command", ["analyze", "factorize", "expand", "verify"])
+def test_text_output_has_one_section_per_key(capsys, command):
+    argv = [command, "--scale", APPENDIX, "--f", KERNEL] + PAPER
+    json_code = cli.run(argv + ["--json"])
+    report = json.loads(capsys.readouterr().out)
+    code = cli.run(argv)
+    lines = capsys.readouterr().out.splitlines()
+    assert code == json_code
+    assert lines[0] == f"command: {command}"
+    sections, key = {}, None
+    for line in lines[1:]:
+        if line.startswith("-- "):
+            key = line[3:]
+            sections[key] = []
+        else:
+            sections[key].append(line)
+    assert sorted(sections) == sorted(k for k in report if k not in ("command", "timings"))
+    for key, body in sections.items():
+        assert json.loads("\n".join(body)) == report[key], key
+
+
+def test_endpoint_overrides_reach_the_report(capsys):
+    code = cli.run(["analyze", "--scale", APPENDIX, "--x0", "inf", "--T", "5", "--json"])
+    scale = json.loads(capsys.readouterr().out)["scale"]
+    assert code in (0, 1)
+    assert (scale["x0"], scale["T"]) == ("inf", "5")
+    assert scale["schedule"]["points"][0] == "6"  # max(T, 1) + 1
+
+
+def test_module_entry_point_runs():
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "chebscale", "analyze", "--scale", APPENDIX, "--json"],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["command"] == "analyze"

@@ -1,5 +1,7 @@
+import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +10,7 @@ from chebscale import (
     WeightChain,
     apply_chain,
     apply_full_operator,
+    artifacts_for,
     build_principal_system,
     build_representation_weights,
     build_type1_chain,
@@ -17,7 +20,8 @@ from chebscale import (
     fit_ratio_constant,
     make_schedule,
 )
-from chebscale.errors import NotAsymptoticScale, PivotVanishes
+from chebscale import cli, factorization
+from chebscale.errors import NotAsymptoticScale, PivotVanishes, ToleranceNotMet
 from chebscale.expr import ExpressionFunction
 from chebscale.jet import JetMemo
 from chebscale.jet import jet_constant, jpow, jet_variable
@@ -172,7 +176,7 @@ def test_factorized_vs_direct_agreement(appendix_scale, appendix_schedule):
 def test_representation_weights_and_reconstruction():
     # phi = (1, -x, x^2) toward 0^-: w_0 = 1, w_1 = 1, w_2 = 2
     sc = ChebyshevScale.from_exprs(["1", "-x", "x^2"], T=-1.0, x0=0.0)
-    rw = build_representation_weights(sc, classify=False)
+    rw = build_representation_weights(sc)
     for x in (-0.5, -0.25, -0.1):
         assert abs(rw.w[0](x, 0).value - 1.0) < 1e-12
         assert abs(rw.w[1](x, 0).value - 1.0) < 1e-12
@@ -199,6 +203,54 @@ def test_integrability_of_representation_weights(appendix_scale):
     # inconclusive on a finite schedule, but none may diverge
     assert rw.integrability[0] == "converges"
     assert all(not kind.startswith("diverges") for kind in rw.integrability)
+
+
+def test_integrability_is_classified_on_first_read(appendix_scale, monkeypatch):
+    calls = []
+    real = factorization.classify_toward
+    monkeypatch.setattr(factorization, "classify_toward",
+                        lambda *args, **kw: calls.append(args[1]) or real(*args, **kw))
+    rw = build_representation_weights(appendix_scale)
+    assert calls == []
+    assert rw.integrability == ["converges"] * 3
+    assert len(calls) == 3
+    # a second read classifies nothing
+    assert rw.integrability == ["converges"] * 3 and len(calls) == 3
+
+
+def test_canonicity_is_classified_on_first_read(appendix_scale, appendix_schedule,
+                                                monkeypatch, capsys):
+    classified = []
+    real = factorization.classify_canonicity
+    monkeypatch.setattr(factorization, "classify_canonicity",
+                        lambda chain: classified.append(chain.provenance) or real(chain))
+    art = artifacts_for(appendix_scale, appendix_schedule)
+    assert classified == []
+    assert art.chain_q.canonicity == {"x0": "type_II", "T": "type_II"}
+    assert classified == ["polya_q"]
+    assert art.chain_q.canonicity == {"x0": "type_II", "T": "type_II"}
+    assert classified == ["polya_q"]
+    assert art.chain_p.canonicity == {"x0": "type_I", "T": "type_II"}
+    # factorize reads both Polya chains and never the divide-and-differentiate one
+    classified.clear()
+    appendix = str(Path(__file__).parent / "data" / "appendix.scale")
+    assert cli.run(["factorize", "--scale", appendix, "--json"]) == 0
+    assert sorted(classified) == ["polya_p", "polya_q"]
+    verdicts = json.loads(capsys.readouterr().out)["verdicts"]
+    assert verdicts == {"canonicity_type_II": {"x0": "type_II", "T": "type_II"},
+                        "canonicity_type_I": {"x0": "type_I", "T": "type_II"}}
+
+
+def test_exhausted_quadrature_leaves_the_endpoint_undecided(appendix_scale, appendix_schedule,
+                                                           monkeypatch):
+    def exhausted(*args, **kw):
+        raise ToleranceNotMet("budget of 4096 subdivisions exhausted")
+
+    chain = build_type2_chain(appendix_scale, appendix_schedule)
+    monkeypatch.setattr(factorization, "classify_toward", exhausted)
+    assert chain.canonicity == {"x0": "unknown", "T": "unknown"}
+    rw = build_representation_weights(appendix_scale)
+    assert rw.integrability == ["inconclusive"] * 3
 
 
 def test_polya_family_chain_is_nth_derivative():
@@ -233,7 +285,7 @@ def test_polya_family_chain_is_nth_derivative():
                     if i >= n:
                         ref += ci * math.factorial(i) / math.factorial(i - n) * x ** (i - n)
                 assert abs(got - ref) < 1e-9 * max(1.0, abs(ref))
-            out = classify_canonicity(chain, endpoints=("x0", "T"))
+            out = classify_canonicity(chain)
             assert out["x0"] == "type_II"
             assert out["T"] == "type_II"
 
@@ -274,7 +326,7 @@ def test_noncanonical_factorizations_of_u3():
                 for i, ci in enumerate(coeffs) if i >= 3
             )
             assert abs(got - ref) < 1e-8 * max(1.0, abs(ref))
-        out = classify_canonicity(chain, endpoints=("x0", "T"))
+        out = classify_canonicity(chain)
         assert out["x0"] == "neither"
         assert out["T"] == "neither"
 

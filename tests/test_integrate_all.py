@@ -203,9 +203,9 @@ def test_canonicity_tabulates_once_per_round(appendix_scale, appendix_schedule, 
 
     monkeypatch.setattr(quadrature, "tabulate", counting)
     monkeypatch.setattr("chebscale.factorization.classify_toward", recording)
-    classify_canonicity(chain)
+    out = classify_canonicity(chain)
     monkeypatch.undo()
-    assert chain.canonicity["x0"] == "type_II"
+    assert out["x0"] == "type_II"
     assert len(steps) == 2 * (chain.n - 1)  # both endpoints
     rounds = 0
     for g, intervals, kw in steps:

@@ -173,7 +173,7 @@ def test_karlin_identity_randomized():
 def test_product_formula_ties_weights_to_wronskians(appendix_scale):
     # W(phi_1..phi_i) = (-1)^(i(i-1)/2) w_0^i w_1^(i-1) ... w_(i-1)
     rng = random.Random(3)
-    rw = build_representation_weights(appendix_scale, classify=False)
+    rw = build_representation_weights(appendix_scale)
     for _ in range(100):
         i = rng.randint(2, 4)
         x = rng.uniform(4.5, 30.0)
