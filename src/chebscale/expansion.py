@@ -18,7 +18,11 @@ Cache policy: these memos are all that is kept, each by one owner.
 - Jets: the :class:`~chebscale.jet.JetMemo` of each evaluator (scale
   members, expression targets, prefix Wronskians, chain weights, nest
   evaluators, constructed functions) keeps one jet per point, at the
-  highest order asked there, and the jet of the last node array.
+  highest order asked there, and the jet of the last node array.  A
+  reader of several operator levels (the constants, :meth:`_Check.ladder`,
+  :func:`extract_operator`) asks the deepest level first
+  (:func:`~chebscale.operators.deepest_first`), so every shallower level
+  reads truncations.
 - Grid tables: the shared :class:`~chebscale.quadrature.WorkGrid` keeps
   each live evaluator's values on its nodes.
 - Scale values: a :class:`ScaleArtifacts` bundle builds on first read the
@@ -34,6 +38,8 @@ Cache policy: these memos are all that is kept, each by one owner.
   per point, its operator limits, L[f] on the grid nodes and whether L[f]
   vanishes along the probes.  It goes with the target, so no later target
   is served its results, and holds plain values, never a closure over f.
+- Source values: the L[f] evaluator built from a known source keeps the
+  source on the grid nodes, for as long as the check that holds it.
 
 Every other nest is built afresh on the shared grid by the check that reads
 it; grid tables go through array forms, which keep no point in any jet memo.
@@ -63,7 +69,7 @@ from .factorization import (
     well_conditioned_probes,
 )
 from .jet import JetMemo
-from .operators import operator_constants
+from .operators import deepest_first, operator_constants
 from .quadrature import NestedIntegral, NodeFn, WorkGrid, node_values
 from .scale import finite_prefix, ratio_decreases_to_zero, require_verified, scale_schedule
 from .wronskian import bordered_wronskian, wronskian_flags
@@ -228,9 +234,12 @@ class ScaleArtifacts:
         source density (a promise that L[f] = q_n * source) short-circuits
         the Wronskian quotient.  The quotient over the grid nodes is kept in
         f's record, so every nest and every later check of f tabulates each
-        node once; at any other point it is computed at each call."""
+        node once; at any other point it is computed at each call.  The
+        source's values on the grid nodes are kept by the evaluator
+        returned, so the check that holds it tabulates the source once."""
         if source is not None:
             qn = self.q_vals[self.n]
+            grid_source = None  # the source on the grid nodes, once tabulated
 
             def lf(x):
                 v = source(x)
@@ -239,7 +248,13 @@ class ScaleArtifacts:
                 return qn(x) * v
 
             def lf_nodes(xs):
-                v = node_values(source, xs)
+                nonlocal grid_source
+                if xs is not self.grid.xnodes:
+                    v = node_values(source, xs)
+                else:
+                    if grid_source is None:
+                        grid_source = node_values(source, xs)
+                    v = grid_source
                 return np.where(v == 0.0, 0.0, node_values(qn, xs) * v)
 
             return NodeFn(lf, lf_nodes)
@@ -434,6 +449,13 @@ def _deflated_limit_status(values, basis_rows, tol=_LIMIT_TOL):
     tighter.  The extrapolators can land on accidental deep-tableau
     coincidences; the shift of the estimate when the last probe is withheld
     (refit included) is a stability measure an accidental claim cannot fake.
+
+    The deflated pipeline runs first and in full.  The raw pipeline's
+    leave-one-out refit runs only when it can decide the winner: when the
+    raw claim is ``stable``/``loose`` with a confidence below the deflated
+    one.  The refit only widens a confidence, so otherwise the raw claim
+    loses whatever it gives.  With no clean basis row, or a deflated fit
+    that raises ``LinAlgError``, the raw pipeline runs in full.
     """
 
     def deflate(vals, rows):
@@ -454,10 +476,10 @@ def _deflated_limit_status(values, basis_rows, tol=_LIMIT_TOL):
             out = [d - betas[c] * v for d, v in zip(out, row)]
         return out
 
-    def pipeline(rows):
-        status, value, conf = _limit_status(deflate(values, rows), tol)
+    def left_out(rows, primary):
         # leave-one-out: an absorbed genuine transient or a tableau fluke
         # shifts under point removal
+        status, value, conf = primary
         if len(values) >= 7 and math.isfinite(value):
             try:
                 defl2 = deflate(values[:-1], [r[:-1] for r in rows])
@@ -469,26 +491,33 @@ def _deflated_limit_status(values, basis_rows, tol=_LIMIT_TOL):
             status = _status_from_conf(value, conf, tol) if status != "diverged" else status
         return status, value, conf
 
-    raw = pipeline([])
+    def pipeline(rows):
+        return left_out(rows, _limit_status(deflate(values, rows), tol))
+
     clean = [b for b in basis_rows if all(math.isfinite(v) for v in b)]
     if not clean or not all(math.isfinite(v) for v in values):
-        return raw
+        return pipeline([])
     try:
         out = pipeline(clean)
     except np.linalg.LinAlgError:
-        return raw
-    if (raw[0] == "diverged" and out[0] == "unstable"
-            or raw[0] in ("stable", "loose") and raw[2] < out[2]):
-        return raw
+        return pipeline([])
+    raw = _limit_status(list(values), tol)
+    if raw[0] == "diverged":
+        return raw if out[0] == "unstable" else out
+    if raw[0] in ("stable", "loose") and raw[2] < out[2]:
+        raw = left_out([], raw)
+        if raw[0] in ("stable", "loose") and raw[2] < out[2]:
+            return raw
     return out
 
 
 def extract_recursive(f, scale, schedule):
     """Coefficients by peeling: a_i from the residual-over-phi_i limits.
 
-    After the defining recursive pass, ``_REFINE_SWEEPS`` Gauss-Seidel
+    After the defining recursive pass, up to ``_REFINE_SWEEPS`` Gauss-Seidel
     sweeps re-extract each coefficient from the residual with *all* other
-    extracted terms removed.  The limits are mathematically identical; the
+    extracted terms removed; they stop once a sweep changes no coefficient
+    and no confidence bit, since every later sweep would repeat it.  The limits are mathematically identical; the
     sweeps damp the pollution a small error in an early coefficient injects
     into later ratios through the scale's dynamic range.
     """
@@ -577,8 +606,15 @@ def extract_recursive(f, scale, schedule):
             residual = [r - value * p for r, p in zip(residual, phis[i])]
         # Gauss-Seidel sweeps: each coefficient re-extracted with all other
         # terms removed (same limits, far less pollution); the full residual
-        # rides along as an empirical remainder shape
+        # rides along as an empirical remainder shape; a sweep that starts
+        # where the previous one started repeats it, and so does every later
+        # one, so the sweeps stop there
+        last = None
         for _ in range(_REFINE_SWEEPS if coeffs else 0):
+            state = repr((coeffs, sorted(conf_by_coeff.items())))  # bit-exact
+            if state == last:
+                break
+            last = state
             rem_row = peeled()
             for i in range(len(coeffs)):
                 status, value, conf = ratio_limit(peeled(skip=i), i, rem_row)
@@ -621,22 +657,27 @@ def extract_operator(f, scale, chain, constants, schedule):
     its detected structural constants; ``a_{k+1}`` is the limit of the
     level-k weighted derivative divided by the unit constant.  Each limit
     is the bundle's rule (:func:`_operator_limit`, the one cut and limit of
-    :meth:`ScaleArtifacts.limit`) run on the schedule's points.
+    :meth:`ScaleArtifacts.limit`) run on the schedule's points, from the
+    deepest level down (:func:`~chebscale.operators.deepest_first`).
     """
     if chain.canonicity.get("x0") not in ("type_II", "unknown"):
         raise EvaluationError("extract_operator needs a chain of type II at x0")
     eps = constants.epsilon
     pts = scale.toward_x0(schedule.points)
-    coeffs, confs, statuses = [], [], []
-    partial = False
-    for k in range(scale.n):
-        status, value, conf = _operator_limit(
+
+    def limit(k):
+        out = _operator_limit(
             chain, scale, f, k, pts,
             lambda i, x: apply_chain(chain, scale.functions[i - 1], x, level=k),
         )
-        statuses.append(status)
-        if status == "diverged" and k == 0:
+        if out[0] == "diverged" and k == 0:
             raise LimitDiverged("M_0[f] has no finite limit")
+        return out
+
+    coeffs, confs, statuses = [], [], []
+    partial = False
+    for k, (status, value, conf) in enumerate(deepest_first(scale.n, limit)):
+        statuses.append(status)
         if status in ("diverged", "unstable"):
             partial = True
             coeffs.append(math.nan)
@@ -858,7 +899,8 @@ class _Check:
             self.lf = art.lf_evaluator(f, source)
 
     def ladder(self, eq, count, coefficients, last=None):
-        """The operator limits of M_k[f], k < count, as "<eq> limit k="
+        """The operator limits of M_k[f], k < count (deepest first, see
+        :func:`~chebscale.operators.deepest_first`), as "<eq> limit k="
         verdicts, plus "<eq> limits" and a copy of the deepest one as
         "<last> last limit" when ``last`` is given.
 
@@ -866,7 +908,7 @@ class _Check:
         (exact), else a_{k+1} = lim M_k[f] / eps_k once every limit exists,
         else None."""
         verdicts = self.verdicts
-        limits = [self.art.limit(self.f, k) for k in range(count)]
+        limits = deepest_first(count, lambda k: self.art.limit(self.f, k))
         for k, (status, value, conf) in enumerate(limits):
             verdicts[f"{eq} limit k={k}"] = _v(_status(status), value=value, confidence=conf)
         if last is not None:

@@ -87,7 +87,12 @@ def richardson_diagonal(seq):
     tab = seq
     diagonal = [seq[-2], seq[-1]]
     for level in _neville_table(len(seq)):
-        tab = [(tj * b - tk * a) / den for (tj, tk, den), a, b in zip(level, tab, tab[1:])]
+        a = tab[0]
+        nxt = []
+        for (tj, tk, den), b in zip(level, tab[1:]):
+            nxt.append((tj * b - tk * a) / den)
+            a = b
+        tab = nxt
         diagonal.append(tab[-1])
     return diagonal
 
