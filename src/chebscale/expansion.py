@@ -38,8 +38,8 @@ Cache policy: these memos are all that is kept, each by one owner.
   per point, its operator limits, L[f] on the grid nodes and whether L[f]
   vanishes along the probes.  It goes with the target, so no later target
   is served its results, and holds plain values, never a closure over f.
-- Source values: the L[f] evaluator built from a known source keeps the
-  source on the grid nodes, for as long as the check that holds it.
+  A check given a source reads L[f] = q_n * source instead, and its L[f]
+  evaluator keeps the source on the grid nodes for the check's lifetime.
 
 Every other nest is built afresh on the shared grid by the check that reads
 it; grid tables go through array forms, which keep no point in any jet memo.
@@ -501,7 +501,7 @@ def _deflated_limit_status(values, basis_rows, tol=_LIMIT_TOL):
         out = pipeline(clean)
     except np.linalg.LinAlgError:
         return pipeline([])
-    raw = _limit_status(list(values), tol)
+    raw = _limit_status(values, tol)
     if raw[0] == "diverged":
         return raw if out[0] == "unstable" else out
     if raw[0] in ("stable", "loose") and raw[2] < out[2]:
