@@ -450,12 +450,14 @@ def _deflated_limit_status(values, basis_rows, tol=_LIMIT_TOL):
     coincidences; the shift of the estimate when the last probe is withheld
     (refit included) is a stability measure an accidental claim cannot fake.
 
-    The deflated pipeline runs first and in full.  The raw pipeline's
-    leave-one-out refit runs only when it can decide the winner: when the
-    raw claim is ``stable``/``loose`` with a confidence below the deflated
-    one.  The refit only widens a confidence, so otherwise the raw claim
-    loses whatever it gives.  With no clean basis row, or a deflated fit
-    that raises ``LinAlgError``, the raw pipeline runs in full.
+    The deflated pipeline runs first and in full.  The raw pipeline runs
+    only where it can win: not at all when the deflated claim is decisive
+    with confidence zero, which no confidence is below; and its
+    leave-one-out refit only when the raw claim is ``stable``/``loose``
+    with a confidence below the deflated one.  The refit only widens a
+    confidence, so otherwise the raw claim loses whatever it gives.  With
+    no clean basis row, or a deflated fit that raises ``LinAlgError``, the
+    raw pipeline runs in full.
     """
 
     def deflate(vals, rows):
@@ -501,6 +503,8 @@ def _deflated_limit_status(values, basis_rows, tol=_LIMIT_TOL):
         out = pipeline(clean)
     except np.linalg.LinAlgError:
         return pipeline([])
+    if out[0] != "unstable" and not out[2] > 0:
+        return out  # no raw claim is tighter than an exact one
     raw = _limit_status(values, tol)
     if raw[0] == "diverged":
         return raw if out[0] == "unstable" else out

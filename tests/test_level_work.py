@@ -152,6 +152,26 @@ def test_lazy_refit_matches_the_eager_rule_on_the_golden_sequences():
         _assert_same(seq, rows)
 
 
+def test_an_exact_deflated_claim_runs_no_raw_pipeline(monkeypatch):
+    # the deflated fit removes the transient exactly: its claim has
+    # confidence zero, so only its classification and refit run
+    seq = [3.0 + 0.5 ** j for j in range(9)]
+    rows = [[0.5 ** j for j in range(9)]]
+    calls = []
+    classify = expansion.classify_sequence
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return classify(*args, **kwargs)
+
+    monkeypatch.setattr(expansion, "classify_sequence", counted)
+    result = _deflated_limit_status(seq, rows)
+    assert result[0] == "stable" and result[2] == 0.0
+    assert len(calls) == 2
+    monkeypatch.undo()
+    _assert_same(seq, rows)
+
+
 @pytest.mark.parametrize("failing_call", [1, 2])
 def test_lazy_refit_matches_the_eager_rule_when_a_fit_raises(monkeypatch, failing_call):
     # a LinAlgError from the deflated fit (call 1) returns the raw pipeline
