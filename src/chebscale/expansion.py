@@ -521,9 +521,10 @@ def extract_recursive(f, scale, schedule):
     After the defining recursive pass, up to ``_REFINE_SWEEPS`` Gauss-Seidel
     sweeps re-extract each coefficient from the residual with *all* other
     extracted terms removed; they stop once a sweep changes no coefficient
-    and no confidence bit, since every later sweep would repeat it.  The limits are mathematically identical; the
-    sweeps damp the pollution a small error in an early coefficient injects
-    into later ratios through the scale's dynamic range.
+    and no confidence bit, since every later sweep would repeat it.  The
+    limits are mathematically identical; the sweeps damp the pollution a
+    small error in an early coefficient injects into later ratios through
+    the scale's dynamic range.
     """
     require_verified(scale)
     pts = scale.toward_x0(schedule.points)
