@@ -2,7 +2,6 @@
 operators, asymptotic-expansion coefficient extraction and theorem checks."""
 
 from .errors import (
-    AllImagesVanish,
     BadScheduleParams,
     ChebscaleError,
     DivergentTail,
@@ -36,40 +35,30 @@ from .expansion import (
 from .expr import ExpressionFunction, eval_jet, parse, render
 from .factorization import (
     PrincipalSystem,
-    RepresentationWeights,
     WeightChain,
     apply_chain,
     apply_full_operator,
     build_principal_system,
-    build_representation_weights,
     build_type1_chain,
     build_type2_chain,
     classify_canonicity,
     divide_and_differentiate,
     fit_ratio_constant,
 )
-from .jet import Jet, JetMemo, jet_apply, jet_derivative, jet_variable
+from .jet import Jet, JetMemo, jet_derivative, jet_variable
 from .operators import (
     OperatorConstants,
-    WeightedOperator,
-    apply_weighted,
     operator_constants,
-    wronskian_operator,
 )
 from .quadrature import (
     ConvergenceVerdict,
-    IntegralSpec,
     NestedIntegral,
     WorkGrid,
-    classify_improper,
     integrate,
-    iterated_integral,
 )
 from .scale import (
     ChebyshevScale,
-    DerivativeOperator,
     ProbeSchedule,
-    check_admissibility,
     default_verification_schedule,
     finite_prefix,
     load_scale_file,
@@ -83,7 +72,6 @@ from .wronskian import (
     check_levin_hierarchy,
     wronskian,
     wronskian_jet,
-    wronskian_suppressed,
 )
 
 __version__ = "0.1.0"

@@ -4,8 +4,9 @@ Commands: ``analyze`` (hierarchy / Wronskian / Levin verification),
 ``factorize`` (both chains, canonicity, structural constants, algorithm
 cross-check), ``expand`` (both coefficient-extraction routes) and ``verify``
 (theorem report suites; each checker runs once, and the theorems it decides
-share its report).  No command builds the principal system: ``factorize``
-reports the ``b`` of the structural constants.  Exit codes: 0 all consistent, 1 a decisive
+share its report).  No command, check or bundle builds the principal
+system; ``factorize`` reports the ``b`` of the structural constants, read
+off a constancy test.  Exit codes: 0 all consistent, 1 a decisive
 inconsistency or failed verdict, 2 input error or a computation that left
 double range (an ``error:`` line on stderr).
 

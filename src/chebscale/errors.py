@@ -42,10 +42,6 @@ class NotAsymptoticScale(ChebscaleError):
     """The supplied function tuple failed hierarchy/nonvanishing verification."""
 
 
-class AllImagesVanish(ChebscaleError):
-    """Every image of the scale under the operator is identically zero."""
-
-
 class IndexConditionViolated(ChebscaleError):
     """Wronskian index sets do not satisfy the comparison precondition."""
 

@@ -26,14 +26,11 @@ Cache policy: these memos are all that is kept, each by one owner.
 - Grid tables: the shared :class:`~chebscale.quadrature.WorkGrid` keeps
   each live evaluator's values on its nodes.
 - Scale values: a :class:`ScaleArtifacts` bundle builds on first read the
-  principal system of Lemma 4.1 (no checker and no extraction route reads
-  it; the constants' ``b`` comes from the L_k[phi_{n-k}] constancy test),
-  the P-weight nest of (6.12) with its values on the grid nodes, and
+  P-weight nest of (6.12) with its values on the grid nodes, and
   W(phi_1..phi_n) on the grid nodes, which every L[f] table divides by.
   Each chain classifies its canonicity on first read
   (:attr:`~chebscale.factorization.WeightChain.canonicity`; only
-  :func:`extract_operator` and ``factorize`` read it), and representation
-  weights their integrability.
+  :func:`extract_operator` and ``factorize`` read it).
 - Target values: the bundle's record of a live target keeps its M/L images
   per point, its operator limits, L[f] on the grid nodes and whether L[f]
   vanishes along the probes.  It goes with the target, so no later target
@@ -63,7 +60,6 @@ from .factorization import (
     _nest_jetfn,
     apply_chain,
     apply_full_operator,
-    build_principal_system,
     build_type1_chain,
     build_type2_chain,
     well_conditioned_probes,
@@ -116,14 +112,12 @@ class _TargetRecord:
 
 
 class ScaleArtifacts:
-    """Chains, constants, principal system and shared grid for one scale.
+    """Chains, constants and shared grid for one scale.
 
     The bundle owns the chains, constants and grid (whose value cache keeps
     the weight tabulations, since the bundle holds the weights).  Its
     target-independent values are cached properties, built on their first
-    read: the principal system (``system``; the constants' ``b`` does not
-    need it, see :func:`~chebscale.operators.operator_constants`), the
-    P-weight nest (``p_weight``), its values on the grid nodes
+    read: the P-weight nest (``p_weight``), its values on the grid nodes
     (``p_weight_nodes``) and W(phi_1..phi_n) on the grid nodes
     (``_denominator``).  ``_targets`` maps each target, by weak
     reference, to a record of its M/L images, its limits, its L[f] grid
@@ -183,12 +177,6 @@ class ScaleArtifacts:
     @property
     def n(self):
         return self.scale.n
-
-    @cached_property
-    def system(self):
-        """The principal system of Lemma 4.1, built on first read: no
-        checker and no extraction route reads it."""
-        return build_principal_system(self.scale, self.chain_p, self.schedule)
 
     def _record(self, f):
         rec = self._targets.get(f)
@@ -283,7 +271,10 @@ class ScaleArtifacts:
             idx = tuple(range(1, self.n + 1))
             zero = True
             for x in self.probes:
-                num, _, det_scale = bordered_wronskian(self.scale, idx, f, x)
+                try:
+                    num, _, det_scale = bordered_wronskian(self.scale, idx, f, x)
+                except ArithmeticError as exc:
+                    raise EvaluationError(f"W(phi_1..phi_n, f) fails at x={x}: {exc}") from exc
                 if abs(num) > 1e-8 * det_scale:
                     zero = False
                     break
@@ -313,6 +304,23 @@ class ScaleArtifacts:
         return NestedIntegral(self.grid, weights, orientations, density)
 
 
+def _target_reach(f, points):
+    """The points before the first where f is not finite, by the rule of
+    :func:`~chebscale.scale.finite_prefix`, and f's values at them.  A
+    schedule needs 6 points (:func:`~chebscale.scale.make_schedule`), and
+    so does a limit: with fewer it raises EvaluationError."""
+    values = {}
+
+    def value(x):  # no array form: finite_prefix reads every point it keeps
+        values[x] = out = f(x, 0).value
+        return out
+
+    pts = finite_prefix(points, [value])
+    if len(pts) < 6:
+        raise EvaluationError(f"the target is finite at only {len(pts)} points (need 6)")
+    return pts, [values[x] for x in pts]
+
+
 def _level_sequence(chain, scale, f, k, points):
     """The one cut of an M_k[f] sequence along ``points`` (ordered toward
     x0): the kept points, M_k[f] at them through ``chain`` and the
@@ -323,10 +331,8 @@ def _level_sequence(chain, scale, f, k, points):
     phi_n (``_informative_points``); then, from the seventh kept point on,
     the sequence ends at the first value its noise rivals; and it ends at a
     collapse or explosion (``_sane_prefix``)."""
-    pts = finite_prefix(points, [lambda x: f(x, 0).value])
-    info = _informative_points(
-        pts, [f(x, 0).value for x in pts], [scale.phi_value(scale.n, x) for x in pts]
-    )
+    pts, fvals = _target_reach(f, points)
+    info = _informative_points(pts, fvals, [scale.phi_value(scale.n, x) for x in pts])
     pts = [pts[j] for j in info]
     pairs = [apply_chain(chain, f, x, level=k, with_noise=True) for x in pts]
     vals = [v for v, _ in pairs]
@@ -358,8 +364,8 @@ def _operator_limit(chain, scale, f, k, points, image):
 
 def artifacts_for(scale, schedule=None):
     """The bundle of ``scale`` on ``schedule`` (default :func:`scale_schedule`):
-    chains, constants and grid; the principal system and the chains'
-    canonicity wait for their first read."""
+    chains, constants and grid; the chains' canonicity waits for its first
+    read."""
     if schedule is None:
         schedule = scale_schedule(scale)
     return ScaleArtifacts(scale, schedule)
@@ -524,12 +530,12 @@ def extract_recursive(f, scale, schedule):
     and no confidence bit, since every later sweep would repeat it.  The
     limits are mathematically identical; the sweeps damp the pollution a
     small error in an early coefficient injects into later ratios through
-    the scale's dynamic range.
+    the scale's dynamic range.  The probes are cut at the target's finite
+    reach (:func:`_target_reach`), as on the operator route.
     """
     require_verified(scale)
-    pts = scale.toward_x0(schedule.points)
+    pts, fvals = _target_reach(f, scale.toward_x0(schedule.points))
     n = scale.n
-    fvals = [f(x, 0).value for x in pts]
     phis = [[scale.phi_value(i, x) for x in pts] for i in range(1, n + 1)]
     info = _informative_points(pts, fvals, phis[n - 1])
     pts = [pts[j] for j in info]

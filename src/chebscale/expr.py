@@ -292,7 +292,7 @@ def eval_jet(node, anchor, order):
         return -eval_jet(node.child, anchor, order)
     if isinstance(node, Call):
         inner = eval_jet(node.arg, anchor, order)
-        return jetmod.jet_apply(node.name, [inner])
+        return jetmod._UNARY[node.name](inner)
     if isinstance(node, BinOp):
         if node.op == "^":
             c = constant_value(node.right)

@@ -4,14 +4,12 @@ Given a verified scale, this module builds
 
 * the type-II weight chain (forward prefix Wronskian ratios),
 * the type-I weight chain (reversed prefix Wronskian ratios),
-* the integral-representation weights,
 * the principal fundamental system by nested integration of the type-I
   chain,
 
 runs the divide-and-differentiate construction and applies the full
 operator as a Wronskian quotient.  A chain's canonicity at both endpoints
-and the integrability of the representation weights are classified on
-their first read, not when the chain is built.
+is classified on its first read, not when the chain is built.
 
 Weights are stored unsigned (positive) together with a sign word; the sign
 pattern has product +1, so composing the unsigned chain to full depth
@@ -293,60 +291,6 @@ def classify_canonicity(chain):
         else:
             out[endpoint] = "unknown"
     return out
-
-
-# -- representation weights -------------------------------------------------------
-
-
-@dataclass
-class RepresentationWeights:
-    """Weights w_0..w_{n-1} of the tail representation on ``interval``; the
-    kinds of the integrals of |w_1|..|w_{n-1}| toward x0 on first read."""
-
-    w: list  # signed jet-evaluators w_0..w_{n-1}
-    interval: tuple
-
-    @cached_property
-    def integrability(self):
-        pts = finite_prefix(_endpoint_schedule(self.interval, "x0").points,
-                            [fn.value for fn in self.w])
-        return _endpoint_kinds([lambda x, f=fn: abs(f(x, 0).value) for fn in self.w[1:]], pts)
-
-
-def build_representation_weights(scale, schedule=None):
-    """Weights of the nested tail representation of the scale.
-
-    w_0 = phi_1, w_1 = -(phi_2/phi_1)', and for 2 <= i <= n-1
-    w_i = -[W(phi_1..phi_{i-1}, phi_{i+1}) / W(phi_1..phi_{i-1}, phi_i)]'.
-    Their ``integrability`` is classified on first read.
-    """
-    require_verified(scale)
-    n = scale.n
-    probes = _default_probes(scale, schedule)
-    prefixes = _PrefixWronskians(scale)
-    for x in probes:
-        for i in range(1, n):
-            prefixes.check(i, x)
-
-    def w1(x, order):
-        a = scale.phi_jet(2, x, order + 1)
-        b = scale.phi_jet(1, x, order + 1)
-        return -derivative(a / b)
-
-    fns = [scale.functions[0], JetMemo(w1, "w1")]
-
-    def wi(i):
-        def fn(x, order):
-            base = list(range(1, i))
-            num = wronskian_jet(scale, base + [i + 1], x, order + 1)
-            den = wronskian_jet(scale, base + [i], x, order + 1)
-            return -derivative(num / den)
-        return fn
-
-    for i in range(2, n):
-        fns.append(JetMemo(wi(i), f"w{i}"))
-
-    return RepresentationWeights(w=fns, interval=(scale.T, scale.x0))
 
 
 # -- the full operator -------------------------------------------------------------

@@ -436,47 +436,12 @@ class JetMemo:
         return f"<jetfn {self.name}>"
 
 
-# -- tagged dispatch (public elementary-operation interface) -----------------
+# -- elementary functions by name (the calls of an expression) ---------------
 
 _UNARY = {
-    "neg": lambda j: -j,
     "exp": jexp,
     "log": jlog,
     "sqrt": jsqrt,
     "sin": jsin,
     "cos": jcos,
 }
-
-_BINARY = {
-    "add": lambda a, b: a + b,
-    "sub": lambda a, b: a - b,
-    "mul": lambda a, b: a * b,
-    "div": lambda a, b: a / b,
-}
-
-
-def jet_apply(op, operands, exponent=None):
-    """Apply an elementary-operation tag to jets sharing anchor and order.
-
-    ``pow-const`` takes one jet operand plus the ``exponent`` keyword.
-    """
-    ops = list(operands)
-    if not ops:
-        raise EvaluationError("jet_apply needs at least one operand")
-    anchor, order = ops[0].anchor, ops[0].order
-    for o in ops[1:]:
-        if o.anchor != anchor or o.order != order:
-            raise EvaluationError("operands must share anchor and order")
-    if op == "pow-const":
-        if len(ops) != 1 or exponent is None:
-            raise EvaluationError("pow-const takes one operand and an exponent")
-        return jpow(ops[0], exponent)
-    if op in _UNARY:
-        if len(ops) != 1:
-            raise EvaluationError(f"{op} takes exactly one operand")
-        return _UNARY[op](ops[0])
-    if op in _BINARY:
-        if len(ops) != 2:
-            raise EvaluationError(f"{op} takes exactly two operands")
-        return _BINARY[op](ops[0], ops[1])
-    raise EvaluationError(f"unknown elementary operation {op!r}")

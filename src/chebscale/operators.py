@@ -15,38 +15,7 @@ from dataclasses import dataclass, field
 
 from .errors import EvaluationError, NotConstant
 from .factorization import apply_chain
-from .wronskian import bordered_wronskian, wronskian
-
-
-@dataclass
-class WeightedOperator:
-    """Level-k weighted derivative bound to a chain."""
-
-    chain: object
-    k: int
-    kind: str  # "L" (type-I chain) or "M" (type-II chain)
-
-    def __post_init__(self):
-        if not 0 <= self.k <= self.chain.n:
-            raise EvaluationError(f"order {self.k} outside [0, {self.chain.n}]")
-
-    def apply(self, f, x):
-        return apply_chain(self.chain, f, x, level=self.k)
-
-    def __repr__(self):
-        return f"{self.kind}_{self.k}"
-
-
-def apply_weighted(op, f, x):
-    """Evaluate the weighted derivative: multiply by the zeroth weight, then
-    alternately differentiate and multiply, in jet arithmetic."""
-    return op.apply(f, x)
-
-
-def wronskian_operator(scale, indices, f, x):
-    """Bordered Wronskian with ``f`` appended as the last column."""
-    value, _, _ = bordered_wronskian(scale, tuple(indices), f, x)
-    return value
+from .wronskian import wronskian
 
 
 @dataclass

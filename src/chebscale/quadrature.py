@@ -48,7 +48,7 @@ import numpy as np
 from numpy.polynomial import polynomial as P
 
 from .errors import ChebscaleError, DivergentTail, EvaluationError, ToleranceNotMet
-from .extrapolate import classify_sequence, extrapolate_limit
+from .extrapolate import classify_sequence
 
 # 15-point Kronrod nodes/weights with the embedded 7-point Gauss rule
 # (standard double-precision values, ascending order).
@@ -274,14 +274,6 @@ def _gk15(f, cells):
 
 
 @dataclass
-class IntegralSpec:
-    integrand: object
-    lower: float
-    upper: float
-    improper_at: str = "none"  # "none" | "upper"
-
-
-@dataclass
 class ConvergenceVerdict:
     kind: str  # converges | diverges_plus | diverges_minus | oscillatory | inconclusive
     value: float
@@ -289,22 +281,14 @@ class ConvergenceVerdict:
     partial_values: list = field(default_factory=list)
 
 
-def integrate(spec, lower=None, upper=None, tol=1e-10, max_intervals=4096):
-    """Adaptive integration of a proper integral.
+def integrate(f, lower, upper, tol=1e-10, max_intervals=4096):
+    """Adaptive integration of ``f`` over a proper ``(lower, upper)``.
 
-    ``spec`` may be an :class:`IntegralSpec` (with improper_at == "none") or
-    a plain callable together with ``lower`` and ``upper``.  Subdivision
-    continues until the summed error estimate drops below
+    Subdivision continues until the summed error estimate drops below
     ``tol * (1 + |value|)``.  Returns ``(value, error_estimate)``; this is
     the one-interval case of :func:`integrate_all`.
     """
-    if isinstance(spec, IntegralSpec):
-        if spec.improper_at != "none":
-            raise EvaluationError("improper integrals go through classify_improper")
-        f, a, b = spec.integrand, spec.lower, spec.upper
-    else:
-        f, a, b = spec, lower, upper
-    return integrate_all(f, [(a, b)], tol, max_intervals)[0]
+    return integrate_all(f, [(lower, upper)], tol, max_intervals)[0]
 
 
 def _adaptive(a, b, tol, max_intervals):
@@ -318,7 +302,7 @@ def _adaptive(a, b, tol, max_intervals):
         a, b = b, a
         sign = -1.0
     if math.isinf(a) or math.isinf(b):
-        raise EvaluationError("infinite endpoints go through classify_improper")
+        raise EvaluationError("infinite endpoints go through classify_toward")
     ((val, err),) = yield [(a, b)]
     heap = [(-err, a, b, val)]
     total_val, total_err = val, err
@@ -417,14 +401,6 @@ def classify_toward(integrand, anchor, points, tol=1e-8, quad_tol=None):
     value = res["value"] if kind == "converges" else math.nan
     err_est = res["confidence"] + errs if kind == "converges" else math.inf
     return ConvergenceVerdict(kind, value, err_est, partials)
-
-
-def classify_improper(spec, schedule, tol=1e-8):
-    """Classify an improper integral toward its upper limit along a schedule."""
-    if spec.improper_at != "upper":
-        raise EvaluationError("classify_improper expects improper_at == 'upper'")
-    points = list(schedule.points)
-    return classify_toward(spec.integrand, spec.lower, points, tol=tol)
 
 
 # -- master grids and nested integrals -----------------------------------------
@@ -880,22 +856,3 @@ class NestedIntegral:
     def level_values(self, x):
         return [self.value(x, l) for l in range(self.depth)]
 
-
-def iterated_integral(weights, density, x, orientation, tol=1e-9, *, T, x0,
-                      grid=None):
-    """One-shot nested integral; see :class:`NestedIntegral` for semantics.
-
-    ``weights`` may be empty, meaning a single level integrating the bare
-    density.  ``orientation`` is one tag per level (a single tag is
-    broadcast).
-    """
-    w = list(weights) if weights else [None]
-    if isinstance(orientation, str):
-        orientation = [orientation] * len(w)
-    orientation = list(orientation)
-    if len(orientation) == 1 and len(w) > 1:
-        orientation = orientation * len(w)
-    if grid is None:
-        grid = WorkGrid(T, x0, include=[x])
-    nest = NestedIntegral(grid, w, orientation, density, tol=tol)
-    return nest.value(x)

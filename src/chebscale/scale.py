@@ -21,12 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    AllImagesVanish,
-    BadScheduleParams,
-    EvaluationError,
-    NotAsymptoticScale,
-)
+from .errors import BadScheduleParams, EvaluationError, NotAsymptoticScale
 from .expr import ExpressionFunction
 from .extrapolate import extrapolate_limit
 from .jet import JetMemo, jet_derivative
@@ -383,56 +378,6 @@ def require_verified(scale):
             f"hierarchy verification failed: {rec.details['pairs']}"
         )
     return rec
-
-
-# -- asymptotic admissibility ---------------------------------------------------
-
-
-class DerivativeOperator:
-    """The standard operator d^k/dx^k as an operator handle."""
-
-    def __init__(self, k=1):
-        self.k = k
-
-    def apply(self, f, x):
-        return jet_derivative(f(x, self.k), self.k)
-
-
-def _apply_operator(operator, f, x):
-    if hasattr(operator, "apply"):
-        return operator.apply(f, x)
-    return operator(f, x)
-
-
-def check_admissibility(scale, operator, schedule, tol=1e-4):
-    """Asymptotic admissibility of an operator with respect to the scale.
-
-    Computes ``m``, the largest index whose image is not identically zero
-    (constant-zero detection along the schedule), then checks that the
-    surviving images still form an asymptotic scale.
-    """
-    pts = scale.toward_x0(schedule.points)
-    images = []
-    for i in range(1, scale.n + 1):
-        images.append([_apply_operator(operator, scale.functions[i - 1], x) for x in pts])
-    zero = []
-    for i, vals in enumerate(images, start=1):
-        biggest = max(abs(v) for v in vals)
-        zero.append(all(abs(v) < 1e-10 * (1.0 + biggest) for v in vals))
-    if all(zero):
-        raise AllImagesVanish("every image vanishes identically on the schedule")
-    m = max(i for i in range(1, scale.n + 1) if not zero[i - 1])
-    surviving = [vals for i, vals in enumerate(images, start=1) if i <= m and not zero[i - 1]]
-    if len(surviving) >= 2:
-        ok, pairs = hierarchy_from_values(surviving, tol)
-    else:
-        ok, pairs = True, []
-    return {
-        "m": m,
-        "verdict": "pass" if ok else "fail",
-        "suppressed": [i for i in range(1, m + 1) if zero[i - 1]],
-        "pairs": pairs,
-    }
 
 
 # -- scale-definition files ------------------------------------------------------

@@ -225,18 +225,6 @@ def wronskian_flags(scale, indices, xs):
     return value, ~np.isfinite(value) | (np.abs(value) <= floor)
 
 
-def wronskian_suppressed(scale, indices, suppress, x):
-    """Determinant with derivative rows 0..k-2 and the ``suppress`` column removed."""
-    indices = tuple(indices)
-    if suppress not in indices:
-        raise EvaluationError(f"{suppress} is not part of {indices}")
-    if len(indices) < 2:
-        raise EvaluationError("need at least two indices to suppress one")
-    kept = tuple(i for i in indices if i != suppress)
-    matrix = _derivative_matrix(scale, kept, x, len(kept))
-    return det_pivoted(matrix)[0]
-
-
 def wronskian_jet(scale, indices, x, order):
     """W(phi_{i1}, ..., phi_{ik}) at x as a jet of the requested order.
 

@@ -2,6 +2,7 @@ import gc
 import importlib
 import json
 import math
+import sys
 import weakref
 from pathlib import Path
 
@@ -24,7 +25,7 @@ from chebscale import (
 from chebscale.errors import ChebscaleError, LimitDiverged
 from chebscale.expansion import _abs, _guarded_ratio, _type1_levels
 from chebscale.expr import ExpressionFunction
-from chebscale.factorization import apply_full_operator, build_type1_chain
+from chebscale.factorization import apply_full_operator
 
 
 def test_extract_recursive_f1_example():
@@ -505,27 +506,41 @@ def test_limits_stop_at_the_target_reach(poly_artifacts):
         pass
 
 
-def test_principal_system_is_built_on_first_read(appendix_scale, appendix_schedule,
-                                                  monkeypatch):
-    expansion = importlib.import_module("chebscale.expansion")
-    real = expansion.build_principal_system
+PUBLIC_CALLS = {
+    "limit": lambda f, art: art.limit(f, 0),
+    "extract_operator": lambda f, art: extract_operator(
+        f, art.scale, art.chain_q, art.constants, art.schedule),
+    "extract_recursive": lambda f, art: extract_recursive(f, art.scale, art.schedule),
+    "check_complete": lambda f, art: check_complete(f, art),
+    "check_incomplete": lambda f, art: check_incomplete(f, 2, art),
+    "check_O": lambda f, art: check_O(f, 2, art),
+    "check_absolute": lambda f, art: check_absolute(f, art),
+}
+
+
+@pytest.mark.parametrize("call,target",
+                         [(name, "exp(x^5)") for name in PUBLIC_CALLS]
+                         + [("extract_recursive", "exp(x^2)")])
+def test_a_target_past_double_range_raises_a_library_error(appendix_artifacts, call, target):
+    # exp(x^5) overflows at the first probe, exp(x^2) part way along it
+    with pytest.raises(ChebscaleError):
+        PUBLIC_CALLS[call](ExpressionFunction(target), appendix_artifacts)
+
+
+def test_no_check_builds_the_principal_system(appendix_scale, appendix_schedule, monkeypatch):
+    # factorization is the one module that binds build_principal_system, so
+    # patching it there sees every call
+    factorization = importlib.import_module("chebscale.factorization")
+    bound = [name for name, mod in sys.modules.items() if name.startswith("chebscale.")
+             and hasattr(mod, "build_principal_system")]
+    assert bound == ["chebscale.factorization"]
     calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(expansion, "build_principal_system", counted)
+    monkeypatch.setattr(factorization, "build_principal_system",
+                        lambda *args, **kw: calls.append(args))
     art = artifacts_for(appendix_scale, appendix_schedule)
-    check_complete(ExpressionFunction("2*exp(x) - x + 3*log(x) + 5"), art)
+    f = ExpressionFunction("2*exp(x) - x + 3*log(x) + 5")
+    check_complete(f, art)
+    check_incomplete(f, 2, art)
+    check_O(f, 2, art)
+    check_absolute(f, art)
     assert calls == []
-    system = art.system
-    assert art.system is system
-    assert len(calls) == 1
-    # the lazy system is the one a standalone build gives, bit for bit
-    chain_p = build_type1_chain(appendix_scale, appendix_schedule)
-    alone = real(appendix_scale, chain_p, appendix_schedule)
-    assert system.b == alone.b
-    assert np.array_equal(system.beta, alone.beta)
-    for P, P_alone in zip(system.P, alone.P):
-        assert [P.value(x) for x in art.probes] == [P_alone.value(x) for x in art.probes]

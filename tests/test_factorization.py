@@ -12,7 +12,6 @@ from chebscale import (
     apply_full_operator,
     artifacts_for,
     build_principal_system,
-    build_representation_weights,
     build_type1_chain,
     build_type2_chain,
     classify_canonicity,
@@ -173,51 +172,6 @@ def test_factorized_vs_direct_agreement(appendix_scale, appendix_schedule):
             assert abs(via_p - direct) < 1e-7 * ref
 
 
-def test_representation_weights_and_reconstruction():
-    # phi = (1, -x, x^2) toward 0^-: w_0 = 1, w_1 = 1, w_2 = 2
-    sc = ChebyshevScale.from_exprs(["1", "-x", "x^2"], T=-1.0, x0=0.0)
-    rw = build_representation_weights(sc)
-    for x in (-0.5, -0.25, -0.1):
-        assert abs(rw.w[0](x, 0).value - 1.0) < 1e-12
-        assert abs(rw.w[1](x, 0).value - 1.0) < 1e-12
-        assert abs(rw.w[2](x, 0).value - 2.0) < 1e-12
-    # nested-tail reconstruction reproduces |phi_2| and |phi_3|
-    from chebscale import iterated_integral
-
-    for x in (-0.5, -0.25):
-        phi2 = iterated_integral(
-            [lambda t: 1.0 / rw.w[1](t, 0).value], lambda t: 1.0,
-            x, "to_x0", T=-1.0, x0=0.0,
-        )
-        assert abs(abs(rw.w[0](x, 0).value * phi2) - abs(-x)) < 1e-8
-        phi3 = iterated_integral(
-            [lambda t: 1.0 / rw.w[1](t, 0).value, lambda t: 1.0 / rw.w[2](t, 0).value],
-            lambda t: 1.0, x, "to_x0", T=-1.0, x0=0.0,
-        )
-        assert abs(abs(phi3) - x * x) < 1e-8
-
-
-def test_integrability_of_representation_weights(appendix_scale):
-    rw = build_representation_weights(appendix_scale)
-    # decisive convergence for the fast tails; the log-slow ones may stay
-    # inconclusive on a finite schedule, but none may diverge
-    assert rw.integrability[0] == "converges"
-    assert all(not kind.startswith("diverges") for kind in rw.integrability)
-
-
-def test_integrability_is_classified_on_first_read(appendix_scale, monkeypatch):
-    calls = []
-    real = factorization.classify_toward
-    monkeypatch.setattr(factorization, "classify_toward",
-                        lambda *args, **kw: calls.append(args[1]) or real(*args, **kw))
-    rw = build_representation_weights(appendix_scale)
-    assert calls == []
-    assert rw.integrability == ["converges"] * 3
-    assert len(calls) == 3
-    # a second read classifies nothing
-    assert rw.integrability == ["converges"] * 3 and len(calls) == 3
-
-
 def test_canonicity_is_classified_on_first_read(appendix_scale, appendix_schedule,
                                                 monkeypatch, capsys):
     classified = []
@@ -249,8 +203,6 @@ def test_exhausted_quadrature_leaves_the_endpoint_undecided(appendix_scale, appe
     chain = build_type2_chain(appendix_scale, appendix_schedule)
     monkeypatch.setattr(factorization, "classify_toward", exhausted)
     assert chain.canonicity == {"x0": "unknown", "T": "unknown"}
-    rw = build_representation_weights(appendix_scale)
-    assert rw.integrability == ["inconclusive"] * 3
 
 
 def test_polya_family_chain_is_nth_derivative():

@@ -38,7 +38,7 @@ def integrate_one(f, a, b, tol=1e-10, max_intervals=4096):
         a, b = b, a
         sign = -1.0
     if math.isinf(a) or math.isinf(b):
-        raise EvaluationError("infinite endpoints go through classify_improper")
+        raise EvaluationError("infinite endpoints go through classify_toward")
     val, err = gk15(f, a, b)
     heap = [(-err, a, b, val)]
     total_val, total_err = val, err

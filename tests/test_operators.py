@@ -4,18 +4,17 @@ import random
 import pytest
 
 from chebscale import (
-    WeightedOperator,
     apply_chain,
-    apply_weighted,
+    build_principal_system,
     operator_constants,
     verify_hierarchy,
     wronskian,
-    wronskian_operator,
 )
 from chebscale.errors import NotConstant
 from chebscale.expr import ExpressionFunction
 from chebscale.operators import detect_constant
 from chebscale.scale import hierarchy_from_values
+from chebscale.wronskian import bordered_wronskian
 
 
 def test_unit_constants_on_appendix(appendix_artifacts):
@@ -37,10 +36,9 @@ def test_b_constants_on_appendix(appendix_artifacts):
 def test_order_zero_operator(appendix_artifacts):
     art = appendix_artifacts
     f = ExpressionFunction("x^2")
-    op = WeightedOperator(art.chain_q, 0, "M")
     for x in (5.0, 9.0):
         expect = x * x * art.chain_q.weight_value(0, x)
-        assert abs(apply_weighted(op, f, x) - expect) < 1e-12 * abs(expect)
+        assert abs(apply_chain(art.chain_q, f, x, level=0) - expect) < 1e-12 * abs(expect)
 
 
 def test_kernel_properties(appendix_artifacts):
@@ -80,10 +78,10 @@ def test_identity_3_38(appendix_artifacts):
         for _ in range(4):
             x = rng.uniform(4.5, 20.0)
             lhs = art.M(k, u, x)
-            num = wronskian_operator(art.scale, tuple(range(1, k + 1)), u, x)
-            den = wronskian_operator(
+            num = bordered_wronskian(art.scale, tuple(range(1, k + 1)), u, x)[0]
+            den = bordered_wronskian(
                 art.scale, tuple(range(1, k + 1)), art.scale.functions[k], x
-            )
+            )[0]
             rhs = eps * num / den
             assert abs(lhs - rhs) < 1e-7 * max(abs(lhs), 1e-9)
 
@@ -100,7 +98,7 @@ def test_identity_4_14(appendix_artifacts):
             x = rng.uniform(4.5, 20.0)
             lhs = art.L(k, u, x)
             rev = tuple(range(n, n - k, -1))
-            num = wronskian_operator(art.scale, rev, u, x)
+            num = bordered_wronskian(art.scale, rev, u, x)[0]
             den = wronskian(art.scale, tuple(range(n, n - k - 1, -1)), x).value
             rhs = b * num / den
             assert abs(lhs - rhs) < 1e-7 * max(abs(lhs), 1e-9)
@@ -109,7 +107,7 @@ def test_identity_4_14(appendix_artifacts):
 def test_bordered_wronskian_examples(appendix_artifacts):
     art = appendix_artifacts
     # repeated column vanishes
-    got = wronskian_operator(art.scale, (1, 2), art.scale.functions[0], 6.0)
+    got = bordered_wronskian(art.scale, (1, 2), art.scale.functions[0], 6.0)[0]
     ref = abs(wronskian(art.scale, (1, 2), 6.0).value)
     assert abs(got) < 1e-10 * (1.0 + ref)
     # proportionality: M_k[f]/W(phi_1..phi_k, f) is independent of f
@@ -117,8 +115,8 @@ def test_bordered_wronskian_examples(appendix_artifacts):
     f2 = ExpressionFunction("exp(-x) + log(x)*x")
     for k in (1, 2, 3):
         x = 7.4
-        r1 = art.M(k, f1, x) / wronskian_operator(art.scale, tuple(range(1, k + 1)), f1, x)
-        r2 = art.M(k, f2, x) / wronskian_operator(art.scale, tuple(range(1, k + 1)), f2, x)
+        r1 = art.M(k, f1, x) / bordered_wronskian(art.scale, tuple(range(1, k + 1)), f1, x)[0]
+        r2 = art.M(k, f2, x) / bordered_wronskian(art.scale, tuple(range(1, k + 1)), f2, x)[0]
         assert abs(r1 - r2) < 1e-7 * max(abs(r1), 1e-12)
 
 
@@ -129,9 +127,9 @@ def test_zero_remainder_expansion_images(appendix_artifacts):
     f = ExpressionFunction("exp(x) + x + log(x) + 1")
     for k in (1, 2):
         for x in (5.0, 9.1):
-            lhs = wronskian_operator(art.scale, (k,), f, x)
+            lhs = bordered_wronskian(art.scale, (k,), f, x)[0]
             rhs = sum(
-                wronskian_operator(art.scale, (k,), art.scale.functions[i], x)
+                bordered_wronskian(art.scale, (k,), art.scale.functions[i], x)[0]
                 for i in range(art.n) if i != k - 1
             )
             assert abs(lhs - rhs) < 1e-9 * max(abs(lhs), 1.0)
@@ -161,7 +159,7 @@ def test_hierarchy_preservation(appendix_artifacts):
 
 def test_lemma_41_ladder(appendix_artifacts):
     art = appendix_artifacts
-    ps = art.system
+    ps = build_principal_system(art.scale, art.chain_p, art.schedule)
     # L_k[P_k] == 1 and L_k[P_i] << L_k[P_{i+1}] toward x0
     for k in range(art.n - 1):
         for x in (5.0, 12.0):

@@ -4,13 +4,7 @@ import random
 import pytest
 from scipy import integrate as scipy_integrate
 
-from chebscale import (
-    IntegralSpec,
-    classify_improper,
-    integrate,
-    iterated_integral,
-    make_schedule,
-)
+from chebscale import integrate, make_schedule
 from chebscale.errors import DivergentTail, EvaluationError
 from chebscale.quadrature import NestedIntegral, WorkGrid, classify_toward
 
@@ -44,37 +38,35 @@ def test_integrate_signed_orientation():
 
 def test_integrate_rejects_improper():
     with pytest.raises(EvaluationError):
-        integrate(IntegralSpec(lambda t: 1 / t, 1.0, math.inf, "upper"))
-    with pytest.raises(EvaluationError):
         integrate(lambda t: 1.0, 0.0, math.inf)
 
 
 def test_classify_improper_examples():
     sched = make_schedule(1.0, math.inf, 12, 2.0)
-    v = classify_improper(IntegralSpec(lambda t: t**-2, 1.0, math.inf, "upper"), sched)
+    v = classify_toward(lambda t: t**-2, 1.0, sched.points)
     assert v.kind == "converges" and abs(v.value - 1.0) < 1e-9
-    v = classify_improper(IntegralSpec(lambda t: 1.0 / t, 1.0, math.inf, "upper"), sched)
+    v = classify_toward(lambda t: 1.0 / t, 1.0, sched.points)
     assert v.kind == "diverges_plus"
-    v = classify_improper(IntegralSpec(lambda t: t**-0.5, 1.0, math.inf, "upper"), sched)
+    v = classify_toward(lambda t: t**-0.5, 1.0, sched.points)
     assert v.kind == "diverges_plus"
 
 
 def test_classify_type1_condition_on_appendix_weight():
     # the reciprocal of a linear type-I weight diverges toward +inf
     sched = make_schedule(2.0, math.inf, 12, 2.0)
-    v = classify_improper(IntegralSpec(lambda t: 1.0 / t, 2.0, math.inf, "upper"), sched)
+    v = classify_toward(lambda t: 1.0 / t, 2.0, sched.points)
     assert v.kind == "diverges_plus"
 
 
 def test_classify_oscillatory():
     sched = make_schedule(1.0, math.inf, 12, 1.5)
-    v = classify_improper(IntegralSpec(math.sin, 1.0, math.inf, "upper"), sched)
+    v = classify_toward(math.sin, 1.0, sched.points)
     assert v.kind in ("oscillatory", "inconclusive")
 
 
 def test_classify_cauchy_property():
     sched = make_schedule(1.0, math.inf, 12, 2.0)
-    v = classify_improper(IntegralSpec(lambda t: t**-2, 1.0, math.inf, "upper"), sched)
+    v = classify_toward(lambda t: t**-2, 1.0, sched.points)
     deltas = [abs(b[1] - a[1]) for a, b in zip(v.partial_values, v.partial_values[1:])]
     assert deltas[-1] < deltas[0] * 1e-3
 
@@ -84,12 +76,9 @@ def test_classify_linearity():
     f = lambda t: t**-2
     g = lambda t: t**-1.5
     a, b = 2.0, 0.5
-    vf = classify_improper(IntegralSpec(f, 1.0, math.inf, "upper"), sched)
-    vg = classify_improper(IntegralSpec(g, 1.0, math.inf, "upper"), sched)
-    combo = classify_improper(
-        IntegralSpec(lambda t: a * f(t) + b * g(t), 1.0, math.inf, "upper"),
-        sched, tol=1e-5,
-    )
+    vf = classify_toward(f, 1.0, sched.points)
+    vg = classify_toward(g, 1.0, sched.points)
+    combo = classify_toward(lambda t: a * f(t) + b * g(t), 1.0, sched.points, tol=1e-5)
     assert combo.kind == "converges"
     # single-mode tails extrapolate to machine accuracy; the two-mode mix is
     # honest about its extrapolation floor
@@ -98,27 +87,31 @@ def test_classify_linearity():
 
 
 def test_iterated_from_T_triangle():
-    v = iterated_integral([None, None], lambda t: 1.0, 2.0, "from_T", T=0.0, x0=4.0)
+    nest = NestedIntegral(WorkGrid(0.0, 4.0, include=[2.0]), [None, None],
+                          ["from_T", "from_T"], lambda t: 1.0)
+    v = nest.value(2.0)
     assert abs(v - 2.0) < 1e-9
 
 
 def test_iterated_single_tail():
-    v = iterated_integral([], lambda t: t**-2, 1.0, "to_x0", T=1.0, x0=math.inf)
+    nest = NestedIntegral(WorkGrid(1.0, math.inf, include=[1.0]), [None], ["to_x0"],
+                          lambda t: t**-2)
+    v = nest.value(1.0)
     assert abs(v - 1.0) < 1e-9
 
 
 def test_iterated_double_tail_closed_form():
     # double tail of e^-t from 1: inner tail is e^-t, outer integral e^-1
-    v = iterated_integral(
-        [None, None], lambda t: math.exp(-t), 1.0, ["to_x0", "to_x0"],
-        T=1.0, x0=math.inf,
-    )
+    nest = NestedIntegral(WorkGrid(1.0, math.inf, include=[1.0]), [None, None],
+                          ["to_x0", "to_x0"], lambda t: math.exp(-t))
+    v = nest.value(1.0)
     assert abs(v - math.exp(-1)) < 1e-8
 
 
 def test_iterated_divergent_tail_raises():
     with pytest.raises(DivergentTail) as info:
-        iterated_integral([], lambda t: 1.0 / t, 2.0, "to_x0", T=1.0, x0=math.inf)
+        NestedIntegral(WorkGrid(1.0, math.inf, include=[2.0]), [None], ["to_x0"],
+                       lambda t: 1.0 / t)
     # the divergence shows on resolved cells
     assert info.value.decisive is True
 
@@ -129,7 +122,8 @@ def test_fubini_on_separable_density():
     w1 = lambda t: 1.0 + t
     w2 = lambda t: 2.0 + t * t
     dens = lambda t: math.exp(-t)
-    a = iterated_integral([w1, w2], dens, 3.0, "from_T", T=0.5, x0=8.0)
+    grid = WorkGrid(0.5, 8.0, include=[3.0])
+    a = NestedIntegral(grid, [w1, w2], ["from_T", "from_T"], dens).value(3.0)
 
     # oracle via scipy double quadrature of the same iterated integral
     inner = lambda t: scipy_integrate.quad(
@@ -138,14 +132,16 @@ def test_fubini_on_separable_density():
     ref, _ = scipy_integrate.quad(lambda t: inner(t) / w1(t), 0.5, 3.0)
     assert abs(a - ref) < 1e-8 * max(1.0, abs(ref))
 
-    swapped = iterated_integral([w2, w1], dens, 3.0, "from_T", T=0.5, x0=8.0)
+    swapped = NestedIntegral(grid, [w2, w1], ["from_T", "from_T"], dens).value(3.0)
     inner2 = lambda t: scipy_integrate.quad(lambda s: dens(s) / w1(s), 0.5, t)[0]
     ref2, _ = scipy_integrate.quad(lambda t: inner2(t) / w2(t), 0.5, 3.0)
     assert abs(swapped - ref2) < 1e-8 * max(1.0, abs(ref2))
 
 
 def test_mirrored_signed_tail():
-    v = iterated_integral([], lambda t: 1.0, 0.2, "to_x0", T=0.4, x0=0.0)
+    nest = NestedIntegral(WorkGrid(0.4, 0.0, include=[0.2]), [None], ["to_x0"],
+                          lambda t: 1.0)
+    v = nest.value(0.2)
     assert abs(v + 0.2) < 1e-10
 
 

@@ -6,10 +6,7 @@ from hypothesis import strategies as st
 
 from chebscale import (
     ChebyshevScale,
-    DerivativeOperator,
-    WeightedOperator,
     artifacts_for,
-    check_admissibility,
     default_verification_schedule,
     finite_prefix,
     load_scale_file,
@@ -18,7 +15,7 @@ from chebscale import (
     verify_hierarchy,
     verify_tas,
 )
-from chebscale.errors import AllImagesVanish, BadScheduleParams, EvaluationError
+from chebscale.errors import BadScheduleParams, EvaluationError
 from chebscale.quadrature import NodeFn
 
 
@@ -133,43 +130,6 @@ def test_tas_keeps_a_small_exact_wronskian(appendix_scale):
     # schedule: tiny against its column norms, but well above their floor
     rec = verify_tas(appendix_scale, [549.7558])
     assert rec.passed, rec.details["violations"]
-
-
-def test_admissibility_derivative_with_zero_image():
-    sc = ChebyshevScale.from_exprs(
-        ["x^2", "log(x)", "1", "x^-1", "exp(-x)"], T=1.0, x0=math.inf
-    )
-    sched = make_schedule(1.0, math.inf, 12, 2.0)
-    out = check_admissibility(sc, DerivativeOperator(1), sched)
-    assert out["m"] == 5
-    assert out["verdict"] == "pass"
-    assert out["suppressed"] == [3]
-
-
-def test_admissibility_at_zero_from_right():
-    sc = ChebyshevScale.from_exprs(["log(x)", "1", "sqrt(x)", "x^2"], T=0.4, x0=0.0)
-    sched = make_schedule(0.4, 0.0, 12, 0.5)
-    out = check_admissibility(sc, DerivativeOperator(1), sched)
-    assert out["m"] == 4
-    assert out["verdict"] == "pass"
-
-
-def test_admissibility_kernel_operator_constant_image(cubic_artifacts):
-    sc = ChebyshevScale.from_exprs(["1", "x"], T=-1.0, x0=0.0)
-    sched = make_schedule(-1.0, 0.0, 10, 0.5)
-    from chebscale import artifacts_for
-
-    art = artifacts_for(sc, sched)
-    op = WeightedOperator(art.chain_q, 1, "M")
-    out = check_admissibility(sc, op, sched)
-    assert out["m"] == 2
-
-
-def test_admissibility_all_zero_raises():
-    sc = ChebyshevScale.from_exprs(["1", "x"], T=-1.0, x0=0.0)
-    sched = make_schedule(-1.0, 0.0, 10, 0.5)
-    with pytest.raises(AllImagesVanish):
-        check_admissibility(sc, DerivativeOperator(2), sched)
 
 
 def test_load_scale_file(tmp_path):

@@ -6,12 +6,10 @@ import pytest
 
 from chebscale import (
     ChebyshevScale,
-    build_representation_weights,
     check_levin_hierarchy,
     make_schedule,
     wronskian,
     wronskian_jet,
-    wronskian_suppressed,
 )
 from chebscale.errors import IndexConditionViolated
 from chebscale.wronskian import det_pivoted
@@ -67,20 +65,6 @@ def test_appendix_wronskian_matches_oracle(appendix_scale):
     assert abs(got.value - oracle) < 1e-12 * abs(oracle)
     # frozen value computed from the oracle ahead of the build
     assert abs(got.value - 3.6945280494653248) < 1e-12
-
-
-def test_suppressed_examples():
-    sc = ChebyshevScale.from_exprs(["1", "x", "x^2"], T=-3.0, x0=0.0)
-    assert abs(wronskian_suppressed(sc, (1, 2, 3), 3, -1.0) - 1.0) < 1e-12
-    sc2 = ChebyshevScale.from_exprs(["1", "x", "x^2"], T=1.0, x0=math.inf)
-    assert abs(wronskian_suppressed(sc2, (1, 2, 3), 1, 5.0) - 25.0) < 1e-12
-
-
-def test_suppressed_matches_minor_oracle(appendix_scale):
-    got = wronskian_suppressed(appendix_scale, (4, 3, 2, 1), 2, 3.0)
-    oracle = _oracle_det([_const_col(3.0, 3), _log_col(3.0, 3), _exp_col(3.0, 3)])
-    assert abs(got - oracle) < 1e-12 * abs(oracle)
-    assert abs(got - 8.926905299194514) < 1e-10
 
 
 def test_levin_hierarchy_examples(appendix_scale):
@@ -168,22 +152,6 @@ def test_karlin_identity_randomized():
         assert abs(lhs - rhs) < 1e-8 * scale_ref
         done += 1
     assert done >= 100
-
-
-def test_product_formula_ties_weights_to_wronskians(appendix_scale):
-    # W(phi_1..phi_i) = (-1)^(i(i-1)/2) w_0^i w_1^(i-1) ... w_(i-1)
-    rng = random.Random(3)
-    rw = build_representation_weights(appendix_scale)
-    for _ in range(100):
-        i = rng.randint(2, 4)
-        x = rng.uniform(4.5, 30.0)
-        w = wronskian(appendix_scale, tuple(range(1, i + 1)), x)
-        if w.conditioning > 1e12:
-            continue
-        prod = (-1.0) ** (i * (i - 1) // 2)
-        for j in range(i):
-            prod *= rw.w[j](x, 0).value ** (i - j)
-        assert abs(w.value - prod) < 1e-8 * max(abs(w.value), 1e-300)
 
 
 def test_wronskian_jet_consistent_with_derivative():
