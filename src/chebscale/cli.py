@@ -285,10 +285,7 @@ def run(argv=None):
             "verify": cmd_verify,
         }[args.command]
         report, code = handler(scale, args)
-    except ChebscaleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError, ArithmeticError) as exc:
+    except (ChebscaleError, OSError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     report["timings"] = {"seconds": _fmt(time.time() - t0)}

@@ -56,7 +56,14 @@ class ToleranceNotMet(ChebscaleError):
 
 
 class DivergentTail(ChebscaleError):
-    """A nested integral level oriented toward the limit point diverges."""
+    """A nested integral level oriented toward the limit point diverges.
+
+    ``decisive`` says whether the divergence is a verdict (it shows on the
+    level's resolved cells) or only that the level could not be resolved."""
+
+    def __init__(self, message, decisive=False):
+        super().__init__(message)
+        self.decisive = decisive
 
 
 class WronskianDegenerate(ChebscaleError):

@@ -304,11 +304,20 @@ class ScaleArtifacts:
         return NestedIntegral(self.grid, weights, orientations, density)
 
 
-def _target_reach(f, points):
-    """The points before the first where f is not finite, by the rule of
-    :func:`~chebscale.scale.finite_prefix`, and f's values at them.  A
-    schedule needs 6 points (:func:`~chebscale.scale.make_schedule`), and
-    so does a limit: with fewer it raises EvaluationError."""
+def _target_cut(f, scale, points, members):
+    """The one cut of a target's probes, for both extraction routes: the
+    kept points, f's values at them and, per index i of ``members`` (the
+    last must be n), phi_i's values at them.
+
+    Points go at the first where f is not finite, by the rule of
+    :func:`~chebscale.scale.finite_prefix`; a schedule needs 6 points
+    (:func:`~chebscale.scale.make_schedule`), and so does a limit: with
+    fewer it raises EvaluationError.  Then the points go where f's double
+    value no longer resolves phi_n: beyond the point where ulp(|f|) exceeds
+    1e-4 * |phi_n| no method can recover the deeper coefficients from f's
+    double values, and such probes only inject rounding junk.  When fewer
+    than 6 are left, the first 6 stay.  Each value is read once per point.
+    """
     values = {}
 
     def value(x):  # no array form: finite_prefix reads every point it keeps
@@ -318,7 +327,12 @@ def _target_reach(f, points):
     pts = finite_prefix(points, [value])
     if len(pts) < 6:
         raise EvaluationError(f"the target is finite at only {len(pts)} points (need 6)")
-    return pts, [values[x] for x in pts]
+    phis = [[scale.phi_value(i, x) for x in pts] for i in members]
+    keep = [j for j, x in enumerate(pts) if 1e-16 * abs(values[x]) <= 1e-4 * abs(phis[-1][j])]
+    if len(keep) < 6:
+        keep = range(6)
+    pts = [pts[j] for j in keep]
+    return pts, [values[x] for x in pts], [[p[j] for j in keep] for p in phis]
 
 
 def _level_sequence(chain, scale, f, k, points):
@@ -326,14 +340,11 @@ def _level_sequence(chain, scale, f, k, points):
     x0): the kept points, M_k[f] at them through ``chain`` and the
     rounding-noise estimate of each kept value.
 
-    The rules apply in this order: points past the target's own finite
-    reach go; then the points where f's double value no longer resolves
-    phi_n (``_informative_points``); then, from the seventh kept point on,
-    the sequence ends at the first value its noise rivals; and it ends at a
-    collapse or explosion (``_sane_prefix``)."""
-    pts, fvals = _target_reach(f, points)
-    info = _informative_points(pts, fvals, [scale.phi_value(scale.n, x) for x in pts])
-    pts = [pts[j] for j in info]
+    The rules apply in this order: the target's cut (:func:`_target_cut`);
+    then, from the seventh kept point on, the sequence ends at the first
+    value its noise rivals; and it ends at a collapse or explosion
+    (``_sane_prefix``)."""
+    pts = _target_cut(f, scale, points, (scale.n,))[0]
     pairs = [apply_chain(chain, f, x, level=k, with_noise=True) for x in pts]
     vals = [v for v, _ in pairs]
     typical = _median([abs(v) for v in vals[: max(4, len(vals) // 2)]])
@@ -403,21 +414,6 @@ def _sane_prefix(values, minimum=6):
         if dead or wild or not math.isfinite(v):
             return j
     return n
-
-
-def _informative_points(pts, f_vals, phi_n_vals, eta=1e-4, minimum=6):
-    """Probes whose float value of f still resolves the smallest scale term.
-
-    Beyond the point where ulp(|f|) exceeds eta * |phi_n| no method can
-    recover the deeper coefficients from f's double values; such probes only
-    inject rounding junk."""
-    keep = [
-        j for j in range(len(pts))
-        if 1e-16 * abs(f_vals[j]) <= eta * abs(phi_n_vals[j])
-    ]
-    if len(keep) >= minimum:
-        return keep
-    return list(range(min(len(pts), max(minimum, len(keep)))))
 
 
 def _status_from_conf(value, conf, tol=_LIMIT_TOL):
@@ -530,21 +526,16 @@ def extract_recursive(f, scale, schedule):
     and no confidence bit, since every later sweep would repeat it.  The
     limits are mathematically identical; the sweeps damp the pollution a
     small error in an early coefficient injects into later ratios through
-    the scale's dynamic range.  The probes are cut at the target's finite
-    reach (:func:`_target_reach`), as on the operator route.
+    the scale's dynamic range.  The probes are the target's cut
+    (:func:`_target_cut`), as on the operator route.
     """
     require_verified(scale)
-    pts, fvals = _target_reach(f, scale.toward_x0(schedule.points))
     n = scale.n
-    phis = [[scale.phi_value(i, x) for x in pts] for i in range(1, n + 1)]
-    info = _informative_points(pts, fvals, phis[n - 1])
-    pts = [pts[j] for j in info]
-    fvals = [fvals[j] for j in info]
-    phis = [[p[j] for j in info] for p in phis]
+    pts, fvals, phis = _target_cut(f, scale, scale.toward_x0(schedule.points), range(1, n + 1))
 
-    def peeled(skip=None, upto=None):
+    def peeled(skip=None):
         res = list(fvals)
-        for j in range(len(coeffs) if upto is None else upto):
+        for j in range(len(coeffs)):
             if j != skip:
                 res = [r - coeffs[j] * p for r, p in zip(res, phis[j])]
         return res
@@ -945,8 +936,7 @@ class _Check:
         try:
             nest = self.art.nest(weights, orientations, density)
         except DivergentTail as exc:
-            decisive = getattr(exc, "decisive", True)
-            self.verdicts[label] = _v("fails" if decisive else "inconclusive", reason=str(exc))
+            self.verdicts[label] = _v("fails" if exc.decisive else "inconclusive", reason=str(exc))
             return math.nan
         res = classify_sequence(_outer_partials(self.art, nest), tol=1e-6)
         self.verdicts[label] = _v(_status(res["kind"]), kind=res["kind"])
@@ -1014,7 +1004,10 @@ class _Check:
         """L[f] >= 0 along the probes (an identically zero image is)."""
         if self.lf_zero:
             return True
-        vals = [self.lf(x) for x in self.art.probes]
+        try:
+            vals = [self.lf(x) for x in self.art.probes]
+        except ArithmeticError as exc:
+            raise EvaluationError(f"L[f] fails along the probes: {exc}") from exc
         mag = max(abs(v) for v in vals) + 1e-300
         return all(v >= -1e-9 * mag for v in vals)
 

@@ -17,6 +17,7 @@ multiplication.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 
@@ -242,6 +243,10 @@ def render(node):
 # -- evaluation -----------------------------------------------------------------
 
 
+# the four arithmetic operators, on floats and on jets alike ("^" is separate)
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
 def constant_value(node):
     """Value of a variable-free subtree, or None if it involves ``x``.
 
@@ -267,14 +272,8 @@ def constant_value(node):
         b = constant_value(node.right)
         if a is None or b is None:
             return None
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        if node.op == "/":
-            return a / b
+        if node.op != "^":
+            return _ARITH[node.op](a, b)
         v = a**b
         if isinstance(v, complex):  # a negative base to a fractional power
             raise EvaluationError(f"{render(node)} has no real value")
@@ -303,13 +302,7 @@ def eval_jet(node, anchor, order):
             return jetmod.jexp(expo * jetmod.jlog(base))
         a = eval_jet(node.left, anchor, order)
         b = eval_jet(node.right, anchor, order)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        return a / b
+        return _ARITH[node.op](a, b)
     raise TypeError(f"not an AST node: {node!r}")
 
 

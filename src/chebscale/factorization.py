@@ -255,11 +255,13 @@ def classify_canonicity(chain):
     its first read, so an error raised here surfaces at that read.
 
     type_I: every reciprocal middle weight has a divergent integral toward
-    the endpoint; type_II: every one converges; mixed decisive verdicts give
-    "neither", anything else "unknown".  The probes are cut where a
-    reciprocal weight stops being finite, read off its array form, and each
-    reciprocal weight's integrals between the probes are refined together:
-    one node array of GK15 cells per refinement round
+    the endpoint (kind ``diverged_*`` of
+    :func:`~chebscale.quadrature.classify_toward`); type_II: every one is
+    ``converged``; mixed decisive verdicts give "neither", anything else
+    "unknown".  The probes are cut where a reciprocal weight stops being
+    finite, read off its array form, and each reciprocal weight's integrals
+    between the probes are refined together: one node array of GK15 cells
+    per refinement round
     (:func:`~chebscale.quadrature.integrate_all`).
     """
     recips = [
@@ -282,11 +284,11 @@ def classify_canonicity(chain):
             # one-probe safety margin past the last flip
             pts = [x for x in pts if sigma * x > flip_edge][1:]
         kinds = _endpoint_kinds(recips, pts)
-        if all(k.startswith("diverges") for k in kinds):
+        if all(k.startswith("diverged") for k in kinds):
             out[endpoint] = "type_I"
-        elif all(k == "converges" for k in kinds):
+        elif all(k == "converged" for k in kinds):
             out[endpoint] = "type_II"
-        elif any(k.startswith("diverges") for k in kinds) and "converges" in kinds:
+        elif any(k.startswith("diverged") for k in kinds) and "converged" in kinds:
             out[endpoint] = "neither"
         else:
             out[endpoint] = "unknown"
@@ -450,7 +452,7 @@ def _nest_jetfn(nest, weight_jets, density_jet, prefactor_jet=None, name=""):
     def fn(x, order):
         depth = nest.depth
         cur = density_jet(x, max(order - depth, 0))
-        level_values = nest.level_values(x)
+        level_values = [nest.value(x, l) for l in range(depth)]
         for l in range(depth - 1, -1, -1):
             o = max(order - l - 1, 0)
             wj = weight_jets[l]
@@ -473,13 +475,12 @@ class PrincipalSystem:
     beta: object  # upper-triangular basis-change coefficients (numpy array)
 
 
-def build_principal_system(scale, chain_p, schedule=None, grid=None):
+def build_principal_system(scale, chain_p, schedule=None):
     """Nested from_T integrals of the type-I chain, plus the change of basis."""
     probes = _default_probes(scale, schedule)
-    if grid is None:
-        # from_T nests never look past the probes; a short reach keeps
-        # exponentially growing type-I weights inside double range
-        grid = WorkGrid(scale.T, scale.x0, include=probes, hard_cap=1.05 * max(probes))
+    # from_T nests never look past the probes; a short reach keeps
+    # exponentially growing type-I weights inside double range
+    grid = WorkGrid(scale.T, scale.x0, include=probes, hard_cap=1.05 * max(probes))
     n = scale.n
 
     def inv_p0(x, order):

@@ -74,16 +74,6 @@ class Jet:
     def __repr__(self):
         return f"Jet(anchor={self.anchor!r}, coeffs={list(self.coeffs)!r})"
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Jet)
-            and self.anchor == other.anchor
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.anchor, self.coeffs))
-
     # -- coercion helpers ---------------------------------------------------
 
     def _like(self, coeffs):

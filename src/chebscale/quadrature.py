@@ -275,7 +275,7 @@ def _gk15(f, cells):
 
 @dataclass
 class ConvergenceVerdict:
-    kind: str  # converges | diverges_plus | diverges_minus | oscillatory | inconclusive
+    kind: str  # a kind of classify_sequence: converged, diverged_plus, ...
     value: float
     error_estimate: float
     partial_values: list = field(default_factory=list)
@@ -371,15 +371,16 @@ def integrate_all(f, intervals, tol=1e-10, max_intervals=4096):
     return outcome
 
 
-def classify_toward(integrand, anchor, points, tol=1e-8, quad_tol=None):
+def classify_toward(integrand, anchor, points, tol=1e-8):
     """Classify ``lim integral(anchor -> x_j)`` as x_j runs through ``points``.
 
     Signed partial integrals, so the same routine serves limits approached
     from either side; the steps between consecutive points are integrated
-    together by :func:`integrate_all`.  Returns a :class:`ConvergenceVerdict`.
+    together by :func:`integrate_all`, at min(1e-11, tol * 1e-3).  Returns a
+    :class:`ConvergenceVerdict` whose kind is the one
+    :func:`~chebscale.extrapolate.classify_sequence` gives the partials.
     """
-    if quad_tol is None:
-        quad_tol = min(1e-11, tol * 1e-3)
+    quad_tol = min(1e-11, tol * 1e-3)
     points = list(points)
     partials = []
     errs = 0.0
@@ -391,15 +392,9 @@ def classify_toward(integrand, anchor, points, tol=1e-8, quad_tol=None):
         partials.append((x, acc))
     seq = [v for _, v in partials]
     res = classify_sequence(seq, tol)
-    kind = {
-        "converged": "converges",
-        "diverged_plus": "diverges_plus",
-        "diverged_minus": "diverges_minus",
-        "oscillatory": "oscillatory",
-        "inconclusive": "inconclusive",
-    }[res["kind"]]
-    value = res["value"] if kind == "converges" else math.nan
-    err_est = res["confidence"] + errs if kind == "converges" else math.inf
+    kind = res["kind"]
+    value = res["value"] if kind == "converged" else math.nan
+    err_est = res["confidence"] + errs if kind == "converged" else math.inf
     return ConvergenceVerdict(kind, value, err_est, partials)
 
 
@@ -407,6 +402,7 @@ def classify_toward(integrand, anchor, points, tol=1e-8, quad_tol=None):
 
 _GROWTH = 1.35  # cell-width ratio of the grid toward +inf
 _FINITE_GRADE = 1e-12  # closest approach to a finite x0, as a fraction of the span
+_NEST_TOL = 1e-9  # convergence tolerance of a to_x0 level's total (NestedIntegral)
 
 
 class WorkGrid:
@@ -477,12 +473,6 @@ class WorkGrid:
         self.xnodes = (self.sigma * self.cellnodes).ravel()
         self._value_cache = weakref.WeakKeyDictionary()
 
-    def x_from_work(self, w):
-        return self.sigma * w
-
-    def work_from_x(self, x):
-        return self.sigma * x
-
     def values(self, fn):
         """(cells, 15) array of fn evaluated at the cell nodes (x coords),
         through :func:`tabulate` on ``xnodes``.
@@ -537,17 +527,19 @@ class NestedIntegral:
     ``weights`` is the ordered list of level weights (the integrand of level
     l is ``(1/weights[l]) * I_{l+1}``, the innermost integrand being
     ``(1/weights[-1]) * density``); an entry of ``None`` means a unit weight.
-    ``orientations[l]`` is "from_T" or "to_x0".  Values are signed: a to_x0
-    level returns ``lim_{y->x0} integral_x^y``, negative increments included
-    in the mirrored orientation.
+    ``orientations[l]`` is "from_T" or "to_x0".  :meth:`value` reads either
+    orientation, signed: a from_T level returns ``integral_T^x``, a to_x0
+    level ``lim_{y->x0} integral_x^y``, negative increments included in the
+    mirrored orientation.
 
-    A to_x0 level integrates its steep single-signed cells in log form (see
-    the module docstring) and takes its total from the cumulative values at
-    the last 12 backbone nodes.  That total must converge at ``tol``, the
-    quadrature tolerance (1e-9), not at the looser tolerance of the verdict
-    the nest feeds: an error d in an inner tail reaches the next level out
-    as d/w, and where 1/w is not integrable toward x0 (a unit weight, say)
-    that level integrates it into a drift which reads as divergence.
+    A to_x0 level, and only such a level, integrates its steep single-signed
+    cells in log form (see the module docstring) and takes its total from
+    the cumulative values at the last 12 backbone nodes.  That total must
+    converge at ``_NEST_TOL`` (1e-9), the quadrature tolerance, not at the
+    looser tolerance of the verdict the nest feeds: an error d in an inner
+    tail reaches the next level out as d/w, and where 1/w is not integrable
+    toward x0 (a unit weight, say) that level integrates it into a drift
+    which reads as divergence.
     A divergent or oscillatory total raises a DivergentTail that is
     ``decisive`` only when it already shows on the level's resolved cells;
     a to_x0 level with a non-finite cell (weights that overflow on a grid
@@ -556,12 +548,11 @@ class NestedIntegral:
     the uncertainty of the remainder beyond the grid.
     """
 
-    def __init__(self, grid, weights, orientations, density, tol=1e-9):
+    def __init__(self, grid, weights, orientations, density):
         if len(weights) != len(orientations) or not weights:
             raise EvaluationError("need one orientation per weight")
         self.grid = grid
         self.orientations = list(orientations)
-        self.tol = tol
         self.depth = len(weights)
         sigma = grid.sigma
 
@@ -636,35 +627,31 @@ class NestedIntegral:
         cells = lev.cell_ints
         cum = lev.cum
         backbone = self.grid.backbone
-        res = classify_sequence(list(cum[backbone][-12:]), tol=self.tol)
+        res = classify_sequence(list(cum[backbone][-12:]), tol=_NEST_TOL)
         if res["kind"].startswith("diverged") or res["kind"] == "oscillatory":
             m = lev.reliable_cells
             shown = res["kind"]
             if m < self.grid.cells:
                 resolved = cum[backbone[backbone <= m]]
-                shown = classify_sequence(list(resolved[-12:]), tol=self.tol)["kind"]
+                shown = classify_sequence(list(resolved[-12:]), tol=_NEST_TOL)["kind"]
             if shown.startswith("diverged") or shown == "oscillatory":
-                exc = DivergentTail(f"to_x0 level {level} fails convergence ({shown})")
-                exc.decisive = True
-                raise exc
-            x = self.grid.x_from_work(self.grid.nodes[m])
-            exc = DivergentTail(
+                raise DivergentTail(
+                    f"to_x0 level {level} fails convergence ({shown})", decisive=True
+                )
+            x = self.grid.sigma * self.grid.nodes[m]
+            raise DivergentTail(
                 f"to_x0 level {level} is {res['kind']} only on unresolved cells "
                 f"from x={x:.6g}"
             )
-            exc.decisive = False
-            raise exc
         if res["kind"] == "converged":
             return float(res["value"]), float(res["confidence"])
         # inconclusive: accept the grid sum if the leftover is clearly tiny
         if abs(cells[-1]) <= 1e-12 * (1.0 + abs(cum[-1])):
             return float(cum[-1]), abs(cells[-1])
-        exc = DivergentTail(
+        raise DivergentTail(
             f"to_x0 level {level} did not stabilize on the grid (tail confidence "
-            f"{res['confidence']:.2g} at tol {self.tol:g})"
+            f"{res['confidence']:.2g} at tol {_NEST_TOL:g})"
         )
-        exc.decisive = False
-        raise exc
 
     def _require_finite(self, lev, level):
         """A to_x0 level with a non-finite cell has no tail anywhere before
@@ -672,10 +659,8 @@ class NestedIntegral:
         DivergentTail naming where the cells stop being finite."""
         bad = ~np.isfinite(lev.cell_ints)
         if bad.any():
-            x = self.grid.x_from_work(self.grid.nodes[int(np.argmax(bad))])
-            exc = DivergentTail(f"to_x0 level {level} has non-finite cells from x={x:.6g}")
-            exc.decisive = False
-            raise exc
+            x = self.grid.sigma * self.grid.nodes[int(np.argmax(bad))]
+            raise DivergentTail(f"to_x0 level {level} has non-finite cells from x={x:.6g}")
 
     def _beyond_grid(self, lev):
         """The level's integral from the last node to x0, and its error.
@@ -806,53 +791,32 @@ class NestedIntegral:
 
     # -- queries -----------------------------------------------------------
 
-    def cumulative_at(self, level, x):
-        """Signed integral from T to x of this level's integrand."""
-        lev = self.levels[level]
-        w = self.grid.work_from_x(x)
-        i = self.grid.locate(w)
-        lo = self.grid.nodes[i]
-        if w == lo:
-            return float(lev.cum[i])
-        xi = (w - self.grid.mid[i, 0]) / self.grid.half[i, 0]
-        xi = min(max(xi, -1.0), 1.0)
-        k = self._log_index(lev, i)
-        if k >= 0:
-            return float(lev.cum[i + 1] - self._log_rest(lev, k, xi))
-        powers = np.power(xi, np.arange(CARD_COEF.shape[1]))
-        part = self.grid.sigma * self.grid.half[i, 0] * float(
-            lev.gvals[i] @ (CARD_COEF @ powers)
-        )
-        return float(lev.cum[i] + part)
-
     def value(self, x, level=0):
-        """The level's integral at x per its orientation."""
+        """The level's signed integral at x per its orientation: from T to x
+        (from_T) or from x to x0 (to_x0).  Only to_x0 levels have log cells."""
         lev = self.levels[level]
-        if lev.orientation == "from_T":
-            return self.cumulative_at(level, x)
-        w = self.grid.work_from_x(x)
+        to_x0 = lev.orientation == "to_x0"
+        w = self.grid.sigma * x
         i = self.grid.locate(w)
         if w == self.grid.nodes[i]:
-            return float(lev.suffix[i])
+            return float(lev.suffix[i] if to_x0 else lev.cum[i])
         xi = (w - self.grid.mid[i, 0]) / self.grid.half[i, 0]
         xi = min(max(xi, -1.0), 1.0)
         k = self._log_index(lev, i)
         if k >= 0:
             return float(lev.suffix[i + 1] + self._log_rest(lev, k, xi))
+        g = lev.gvals[i]
         powers = np.power(xi, np.arange(CARD_COEF.shape[1]))
-        anti = float(lev.gvals[i] @ (CARD_COEF @ powers))
-        full = float(lev.gvals[i] @ WGK)
+        anti = float(g @ (CARD_COEF @ powers))
+        if not to_x0:
+            return float(lev.cum[i] + self.grid.sigma * self.grid.half[i, 0] * anti)
+        full = float(g @ WGK)
         rest = self.grid.sigma * self.grid.half[i, 0] * (full - anti)
-        bound = self.grid.half[i, 0] * float(np.abs(lev.gvals[i]) @ WGK)
+        bound = self.grid.half[i, 0] * float(np.abs(g) @ WGK)
         rest = min(max(rest, -bound), bound)
         out = float(lev.suffix[i + 1] + rest)
-        g = lev.gvals[i]
         if g.min() >= 0.0 or g.max() <= 0.0:
             lo = min(lev.suffix[i], lev.suffix[i + 1])
             hi = max(lev.suffix[i], lev.suffix[i + 1])
             out = min(max(out, lo), hi)
         return out
-
-    def level_values(self, x):
-        return [self.value(x, l) for l in range(self.depth)]
-

@@ -68,9 +68,6 @@ class ChebyshevScale:
         self.direction = 1 if self.x0 > self.T else -1
         self.infinite = math.isinf(self.x0)
         self.verified = None  # the hierarchy record of require_verified
-        # Weighted-derivative chains need derivatives up to about twice the
-        # scale length; see the module design notes.
-        self.default_order = 2 * self.n
 
     @classmethod
     def from_exprs(cls, texts, T, x0, name=""):
@@ -234,22 +231,24 @@ def ratio_decreases_to_zero(ratios, tol=1e-4):
     return False, diag
 
 
+def dominance(values, pair, tol=1e-4):
+    """The one dominance verdict: along the ``(upper, lower)`` value pairs
+    of ``values``, |lower/upper| (inf where upper is 0) must pass
+    :func:`ratio_decreases_to_zero`.  Returns its diagnostics stamped with
+    ``pair`` and ``passed``."""
+    ratios = [abs(v / u) if u != 0 else math.inf for u, v in values]
+    ok, diag = ratio_decreases_to_zero(ratios, tol)
+    diag.update(pair=pair, passed=ok)
+    return diag
+
+
 def hierarchy_from_values(values_per_function, tol=1e-4):
     """Pairwise hierarchy check on sampled values, first function largest."""
-    pairs = []
-    passed = True
-    for i in range(len(values_per_function) - 1):
-        upper = values_per_function[i]
-        lower = values_per_function[i + 1]
-        ratios = []
-        for u, v in zip(upper, lower):
-            ratios.append(abs(v / u) if u != 0 else math.inf)
-        ok, diag = ratio_decreases_to_zero(ratios, tol)
-        diag["pair"] = (i + 1, i + 2)
-        diag["passed"] = ok
-        pairs.append(diag)
-        passed = passed and ok
-    return passed, pairs
+    pairs = [
+        dominance(zip(upper, lower), (i + 1, i + 2), tol)
+        for i, (upper, lower) in enumerate(zip(values_per_function, values_per_function[1:]))
+    ]
+    return all(d["passed"] for d in pairs), pairs
 
 
 def verify_hierarchy(scale, schedule, tol=1e-4):

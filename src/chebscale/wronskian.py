@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import EvaluationError, IndexConditionViolated
 from .jet import Jet, derivative, jet_derivative
-from .scale import ratio_decreases_to_zero
+from .scale import dominance
 
 
 # Unit roundoff of a double, and the margin over a determinant's rounding
@@ -281,12 +281,7 @@ def check_levin_hierarchy(scale, pairs, schedule, tol=1e-4):
             raise IndexConditionViolated("index sets must be distinct")
         if not all(a <= b for a, b in zip(iset, jset)):
             raise IndexConditionViolated(f"need i_h <= j_h, got {iset} vs {jset}")
-        ratios = []
-        for x in pts:
-            wi = wronskian(scale, iset, x)
-            wj = wronskian(scale, jset, x)
-            ratios.append(abs(wj.value / wi.value) if wi.value != 0 else math.inf)
-        ok, diag = ratio_decreases_to_zero(ratios, tol)
-        diag.update(pair=(iset, jset), passed=ok)
-        results.append(diag)
+        # W_i, then W_j, at each x: the first error raised is that of this order
+        values = [(wronskian(scale, iset, x).value, wronskian(scale, jset, x).value) for x in pts]
+        results.append(dominance(values, (iset, jset), tol))
     return results

@@ -520,7 +520,7 @@ PUBLIC_CALLS = {
 
 @pytest.mark.parametrize("call,target",
                          [(name, "exp(x^5)") for name in PUBLIC_CALLS]
-                         + [("extract_recursive", "exp(x^2)")])
+                         + [("extract_recursive", "exp(x^2)"), ("check_incomplete", "exp(x^2)")])
 def test_a_target_past_double_range_raises_a_library_error(appendix_artifacts, call, target):
     # exp(x^5) overflows at the first probe, exp(x^2) part way along it
     with pytest.raises(ChebscaleError):

@@ -44,18 +44,18 @@ def test_integrate_rejects_improper():
 def test_classify_improper_examples():
     sched = make_schedule(1.0, math.inf, 12, 2.0)
     v = classify_toward(lambda t: t**-2, 1.0, sched.points)
-    assert v.kind == "converges" and abs(v.value - 1.0) < 1e-9
+    assert v.kind == "converged" and abs(v.value - 1.0) < 1e-9
     v = classify_toward(lambda t: 1.0 / t, 1.0, sched.points)
-    assert v.kind == "diverges_plus"
+    assert v.kind == "diverged_plus"
     v = classify_toward(lambda t: t**-0.5, 1.0, sched.points)
-    assert v.kind == "diverges_plus"
+    assert v.kind == "diverged_plus"
 
 
 def test_classify_type1_condition_on_appendix_weight():
     # the reciprocal of a linear type-I weight diverges toward +inf
     sched = make_schedule(2.0, math.inf, 12, 2.0)
     v = classify_toward(lambda t: 1.0 / t, 2.0, sched.points)
-    assert v.kind == "diverges_plus"
+    assert v.kind == "diverged_plus"
 
 
 def test_classify_oscillatory():
@@ -79,7 +79,7 @@ def test_classify_linearity():
     vf = classify_toward(f, 1.0, sched.points)
     vg = classify_toward(g, 1.0, sched.points)
     combo = classify_toward(lambda t: a * f(t) + b * g(t), 1.0, sched.points, tol=1e-5)
-    assert combo.kind == "converges"
+    assert combo.kind == "converged"
     # single-mode tails extrapolate to machine accuracy; the two-mode mix is
     # honest about its extrapolation floor
     assert abs(combo.value - (a * vf.value + b * vg.value)) < 1e-5 * abs(combo.value)
@@ -174,6 +174,24 @@ def test_steep_inner_tail_matches_mpmath():
         assert abs(nest.value(x, 1) - inner) < 1e-12 * inner
         assert abs(nest.value(x) - ref) <= nest.value_error
     assert nest.value_error < 1e-8 * nest.value(5.0)
+
+
+def test_from_T_levels_keep_no_log_cells():
+    # NestedIntegral.value reads log cells on to_x0 levels only, which holds
+    # because a from_T level is left as tabulated even where its integrand is
+    # steep and single-signed, as e^-x is on the far cells of this grid
+    probes = make_schedule(4.0, math.inf, 10, 1.22).points
+    grid = WorkGrid(4.0, math.inf, include=probes, hard_cap=292.0)
+    nest = NestedIntegral(grid, [None, None], ["from_T", "from_T"], lambda t: math.exp(-t))
+    assert [lev.log_cells for lev in nest.levels] == [[], []]
+    inner = lambda t: integrate(lambda s: math.exp(-s), 4.0, t, tol=1e-13)[0]
+    for x in (4.5, 7.3, 20.1, 150.7):
+        # value_error sums the cells' embedded errors only; the rounding of
+        # the cumulative sums and the interpolation at x come on top
+        ref = inner(x)
+        assert abs(nest.value(x, 1) - ref) <= nest.value_error + 1e-12 * ref
+        ref, _ = integrate(inner, 4.0, x, tol=1e-13)
+        assert abs(nest.value(x) - ref) <= nest.value_error + 1e-12 * ref
 
 
 def test_divergence_only_on_unresolved_cells_is_not_decisive():
