@@ -12,6 +12,21 @@ Identifiers: exp, log, sqrt, sin, cos.  ``^`` is right-associative and binds
 tighter than unary minus, so ``-x^2`` means ``-(x^2)`` and ``x^-1`` parses.
 Numbers are decimal literals with an optional exponent; there is no implicit
 multiplication.
+
+Evaluation: :func:`eval_jet` evaluates an AST as a jet to any order, on a
+float or a node array.  A scalar read at order 0 is most reads, and
+:class:`ExpressionFunction` answers it with :func:`order0`, the AST compiled
+(at its first such read) into float closures that do exactly the float
+operations of coefficient 0 of the jet, so value and errors are bit for bit
+the jet's.  The closures mirror the jet rules: ``+ - *`` and negation are
+float operations; ``a / b`` is ``a * (1.0 / b)`` behind the ``DIV_EPS``
+guard of jet division; exp/sin/cos call ``math``, and log/sqrt raise the
+jet's ``DomainErrorJet`` on a nonpositive value first; a constant exponent
+follows ``jpow`` (square-and-multiply for an integer, ``1.0 / b`` first if
+it is negative, ``exp(c * log(b))`` otherwise) and any other exponent is
+``exp(e * log(b))``.  Where the constant exponent itself has no value
+(``(0-2)^0.5``, ``10^400``), that node reads the jet when it is evaluated,
+so an error surfaces where and in the order the jet raises it.
 """
 
 from __future__ import annotations
@@ -21,8 +36,10 @@ import operator
 import re
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import jet as jetmod
-from .errors import EvaluationError, ExprSyntaxError
+from .errors import DivisionByZeroJet, DomainErrorJet, EvaluationError, ExprSyntaxError
 
 FUNCTIONS = ("exp", "log", "sqrt", "sin", "cos")
 
@@ -306,6 +323,123 @@ def eval_jet(node, anchor, order):
     raise TypeError(f"not an AST node: {node!r}")
 
 
+def _positive(u, what):
+    """``u``, where log, sqrt and real powers admit it (see ``jet._admit``)."""
+    if u <= 0.0:
+        raise DomainErrorJet(f"{what} of nonpositive value {u}")
+    return u
+
+
+def _inverse(b):
+    """``1.0 / b`` behind the near-zero guard of jet division."""
+    if abs(b) < jetmod.DIV_EPS:
+        raise DivisionByZeroJet("jet division by value ~ 0")
+    return 1.0 / b
+
+
+def order0(node):
+    """The expression as ``x -> float``: coefficient 0 of
+    ``eval_jet(node, x, 0)``, bit for bit and with the same errors, without a
+    jet per node.  Building it evaluates nothing."""
+    if isinstance(node, Const):
+        v = float(node.value)
+        return lambda x: v
+    if isinstance(node, Var):
+        return lambda x: x
+    if isinstance(node, Neg):
+        child = order0(node.child)
+        return lambda x: -child(x)
+    if isinstance(node, Call):
+        arg, fn = order0(node.arg), getattr(math, node.name)
+        if node.name in ("log", "sqrt"):
+            name = node.name
+            return lambda x: fn(_positive(arg(x), name))
+        return lambda x: fn(arg(x))
+    if not isinstance(node, BinOp):
+        raise TypeError(f"not an AST node: {node!r}")
+    if node.op == "^":
+        return _power0(node)
+    left, right = order0(node.left), order0(node.right)
+    if node.op == "+":
+        return lambda x: left(x) + right(x)
+    if node.op == "-":
+        return lambda x: left(x) - right(x)
+    if node.op == "*":
+        return lambda x: left(x) * right(x)
+    return lambda x: left(x) * _inverse(right(x))
+
+
+def _power0(node):
+    """:func:`order0` of a ``^`` node, as ``eval_jet`` and ``jpow`` compute
+    coefficient 0."""
+    try:
+        c = constant_value(node.right)
+        if c is not None:
+            c = float(c)
+            integral = abs(c - round(c)) < 1e-12 and abs(c) <= 1024
+    except (ArithmeticError, ValueError, EvaluationError):
+        # no constant exponent to compile: the jet raises where it is read
+        return lambda x: eval_jet(node, x, 0).coeffs[0]
+    base = order0(node.left)
+    if c is None:
+        expo = order0(node.right)
+
+        def power(x):
+            b = base(x)
+            e = expo(x)
+            return math.exp(e * math.log(_positive(b, "log")))
+
+        return power
+    if not integral:
+        return lambda x: math.exp(c * math.log(_positive(base(x), "real power")))
+    n = int(round(c))
+    if n == 0:
+
+        def one(x):
+            base(x)  # evaluated for its errors, as eval_jet does
+            return 1.0
+
+        return one
+    steps = abs(n)
+
+    def power(x):
+        # jpow's square-and-multiply, in the same order
+        acc = base(x)
+        if n < 0:
+            acc = _inverse(acc)
+        k, out = steps, None
+        while k:
+            if k & 1:
+                out = acc if out is None else out * acc
+            k >>= 1
+            if k:
+                acc = acc * acc
+        return out
+
+    return power
+
+
+class _Evaluator:
+    """The memo's evaluator of one AST.  A scalar read at order 0 runs the
+    :func:`order0` closure, compiled at the first such read; every other read
+    is :func:`eval_jet`.  It holds the AST, never the ExpressionFunction, so
+    dropping a target frees it without waiting for the garbage collector."""
+
+    __slots__ = ("ast", "compiled")
+
+    def __init__(self, ast):
+        self.ast = ast
+        self.compiled = None
+
+    def __call__(self, x, order):
+        if order or isinstance(x, np.ndarray):
+            return eval_jet(self.ast, x, order)
+        if self.compiled is None:
+            self.compiled = order0(self.ast)
+        x = float(x)
+        return jetmod.Jet(x, (self.compiled(x),))
+
+
 class ExpressionFunction:
     """A parsed expression as a memoized jet-evaluator ``(x, order) -> Jet``;
     ``x`` may be a node array (see :class:`~chebscale.jet.JetMemo`)."""
@@ -317,9 +451,7 @@ class ExpressionFunction:
         else:
             self.ast = text_or_ast
             self.name = name if name is not None else render(text_or_ast)
-        self._memo = jetmod.JetMemo(
-            lambda x, order, ast=self.ast: eval_jet(ast, x, order), self.name, arrays=True
-        )
+        self._memo = jetmod.JetMemo(_Evaluator(self.ast), self.name, arrays=True)
 
     def __call__(self, x, order):
         return self._memo(x, order)

@@ -112,7 +112,11 @@ def extrapolate_limit(values):
     the nearest rival.  This guards against accidental deep-tableau
     coincidences masquerading as convergence.
     """
-    seq = _finite(values)
+    return _extrapolate(_finite(values))
+
+
+def _extrapolate(seq):
+    """:func:`extrapolate_limit` of a list that is finite already."""
     if len(seq) < 2:
         return (seq[-1] if seq else math.nan, math.inf)
     aitken = aitken_diagonal(seq)
@@ -193,7 +197,7 @@ def classify_sequence(values, tol=1e-8):
         res["kind"] = "oscillatory"
         return res
 
-    value, conf = extrapolate_limit(seq)
+    value, conf = _extrapolate(seq)
     res["value"], res["confidence"] = value, conf
 
     ratios = []

@@ -21,7 +21,9 @@ Operations are pure and reentrant, and coefficient k of every result depends
 only on coefficients 0..k of the operands, so a jet truncated to order m is
 bit for bit the jet computed at order m.  :class:`JetMemo` rests on this: it
 is the package's one jet cache, keeping a single jet per point, the highest
-order computed there, and serving lower orders as its truncations.
+order computed there, and serving lower orders as its truncations.  An
+expression's scalar read at order 0 builds no jet per AST node: it evaluates
+coefficient 0 in floats, bit for bit (see ``expr.order0``).
 """
 
 from __future__ import annotations
@@ -378,7 +380,8 @@ class JetMemo:
     asks the deepest first (:func:`~chebscale.operators.deepest_first`):
     asked in ascending order, the memo recomputes the point at each order.
     The rule belongs to the readers; a scalar read at order 0 pays for
-    order 0 only.
+    order 0 only, and an expression's (``expr.ExpressionFunction``) builds
+    no jet per AST node, only the one jet it stores.
 
     With ``arrays`` the evaluator ``fn`` also takes a node array for ``x``
     (its array form) and returns a jet with array coefficients.  Only the

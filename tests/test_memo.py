@@ -5,14 +5,16 @@ only on coefficients 0..k of its operands, so the memo's answer must equal
 the direct evaluation bit for bit.
 """
 
+import gc
 import math
 import struct
+import weakref
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from chebscale import ChebyshevScale, artifacts_for, check_complete, make_schedule
+from chebscale import ChebyshevScale, artifacts_for, check_complete, expr, make_schedule
 from chebscale.errors import EvaluationError
 from chebscale.expr import FUNCTIONS, BinOp, Call, Const, ExpressionFunction, Neg, Var, eval_jet
 from chebscale.factorization import _PrefixWronskians, _endpoint_schedule
@@ -167,3 +169,67 @@ def test_bundle_memos_hold_no_grid_node(monkeypatch):
     assert {"W(1, 2, 3, 4)", "polya_q:r2", "exp(x)"} <= names
     for memo in memos + [f._memo]:
         assert not nodes & set(memo._jets), memo.name
+
+
+# order-0 reads at both signed zeros, negatives and magnitudes past exp's
+# range, so the division guard, the domain errors and overflow are reached
+WIDE_POINTS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-800.0, 800.0))
+
+
+def outcome(read):
+    """The bits of the jet ``read`` returns, or the type and message of what
+    it raises."""
+    try:
+        return bits(read())
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(EXPRS, WIDE_POINTS)
+def test_order0_read_is_the_jet_bit_for_bit(ast, x):
+    f = ExpressionFunction(ast)  # never raises, whatever its exponents
+    assert outcome(lambda: f(x, 0)) == outcome(lambda: eval_jet(ast, x, 0))
+
+
+@pytest.mark.parametrize(
+    "text",
+    # constant exponents without a value: complex, overflow, 0 to a negative
+    # power, and inf and nan exponents, which jpow cannot round
+    ["x+(0-2)^0.5", "x^10^400", "x^0^(0-1)", "log(x)^(1e308*10)", "x^(0*(1e308*10))"],
+)
+def test_an_exponent_without_a_value_raises_when_read(text):
+    f = ExpressionFunction(text)
+    for x in (2.0, 0.0, -0.0, -3.0):
+        raised = outcome(lambda: f(x, 0))
+        assert raised == outcome(lambda: eval_jet(f.ast, x, 0))
+        assert isinstance(raised[0], type) and issubclass(raised[0], Exception)
+
+
+def test_a_read_target_is_freed_without_the_collector():
+    gc.disable()
+    try:
+        f = ExpressionFunction("exp(-x)*x^2 + 1/x")
+        f(2.5, 0)
+        freed = weakref.ref(f)
+        del f
+        assert freed() is None
+    finally:
+        gc.enable()
+
+
+def test_order0_compiles_once_at_the_first_scalar_read(monkeypatch):
+    compiled = []
+    order0 = expr.order0
+
+    def counted(node):
+        compiled.append(node)
+        return order0(node)
+
+    monkeypatch.setattr(expr, "order0", counted)
+    f = ExpressionFunction("exp(-x)*x^2 + 1/x")
+    f(2.5, 3)  # higher orders read the jet
+    assert compiled == []
+    for i in range(50):
+        f(1.0 + i / 7.0, 0)
+    assert [node for node in compiled if node is f.ast] == [f.ast]
