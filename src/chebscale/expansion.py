@@ -31,11 +31,13 @@ Cache policy: these memos are all that is kept, each by one owner.
   Each chain classifies its canonicity on first read
   (:attr:`~chebscale.factorization.WeightChain.canonicity`; only
   :func:`extract_operator` and ``factorize`` read it).
-- Target values: the bundle's record of a live target keeps its M/L images
-  per point, its operator limits, L[f] on the grid nodes and whether L[f]
-  vanishes along the probes.  It goes with the target, so no later target
-  is served its results, and holds plain values, never a closure over f.
-  A check given a source reads L[f] = q_n * source instead, and its L[f]
+- Images: each chain keeps every live target's M_k/L_k images per level
+  and point (:meth:`~chebscale.factorization.WeightChain.image`).
+- Target values: the bundle's record of a live target keeps its operator
+  limits, L[f] on the grid nodes and whether L[f] vanishes along the
+  probes.  Records and images go with the target, so no later target is
+  served its results, and hold plain values, never a closure over f.  A
+  check given a source reads L[f] = q_n * source instead, and its L[f]
   evaluator keeps the source on the grid nodes for the check's lifetime.
 
 Every other nest is built afresh on the shared grid by the check that reads
@@ -58,6 +60,8 @@ from .errors import DivergentTail, EvaluationError, LimitDiverged
 from .extrapolate import _median, classify_sequence, extrapolate_limit, is_bounded_tail
 from .factorization import (
     _nest_jetfn,
+    # not called here: the benchmark's self-check (perfbench/selfcheck.py)
+    # reads chebscale.expansion.apply_chain
     apply_chain,
     apply_full_operator,
     build_type1_chain,
@@ -102,10 +106,9 @@ def _abs(fn):
 class _TargetRecord:
     """Everything a bundle computed from one target."""
 
-    __slots__ = ("images", "limits", "lf_nodes", "lf_zero")
+    __slots__ = ("limits", "lf_nodes", "lf_zero")
 
     def __init__(self):
-        self.images = {}  # ("M" | "L", k, x) -> weighted derivative
         self.limits = {}  # k -> (status, value, confidence) of M_k[f]
         self.lf_nodes = None  # L[f] on the grid nodes (NaN: flagged)
         self.lf_zero = None  # L[f] vanishes along the probes
@@ -120,10 +123,10 @@ class ScaleArtifacts:
     read: the P-weight nest (``p_weight``), its values on the grid nodes
     (``p_weight_nodes``) and W(phi_1..phi_n) on the grid nodes
     (``_denominator``).  ``_targets`` maps each target, by weak
-    reference, to a record of its M/L images, its limits, its L[f] grid
-    table and its L[f] = 0 test.  The record goes when the target goes, so
-    a new target at a dead one's address inherits none of its results.
-    :meth:`nest` builds a new nest on the shared grid at every call.
+    reference, to a record of its limits, its L[f] grid table and its
+    L[f] = 0 test; the chains keep its M/L images.  Both go when the target
+    goes, so a new target at a dead one's address inherits none of its
+    results.  :meth:`nest` builds a new nest on the shared grid at every call.
     """
 
     def __init__(self, scale, schedule):
@@ -184,19 +187,11 @@ class ScaleArtifacts:
             rec = self._targets[f] = _TargetRecord()
         return rec
 
-    def _image(self, tag, chain, k, f, x):
-        images = self._record(f).images
-        key = (tag, k, x)
-        out = images.get(key)
-        if out is None:
-            out = images[key] = apply_chain(chain, f, x, level=k)
-        return out
-
     def M(self, k, f, x):
-        return self._image("M", self.chain_q, k, f, x)
+        return self.chain_q.image(f, k, x)[0]
 
     def L(self, k, f, x):
-        return self._image("L", self.chain_p, k, f, x)
+        return self.chain_p.image(f, k, x)[0]
 
     def M_phi(self, k, i, x):
         return self.M(k, self.scale.functions[i - 1], x)
@@ -206,15 +201,11 @@ class ScaleArtifacts:
 
     def limit(self, f, k):
         """The operator limit of M_k[f] (:func:`_operator_limit`) along the
-        classification points, kept in f's record; the deeper members'
-        images are read through the memoized ``M_phi``."""
+        classification points, kept in f's record."""
         limits = self._record(f).limits
         out = limits.get(k)
         if out is None:
-            out = limits[k] = _operator_limit(
-                self.chain_q, self.scale, f, k, self.class_points,
-                lambda i, x: self.M_phi(k, i, x),
-            )
+            out = limits[k] = _operator_limit(self.chain_q, self.scale, f, k, self.class_points)
         return out
 
     def lf_evaluator(self, f, source=None):
@@ -338,14 +329,14 @@ def _target_cut(f, scale, points, members):
 def _level_sequence(chain, scale, f, k, points):
     """The one cut of an M_k[f] sequence along ``points`` (ordered toward
     x0): the kept points, M_k[f] at them through ``chain`` and the
-    rounding-noise estimate of each kept value.
+    rounding-noise estimate of each kept value (``chain.image``).
 
     The rules apply in this order: the target's cut (:func:`_target_cut`);
     then, from the seventh kept point on, the sequence ends at the first
     value its noise rivals; and it ends at a collapse or explosion
     (``_sane_prefix``)."""
     pts = _target_cut(f, scale, points, (scale.n,))[0]
-    pairs = [apply_chain(chain, f, x, level=k, with_noise=True) for x in pts]
+    pairs = [chain.image(f, k, x) for x in pts]
     vals = [v for v, _ in pairs]
     typical = _median([abs(v) for v in vals[: max(4, len(vals) // 2)]])
     usable = len(vals)
@@ -357,15 +348,16 @@ def _level_sequence(chain, scale, f, k, points):
     return pts[:cut], vals[:cut], [nz for _, nz in pairs[:cut]]
 
 
-def _operator_limit(chain, scale, f, k, points, image):
+def _operator_limit(chain, scale, f, k, points):
     """The limit of M_k[f] toward x0 as ``(status, value, confidence)``: the
     sequence :func:`_level_sequence` keeps along ``points``, deflated by the
-    images ``image(i, x)`` = M_k[phi_i](x) of the members i >= k+2.  A
-    sequence called divergent that spans no more than its largest noise
-    estimate is flat, not divergent: its median is the value and that
-    noise the confidence."""
+    chain's images M_k[phi_i](x) of the members i >= k+2.  A sequence
+    called divergent that spans no more than its largest noise estimate is
+    flat, not divergent: its median is the value and that noise the
+    confidence."""
     pts, vals, noise = _level_sequence(chain, scale, f, k, points)
-    basis = [[image(i, x) for x in pts] for i in range(k + 2, scale.n + 1)]
+    basis = [[chain.image(scale.functions[i - 1], k, x)[0] for x in pts]
+             for i in range(k + 2, scale.n + 1)]
     out = _deflated_limit_status(vals, basis)
     if out[0] == "diverged" and vals and max(vals) - min(vals) <= max(noise):
         value, conf = _median(vals), max(noise)
@@ -389,25 +381,24 @@ def artifacts_for(scale, schedule=None):
 class ExpansionResult:
     coefficients: list
     confidences: list
-    method: str
     partial: bool = False
     statuses: list = field(default_factory=list)
 
 
-def _sane_prefix(values, minimum=6):
+def _sane_prefix(values):
     """Length of the usable prefix before numerical death of a sequence.
 
     Weighted derivatives of functions with a dominant huge term die at large
     probes: the informative digits fall below the ulp of the leading term and
     values collapse to exact zeros or explode off-trend.  Detect the first
-    collapse/explosion after a sane start and cut there.
+    collapse/explosion after the first 6 values and cut there.
     """
     n = len(values)
     mags = [abs(v) for v in values if v != 0.0 and math.isfinite(v)]
     if not mags:
         return n
     ref = _median(mags[: max(3, len(mags) // 2)])
-    for j in range(minimum, n):
+    for j in range(6, n):
         v = values[j]
         dead = v == 0.0 and values[j - 1] != 0.0
         wild = math.isfinite(v) and ref > 0 and abs(v) > 1e4 * max(ref, abs(values[j - 1]))
@@ -416,17 +407,17 @@ def _sane_prefix(values, minimum=6):
     return n
 
 
-def _status_from_conf(value, conf, tol=_LIMIT_TOL):
+def _status_from_conf(value, conf):
     scale0 = 1.0 + abs(value)
     if not math.isfinite(value) or not math.isfinite(conf) or conf > 1e-2 * scale0:
         return "unstable"
-    return "stable" if conf <= tol * scale0 else "loose"
+    return "stable" if conf <= _LIMIT_TOL * scale0 else "loose"
 
 
-def _limit_status(values, tol=_LIMIT_TOL):
+def _limit_status(values):
     """Limit detection on one sequence: the kind ``classify_sequence`` gives
     it, and the extrapolated value with its confidence."""
-    res = classify_sequence(values, tol)
+    res = classify_sequence(values, _LIMIT_TOL)
     kind = res["kind"]
     if kind in ("diverged_plus", "diverged_minus", "oscillatory"):
         return "diverged", math.nan, math.inf
@@ -434,10 +425,10 @@ def _limit_status(values, tol=_LIMIT_TOL):
         value, conf = res["value"], res["confidence"]
     else:
         value, conf = extrapolate_limit(values)
-    return _status_from_conf(value, conf, tol), value, conf
+    return _status_from_conf(value, conf), value, conf
 
 
-def _deflated_limit_status(values, basis_rows, tol=_LIMIT_TOL):
+def _deflated_limit_status(values, basis_rows):
     """Limit detection after removing exactly-computable correction terms,
     with leave-one-out validation of the confidence.
 
@@ -487,16 +478,16 @@ def _deflated_limit_status(values, basis_rows, tol=_LIMIT_TOL):
         if len(values) >= 7 and math.isfinite(value):
             try:
                 defl2 = deflate(values[:-1], [r[:-1] for r in rows])
-                _, v2, _ = _limit_status(defl2, tol)
+                _, v2, _ = _limit_status(defl2)
                 if math.isfinite(v2):
                     conf = max(conf, abs(value - v2))
             except np.linalg.LinAlgError:
                 pass
-            status = _status_from_conf(value, conf, tol) if status != "diverged" else status
+            status = _status_from_conf(value, conf) if status != "diverged" else status
         return status, value, conf
 
     def pipeline(rows):
-        return left_out(rows, _limit_status(deflate(values, rows), tol))
+        return left_out(rows, _limit_status(deflate(values, rows)))
 
     clean = [b for b in basis_rows if all(math.isfinite(v) for v in b)]
     if not clean or not all(math.isfinite(v) for v in values):
@@ -507,7 +498,7 @@ def _deflated_limit_status(values, basis_rows, tol=_LIMIT_TOL):
         return pipeline([])
     if out[0] != "unstable" and not out[2] > 0:
         return out  # no raw claim is tighter than an exact one
-    raw = _limit_status(values, tol)
+    raw = _limit_status(values)
     if raw[0] == "diverged":
         return raw if out[0] == "unstable" else out
     if raw[0] in ("stable", "loose") and raw[2] < out[2]:
@@ -646,7 +637,6 @@ def extract_recursive(f, scale, schedule):
     return ExpansionResult(
         coefficients=coeffs,
         confidences=confs,
-        method="recursive_1_3",
         partial=partial,
         statuses=statuses,
     )
@@ -668,10 +658,7 @@ def extract_operator(f, scale, chain, constants, schedule):
     pts = scale.toward_x0(schedule.points)
 
     def limit(k):
-        out = _operator_limit(
-            chain, scale, f, k, pts,
-            lambda i, x: apply_chain(chain, scale.functions[i - 1], x, level=k),
-        )
+        out = _operator_limit(chain, scale, f, k, pts)
         if out[0] == "diverged" and k == 0:
             raise LimitDiverged("M_0[f] has no finite limit")
         return out
@@ -690,7 +677,6 @@ def extract_operator(f, scale, chain, constants, schedule):
     return ExpansionResult(
         coefficients=coeffs,
         confidences=confs,
-        method="operator_limits",
         partial=partial,
         statuses=statuses,
     )
@@ -717,10 +703,7 @@ class ConstructedFunction:
             raise EvaluationError("need one coefficient per scale function")
         if mode not in ("tail", "from_T"):
             raise EvaluationError("mode must be 'tail' or 'from_T'")
-        self.artifacts = art
         self.coefficients = list(coefficients)
-        self.source = source_jetfn
-        self.mode = mode
         orientation = "to_x0" if mode == "tail" else "from_T"
         weights = [art.q_vals[i] for i in range(1, n)] + [None]
         self._nest = NestedIntegral(

@@ -444,13 +444,13 @@ class ExpressionFunction:
     """A parsed expression as a memoized jet-evaluator ``(x, order) -> Jet``;
     ``x`` may be a node array (see :class:`~chebscale.jet.JetMemo`)."""
 
-    def __init__(self, text_or_ast, name=None):
+    def __init__(self, text_or_ast):
         if isinstance(text_or_ast, str):
             self.ast = parse(text_or_ast)
-            self.name = name if name is not None else text_or_ast.strip()
+            self.name = text_or_ast.strip()
         else:
             self.ast = text_or_ast
-            self.name = name if name is not None else render(text_or_ast)
+            self.name = render(text_or_ast)
         self._memo = jetmod.JetMemo(_Evaluator(self.ast), self.name, arrays=True)
 
     def __call__(self, x, order):

@@ -221,16 +221,16 @@ def classify_sequence(values, tol=1e-8):
     return res
 
 
-def is_bounded_tail(values, window=5, factor=10.0):
-    """O(1) detector: the last ``window`` magnitudes stay within ``factor``
-    times the larger of their median and the first of them, so a tail that
-    decays fast is bounded.  Returns (verdict bool or None, diagnostics)."""
+def is_bounded_tail(values):
+    """O(1) detector: the last 5 magnitudes stay within 10 times the larger
+    of their median and the first of them, so a tail that decays fast is
+    bounded.  Returns (verdict bool or None, diagnostics)."""
     seq = [abs(v) for v in values if isinstance(v, (int, float)) and math.isfinite(v)]
-    if len(seq) < window:
+    if len(seq) < 5:
         return None, {}
-    tail = seq[-window:]
+    tail = seq[-5:]
     med = _median(tail)
-    bound = factor * (max(med, tail[0]) + 1e-300)
+    bound = 10.0 * (max(med, tail[0]) + 1e-300)
     ok = max(tail) <= bound
     return ok, {"median": med, "max": max(tail), "bound": bound}
 

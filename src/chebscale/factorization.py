@@ -22,13 +22,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from weakref import WeakKeyDictionary
 
 import numpy as np
 
 from .errors import EvaluationError, PivotVanishes, ToleranceNotMet, WronskianDegenerate
 from .jet import JetMemo, antiderivative, derivative, jet_constant, jet_derivative, truncate
 from .quadrature import NestedIntegral, NodeFn, WorkGrid, classify_toward
-from .scale import finite_prefix, make_schedule, require_verified, scale_schedule
+from .scale import finite_prefix, make_schedule, require_verified
 from .wronskian import det_pivoted, wronskian, wronskian_flags, wronskian_jet
 
 
@@ -76,7 +77,8 @@ class WeightChain:
 
     ``canonicity`` is classified on its first read
     (:func:`classify_canonicity`), so an error raised while classifying
-    surfaces at that read, not where the chain is built.
+    surfaces at that read, not where the chain is built.  :meth:`image`
+    reads and keeps the chain's images, M_k[f] (type II) or L_k[f] (type I).
     """
 
     weights: list  # jet-evaluators for |r_i|
@@ -84,11 +86,22 @@ class WeightChain:
     interval: tuple
     n: int
     provenance: str
-    sign_flips: list = field(default_factory=list)  # Wronskian zeros inside
+    # target -> {(k, x): (value, noise)}; floats only, gone with the target
+    _images: WeakKeyDictionary = field(default_factory=WeakKeyDictionary, init=False, repr=False)
 
     @cached_property
     def canonicity(self):
         return classify_canonicity(self)
+
+    def image(self, f, k, x):
+        """``(value, noise)`` of :func:`apply_chain` at level k and point x,
+        kept in f's entry; a call that raises keeps nothing."""
+        memo = self._images.get(f)
+        out = None if memo is None else memo.get((k, x))
+        if out is None:
+            out = apply_chain(self, f, x, level=k, with_noise=True)
+            self._images.setdefault(f, {})[k, x] = out
+        return out
 
     def weight_jet(self, i, x, order):
         return self.weights[i](x, order)
@@ -124,10 +137,10 @@ def _chain_from_signed(signed_fns, scale, provenance, probes, arrays=False):
 
     Signs are read near x0 (they are constant wherever the defining
     Wronskians keep their sign), at the last probe where every weight is
-    finite.  A sign flip across earlier probes marks a Wronskian zero inside
-    the interval; it is recorded, since the chain is a valid factorization
-    only to the right of the last flip.  ``arrays``: the signed evaluators
-    take node arrays.
+    finite.  A weight whose sign differs at an earlier probe marks a
+    Wronskian zero inside the interval, where the chain is no factorization:
+    the first such flip raises WronskianDegenerate, naming the weight and
+    both points.  ``arrays``: the signed evaluators take node arrays.
     """
     values = [lambda x, fn=fn: fn(x, 0).value for fn in signed_fns]
     ordered = finite_prefix(scale.toward_x0(probes), values)
@@ -135,27 +148,28 @@ def _chain_from_signed(signed_fns, scale, provenance, probes, arrays=False):
         raise WronskianDegenerate(f"no probe keeps the {provenance} weights finite")
     x_ref = ordered[-1]
     signs = [_signed_sign(fn(x_ref, 0).value, x_ref) for fn in signed_fns]
-    flips = []
     for x in ordered:
         for k, (fn, s) in enumerate(zip(signed_fns, signs)):
             v = fn(x, 0).value
             if _signed_sign(v, x) != s:
-                flips.append({"weight": k, "x": x})
+                raise WronskianDegenerate(
+                    f"{provenance} weight r{k} changes sign between x={x} and x={x_ref}"
+                )
     unsigned = [
         JetMemo(fn if s > 0 else lambda x, m, f=fn: -f(x, m), f"{provenance}:r{k}", arrays)
         for k, (fn, s) in enumerate(zip(signed_fns, signs))
     ]
     return WeightChain(weights=unsigned, signs=signs, interval=(scale.T, scale.x0),
-                       n=scale.n, provenance=provenance, sign_flips=flips)
+                       n=scale.n, provenance=provenance)
 
 
-def well_conditioned_probes(scale, points, threshold=1e12, minimum=4):
+def well_conditioned_probes(scale, points, minimum=4):
     """Probes where the full Wronskian W(phi_1..phi_n) is numerically
-    trustworthy: the bundle's probes and the default factorization probes.
+    trustworthy: the bundle's probes and the factorization probes.
 
     The conditioning diagnostic (largest over smallest row scale) bounds the
-    relative noise of the determinant; beyond the threshold the value is
-    unusable and the probe is skipped.  Operator-limit sequences are not cut
+    relative noise of the determinant; beyond 1e12 the value is unusable and
+    the probe is skipped.  Operator-limit sequences are not cut
     here: they have their own cut (``expansion._level_sequence``).
     """
     idx = tuple(range(1, scale.n + 1))
@@ -165,19 +179,13 @@ def well_conditioned_probes(scale, points, threshold=1e12, minimum=4):
             ev = wronskian(scale, idx, x)
         except (ArithmeticError, EvaluationError):
             continue
-        if math.isfinite(ev.conditioning) and ev.conditioning < threshold:
+        if math.isfinite(ev.conditioning) and ev.conditioning < 1e12:
             kept.append(x)
     if len(kept) < minimum:
         raise WronskianDegenerate(
             f"only {len(kept)} probes are well conditioned (need {minimum})"
         )
     return kept
-
-
-def _default_probes(scale, schedule):
-    if schedule is None:
-        schedule = scale_schedule(scale, 8, 2.0 if scale.infinite else 0.5)
-    return well_conditioned_probes(scale, list(schedule.points))
 
 
 def _polya_chain(scale, prefixes, provenance, schedule):
@@ -187,7 +195,7 @@ def _polya_chain(scale, prefixes, provenance, schedule):
     1 <= i <= n-1, r_n = W_n/W_{n-1}; the product telescopes to 1.
     """
     n = scale.n
-    probes = _default_probes(scale, schedule)
+    probes = well_conditioned_probes(scale, schedule.points)
     for x in probes:
         for i in range(1, n + 1):
             prefixes.check(i, x)
@@ -208,14 +216,14 @@ def _polya_chain(scale, prefixes, provenance, schedule):
     return _chain_from_signed(fns, scale, provenance, probes, arrays=True)
 
 
-def build_type2_chain(scale, schedule=None):
+def build_type2_chain(scale, schedule):
     """Polya chain from forward prefixes; canonical of type II at x0 (its
     ``canonicity`` is classified on first read)."""
     require_verified(scale)
     return _polya_chain(scale, _PrefixWronskians(scale), "polya_q", schedule)
 
 
-def build_type1_chain(scale, schedule=None):
+def build_type1_chain(scale, schedule):
     """Polya chain from reversed prefixes; "the" type-I chain at x0 (its
     ``canonicity`` is classified on first read)."""
     require_verified(scale)
@@ -268,21 +276,9 @@ def classify_canonicity(chain):
         NodeFn(lambda x, w=w: 1.0 / w.value(x), lambda xs, w=w: 1.0 / w.values(xs))
         for w in chain.weights[1:chain.n]
     ]
-    # A sign flip marks a Wronskian zero: reciprocal weights have poles
-    # there, so classification toward x0 must anchor past the last flip.
-    sigma = 1.0 if chain.interval[1] > chain.interval[0] else -1.0
-    flip_edge = max((sigma * f["x"] for f in chain.sign_flips), default=None)
     out = {}
     for endpoint in ("x0", "T"):
-        if endpoint == "T" and flip_edge is not None:
-            # the chain is only a factorization past the last interior zero,
-            # so the T side has no meaningful classification
-            out[endpoint] = "unknown"
-            continue
         pts = finite_prefix(_endpoint_schedule(chain.interval, endpoint).points, recips)
-        if endpoint == "x0" and flip_edge is not None:
-            # one-probe safety margin past the last flip
-            pts = [x for x in pts if sigma * x > flip_edge][1:]
         kinds = _endpoint_kinds(recips, pts)
         if all(k.startswith("diverged") for k in kinds):
             out[endpoint] = "type_I"
@@ -372,7 +368,7 @@ class _Product:
         return out
 
 
-def divide_and_differentiate(scale, pivot, schedule=None):
+def divide_and_differentiate(scale, pivot, schedule):
     """The two-step "divide by the pivot term, then differentiate" algorithm.
 
     ``pivot="first"`` factors out the currently-largest term and yields a
@@ -384,7 +380,7 @@ def divide_and_differentiate(scale, pivot, schedule=None):
     if pivot not in ("first", "last"):
         raise EvaluationError("pivot must be 'first' or 'last'")
     require_verified(scale)
-    probes = _default_probes(scale, schedule)
+    probes = well_conditioned_probes(scale, schedule.points)
     images = list(scale.functions)
     pivots = []
     for _ in range(scale.n):
@@ -438,7 +434,7 @@ def apply_chain(chain, f, x, level=None, with_noise=False):
 # -- principal system ----------------------------------------------------------------
 
 
-def _nest_jetfn(nest, weight_jets, density_jet, prefactor_jet=None, name=""):
+def _nest_jetfn(nest, weight_jets, density_jet, prefactor_jet, name):
     """Memoized jet-evaluator view of a nested-integral level stack.
 
     Jets follow the calculus of the tables: a from_T level differentiates to
@@ -463,7 +459,7 @@ def _nest_jetfn(nest, weight_jets, density_jet, prefactor_jet=None, name=""):
                 g = -g
             cur = antiderivative(g, value=level_values[l])
         cur = truncate(cur, order)
-        return cur if prefactor_jet is None else prefactor_jet(x, order) * cur
+        return prefactor_jet(x, order) * cur
 
     return JetMemo(fn, name)
 
@@ -475,9 +471,9 @@ class PrincipalSystem:
     beta: object  # upper-triangular basis-change coefficients (numpy array)
 
 
-def build_principal_system(scale, chain_p, schedule=None):
+def build_principal_system(scale, chain_p, schedule):
     """Nested from_T integrals of the type-I chain, plus the change of basis."""
-    probes = _default_probes(scale, schedule)
+    probes = well_conditioned_probes(scale, schedule.points)
     # from_T nests never look past the probes; a short reach keeps
     # exponentially growing type-I weights inside double range
     grid = WorkGrid(scale.T, scale.x0, include=probes, hard_cap=1.05 * max(probes))
@@ -505,7 +501,7 @@ def build_principal_system(scale, chain_p, schedule=None):
     # b_i from the constancy of the level-k weighted derivative of phi_{n-k}
     b = [0.0] * n
     for k in range(n):
-        vals = [apply_chain(chain_p, scale.functions[n - k - 1], x, level=k) for x in probes]
+        vals = [chain_p.image(scale.functions[n - k - 1], k, x)[0] for x in probes]
         b[n - k - 1] = float(np.median(vals))
 
     # beta_{i,j} of the triangular change of basis, solved by least squares

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import EvaluationError, NotConstant
-from .factorization import apply_chain
 from .wronskian import wronskian
 
 
@@ -39,16 +38,16 @@ class OperatorConstants:
     constancy: dict = field(default_factory=dict)
 
 
-def detect_constant(values, rel_tol=1e-8):
-    """Mean of a sequence that must be constant to within ``rel_tol``."""
+def detect_constant(values):
+    """Mean of a sequence that must be constant to within 1e-8, relative."""
     finite = [v for v in values if math.isfinite(v)]
     if not finite:
         raise NotConstant("no finite samples")
     mean = sum(finite) / len(finite)
     spread = max(abs(v - mean) for v in finite)
-    if spread > rel_tol * (1.0 + abs(mean)):
+    if spread > 1e-8 * (1.0 + abs(mean)):
         raise NotConstant(
-            f"relative variation {spread / (1.0 + abs(mean)):.3e} exceeds {rel_tol:.0e}"
+            f"relative variation {spread / (1.0 + abs(mean)):.3e} exceeds 1e-08"
         )
     return mean, spread
 
@@ -77,7 +76,7 @@ def deepest_first(count, level):
     return out
 
 
-def operator_constants(scale, chain_q, chain_p, schedule, rel_tol=1e-8):
+def operator_constants(scale, chain_q, chain_p, schedule):
     """Detect the structural constants along the schedule.
 
     ``epsilon`` and ``b`` are the means of the constancy tests of
@@ -85,14 +84,15 @@ def operator_constants(scale, chain_q, chain_p, schedule, rel_tol=1e-8):
     down (:func:`deepest_first`).  Raises :class:`NotConstant` if a chain
     image of its own kernel-edge function fails its constancy test, which
     signals a broken chain.  ``positivity_case`` reads the signs of the
-    leading Wronskians at the last point where they are all finite.
+    leading Wronskians at the last point where they are all finite.  The
+    chains keep every image read here: the M_k[phi_h] of ``epsilon_hk`` are
+    the deflation basis of every later operator limit on the schedule.
     """
     pts = scale.toward_x0(schedule.points)
     n = scale.n
 
     def constant(chain, i, k):
-        return detect_constant([apply_chain(chain, scale.functions[i - 1], x, level=k)
-                                for x in pts], rel_tol)
+        return detect_constant([chain.image(scale.functions[i - 1], k, x)[0] for x in pts])
 
     epsilon = []
     constancy = {}
@@ -102,7 +102,7 @@ def operator_constants(scale, chain_q, chain_p, schedule, rel_tol=1e-8):
     epsilon_hk = {}
     for k in range(n - 1):
         for h in range(k + 2, n + 1):
-            vals = [apply_chain(chain_q, scale.functions[h - 1], x, level=k) for x in pts]
+            vals = [chain_q.image(scale.functions[h - 1], k, x)[0] for x in pts]
             late = [v for v in vals[-3:] if v != 0.0]
             sign = 0
             if late and all(v > 0 for v in late):

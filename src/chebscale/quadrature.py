@@ -609,7 +609,8 @@ class NestedIntegral:
                 lev.total, lev.rem_err = None, 0.0
                 lev.suffix = None
             self.levels.insert(0, lev)
-            nxt = self._node_values(lev)
+            if l:  # the outermost level's node values feed no level
+                nxt = self._node_values(lev)
         self.value_error = sum(l.quad_err + l.rem_err for l in self.levels)
         self.reliable_cells = reliable
         edge = grid.nodes[min(reliable, grid.cells)]

@@ -348,8 +348,9 @@ def verify_tas(scale, grid):
     )
 
 
-def default_verification_schedule(scale, count=14):
-    """A wide schedule for hierarchy checks, capped at the scale's finite reach.
+def default_verification_schedule(scale):
+    """A wide 14-point schedule for hierarchy checks, capped at the scale's
+    finite reach.
 
     Hierarchy ratios converge slowly (logarithmic pairs especially), so the
     verification schedule reaches as deep as double precision allows rather
@@ -357,7 +358,7 @@ def default_verification_schedule(scale, count=14):
     keeps fewer than 8 points gets a slower 8-point schedule instead.
     """
     try:
-        sched = scale_schedule(scale, count, 2.0 if scale.infinite else 0.5)
+        sched = scale_schedule(scale, 14, 2.0 if scale.infinite else 0.5)
     except BadScheduleParams:
         sched = ()
     if len(sched) < 8:

@@ -45,11 +45,9 @@ ZERO_MARGIN = 16.0
 
 @dataclass(frozen=True)
 class WronskianEvaluation:
-    index_set: tuple
     point: float
     value: float
     conditioning: float
-    det_scale: float = 1.0  # column-norm product, magnitude scale of the matrix
     floor: float = 0.0  # rounding floor of the value (see det_pivoted)
 
     @property
@@ -210,10 +208,10 @@ def wronskian(scale, indices, x):
         raise EvaluationError("empty index set")
     k = len(indices)
     matrix = _derivative_matrix(scale, indices, x, k)
-    value, conditioning, det_scale, floor = det_pivoted(matrix)
+    value, conditioning, _, floor = det_pivoted(matrix)
     if not math.isfinite(value):
         raise EvaluationError(f"Wronskian overflow at x={x} for {indices}")
-    return WronskianEvaluation(indices, x, value, conditioning, det_scale, floor)
+    return WronskianEvaluation(x, value, conditioning, floor)
 
 
 def wronskian_flags(scale, indices, xs):

@@ -431,7 +431,7 @@ def test_a_check_reads_no_nest_built_for_an_earlier_source():
 
 def test_reused_id_gets_its_own_limit(appendix_artifacts):
     # a target that inherits the id() of a dropped one must not be served
-    # the dropped target's cached limit
+    # the dropped target's cached limit, nor its images kept by the chain
     art = appendix_artifacts
     eps0 = art.constants.epsilon[0]
     seen = set()
@@ -442,11 +442,50 @@ def test_reused_id_gets_its_own_limit(appendix_artifacts):
         seen.add(id(f))
         _, value, _ = art.limit(f, 0)
         assert abs(value / eps0 - c1) <= 1e-6 * c1
-        del f
+        res = extract_operator(f, art.scale, art.chain_q, art.constants, art.schedule)
+        assert abs(res.coefficients[0] - c1) <= 1e-6 * c1
+        del f, res
         gc.collect()
         if reused:
             break
     assert reused, "no id() came back in 200 targets"
+
+
+def test_a_dropped_target_leaves_no_image_in_the_chain(appendix_artifacts):
+    # the chain keeps a target's images under a weak key, and they hold no
+    # reference back to it: the entry goes with the target, no collector run
+    images = appendix_artifacts.chain_q._images
+    before = len(images)
+    gc.disable()
+    try:
+        f = ExpressionFunction("3*exp(x) + x - log(x)")
+        appendix_artifacts.limit(f, 1)
+        assert f in images and len(images) == before + 1
+        del f
+        assert len(images) == before
+    finally:
+        gc.enable()
+
+
+def test_extract_operator_on_a_bundle_computes_no_member_image(appendix_artifacts,
+                                                                monkeypatch):
+    # the bundle's constants read M_k[phi_h] for h >= k + 2 at every schedule
+    # point, which is the deflation basis of every operator limit there;
+    # every module that binds apply_chain is patched, as the tracer does
+    art = appendix_artifacts
+    real = importlib.import_module("chebscale.factorization").apply_chain
+    seen = []
+
+    def counted(chain, f, *args, **kw):
+        seen.append(f)
+        return real(chain, f, *args, **kw)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("chebscale.") and getattr(mod, "apply_chain", None) is real:
+            monkeypatch.setattr(mod, "apply_chain", counted)
+    f = ExpressionFunction("2*exp(x) - x + 3*log(x) + 5")
+    extract_operator(f, art.scale, art.chain_q, art.constants, art.schedule)
+    assert seen and all(g is f for g in seen)
 
 
 def test_checks_release_their_target(cubic_artifacts):

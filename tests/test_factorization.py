@@ -18,9 +18,15 @@ from chebscale import (
     divide_and_differentiate,
     fit_ratio_constant,
     make_schedule,
+    scale_schedule,
 )
 from chebscale import cli, factorization
-from chebscale.errors import NotAsymptoticScale, PivotVanishes, ToleranceNotMet
+from chebscale.errors import (
+    NotAsymptoticScale,
+    PivotVanishes,
+    ToleranceNotMet,
+    WronskianDegenerate,
+)
 from chebscale.expr import ExpressionFunction
 from chebscale.jet import JetMemo
 from chebscale.jet import jet_constant, jpow, jet_variable
@@ -326,3 +332,16 @@ def test_nested_quotient_identity_8_14(appendix_scale):
         r32 = wronskian_jet(sc, (1, 3), x, 1) / wronskian_jet(sc, (1, 2), x, 1)
         rhs = (derivative(r42) / derivative(r32)).value
         assert abs(lhs - rhs) < 1e-7 * max(abs(lhs), 1e-12)
+
+
+def test_a_chain_whose_weights_change_sign_is_refused(capsys):
+    # with T = 2 the schedule starts at x = 3, left of the zero of
+    # W(phi_1, phi_2, phi_3) near 3.35: r2 and r4 of the type-II chain are
+    # negative there, so no chain is a factorization on the probes
+    sc = ChebyshevScale.from_exprs(["exp(x)", "x", "log(x)", "1"], T=2.0, x0=math.inf)
+    with pytest.raises(WronskianDegenerate, match=r"polya_q weight r2 changes sign between x=3"):
+        build_type2_chain(sc, scale_schedule(sc))
+    appendix = str(Path(__file__).parent / "data" / "appendix.scale")
+    argv = ["verify", "--scale", appendix, "--T", "2", "--f", "exp(x)+x+log(x)+1", "--json"]
+    assert cli.run(argv) == 2
+    assert "changes sign" in capsys.readouterr().err

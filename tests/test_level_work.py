@@ -27,7 +27,6 @@ from chebscale import (
 )
 from chebscale.errors import EvaluationError, LimitDiverged
 from chebscale.expansion import (
-    _LIMIT_TOL,
     _Check,
     _deflated_limit_status,
     _limit_status,
@@ -41,7 +40,7 @@ from chebscale.operators import deepest_first, operator_constants
 GOLDEN = Path(__file__).parent / "data" / "extrapolate_golden.json"
 
 
-def _eager_deflated_limit_status(values, basis_rows, tol=_LIMIT_TOL):
+def _eager_deflated_limit_status(values, basis_rows):
     """The rule as it was before the lazy refit: both pipelines in full,
     each with its leave-one-out refit."""
 
@@ -62,16 +61,16 @@ def _eager_deflated_limit_status(values, basis_rows, tol=_LIMIT_TOL):
         return out
 
     def pipeline(rows):
-        status, value, conf = _limit_status(deflate(values, rows), tol)
+        status, value, conf = _limit_status(deflate(values, rows))
         if len(values) >= 7 and math.isfinite(value):
             try:
                 defl2 = deflate(values[:-1], [r[:-1] for r in rows])
-                _, v2, _ = _limit_status(defl2, tol)
+                _, v2, _ = _limit_status(defl2)
                 if math.isfinite(v2):
                     conf = max(conf, abs(value - v2))
             except np.linalg.LinAlgError:
                 pass
-            status = _status_from_conf(value, conf, tol) if status != "diverged" else status
+            status = _status_from_conf(value, conf) if status != "diverged" else status
         return status, value, conf
 
     raw = pipeline([])
