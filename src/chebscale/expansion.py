@@ -18,25 +18,31 @@ Cache policy: these memos are all that is kept, each by one owner.
 - Jets: the :class:`~chebscale.jet.JetMemo` of each evaluator (scale
   members, expression targets, prefix Wronskians, chain weights, nest
   evaluators, constructed functions) keeps one jet per point, at the
-  highest order asked there, and the jet of the last node array.  A
-  reader of several operator levels (the constants, :meth:`_Check.ladder`,
-  :func:`extract_operator`) asks the deepest level first
-  (:func:`~chebscale.operators.deepest_first`), so every shallower level
-  reads truncations.
+  highest order asked there, and the jet of the last node array.
 - Grid tables: the shared :class:`~chebscale.quadrature.WorkGrid` keeps
   each live evaluator's values on its nodes.
 - Scale values: a :class:`ScaleArtifacts` bundle builds on first read the
-  P-weight nest of (6.12) with its values on the grid nodes, and
-  W(phi_1..phi_n) on the grid nodes, which every L[f] table divides by.
+  P-weight nest of (6.12) with its values on the grid nodes (through the
+  nest's array form), and W(phi_1..phi_n) on the grid nodes, which every
+  L[f] table divides by.
   Each chain classifies its canonicity on first read
   (:attr:`~chebscale.factorization.WeightChain.canonicity`; only
   :func:`extract_operator` and ``factorize`` read it).
-- Images: each chain keeps every live target's M_k/L_k images per level
-  and point (:meth:`~chebscale.factorization.WeightChain.image`).
-- Target values: the bundle's record of a live target keeps its operator
-  limits, L[f] on the grid nodes and whether L[f] vanishes along the
-  probes.  Records and images go with the target, so no later target is
-  served its results, and hold plain values, never a closure over f.  A
+- Images: each chain keeps, per live target and point, the values and
+  noises of every level of the deepest chain pass run there
+  (:meth:`~chebscale.factorization.WeightChain.image`).  A reader of
+  several operator levels (the constants, :meth:`_Check.ladder`,
+  :meth:`_Check.residual_set`, :func:`extract_operator`) asks the deepest
+  level first (:func:`~chebscale.operators.deepest_first`), so one pass
+  serves every shallower level.
+- Operator limits: the type-II chain keeps each live target's limits
+  under the scale, the level and the target's cut of the points
+  (:func:`_operator_limit`), so :meth:`ScaleArtifacts.limit` and
+  :func:`extract_operator` share them where their cuts agree.
+- Target values: the bundle's record of a live target keeps L[f] on the
+  grid nodes and whether L[f] vanishes along the probes.  Records, images
+  and limits go with the target, so no later target is served its
+  results, and hold plain values, never a closure over f.  A
   check given a source reads L[f] = q_n * source instead, and its L[f]
   evaluator keeps the source on the grid nodes for the check's lifetime.
 
@@ -70,7 +76,7 @@ from .factorization import (
 )
 from .jet import JetMemo
 from .operators import deepest_first, operator_constants
-from .quadrature import NestedIntegral, NodeFn, WorkGrid, node_values
+from .quadrature import NestedIntegral, NodeFn, WorkGrid, node_values, tabulate
 from .scale import finite_prefix, ratio_decreases_to_zero, require_verified, scale_schedule
 from .wronskian import bordered_wronskian, wronskian_flags
 
@@ -104,12 +110,12 @@ def _abs(fn):
 
 
 class _TargetRecord:
-    """Everything a bundle computed from one target."""
+    """What a bundle computed from one target besides its chain images and
+    operator limits, which the chains keep."""
 
-    __slots__ = ("limits", "lf_nodes", "lf_zero")
+    __slots__ = ("lf_nodes", "lf_zero")
 
     def __init__(self):
-        self.limits = {}  # k -> (status, value, confidence) of M_k[f]
         self.lf_nodes = None  # L[f] on the grid nodes (NaN: flagged)
         self.lf_zero = None  # L[f] vanishes along the probes
 
@@ -123,10 +129,11 @@ class ScaleArtifacts:
     read: the P-weight nest (``p_weight``), its values on the grid nodes
     (``p_weight_nodes``) and W(phi_1..phi_n) on the grid nodes
     (``_denominator``).  ``_targets`` maps each target, by weak
-    reference, to a record of its limits, its L[f] grid table and its
-    L[f] = 0 test; the chains keep its M/L images.  Both go when the target
-    goes, so a new target at a dead one's address inherits none of its
-    results.  :meth:`nest` builds a new nest on the shared grid at every call.
+    reference, to a record of its L[f] grid table and its L[f] = 0 test;
+    the chains keep its M/L images, and the type-II chain its operator
+    limits.  All go when the target goes, so a new target at a dead one's
+    address inherits none of its results.  :meth:`nest` builds a new nest
+    on the shared grid at every call.
     """
 
     def __init__(self, scale, schedule):
@@ -201,12 +208,8 @@ class ScaleArtifacts:
 
     def limit(self, f, k):
         """The operator limit of M_k[f] (:func:`_operator_limit`) along the
-        classification points, kept in f's record."""
-        limits = self._record(f).limits
-        out = limits.get(k)
-        if out is None:
-            out = limits[k] = _operator_limit(self.chain_q, self.scale, f, k, self.class_points)
-        return out
+        classification points, kept by the type-II chain."""
+        return _operator_limit(self.chain_q, self.scale, f, k, self.class_points)
 
     def lf_evaluator(self, f, source=None):
         """``x -> L[f](x)`` with its array form (a :class:`NodeFn`); a known
@@ -286,9 +289,10 @@ class ScaleArtifacts:
     @cached_property
     def p_weight_nodes(self):
         """P(t) on the grid nodes (NaN where the nest raises), tabulated
-        once per bundle for every target's (6.12) density."""
+        once per bundle, through the nest's array form, for every target's
+        (6.12) density."""
         pnest = self.p_weight
-        return node_values(lambda t: pnest.value(t, 0), self.grid.xnodes)
+        return node_values(NodeFn(lambda t: pnest.value(t, 0), pnest.values), self.grid.xnodes)
 
     def nest(self, weights, orientations, density):
         """A new NestedIntegral on the shared grid."""
@@ -326,16 +330,15 @@ def _target_cut(f, scale, points, members):
     return pts, [values[x] for x in pts], [[p[j] for j in keep] for p in phis]
 
 
-def _level_sequence(chain, scale, f, k, points):
-    """The one cut of an M_k[f] sequence along ``points`` (ordered toward
-    x0): the kept points, M_k[f] at them through ``chain`` and the
-    rounding-noise estimate of each kept value (``chain.image``).
+def _level_sequence(chain, f, k, pts):
+    """The one cut of an M_k[f] sequence along ``pts``, the target's cut
+    (:func:`_target_cut`) of points ordered toward x0: the kept points,
+    M_k[f] at them through ``chain`` and the rounding-noise estimate of
+    each kept value (``chain.image``).
 
-    The rules apply in this order: the target's cut (:func:`_target_cut`);
-    then, from the seventh kept point on, the sequence ends at the first
-    value its noise rivals; and it ends at a collapse or explosion
+    From the seventh point on, the sequence ends at the first value its
+    noise rivals; and it ends at a collapse or explosion
     (``_sane_prefix``)."""
-    pts = _target_cut(f, scale, points, (scale.n,))[0]
     pairs = [chain.image(f, k, x) for x in pts]
     vals = [v for v, _ in pairs]
     typical = _median([abs(v) for v in vals[: max(4, len(vals) // 2)]])
@@ -354,14 +357,28 @@ def _operator_limit(chain, scale, f, k, points):
     chain's images M_k[phi_i](x) of the members i >= k+2.  A sequence
     called divergent that spans no more than its largest noise estimate is
     flat, not divergent: its median is the value and that noise the
-    confidence."""
-    pts, vals, noise = _level_sequence(chain, scale, f, k, points)
+    confidence.
+
+    The chain keeps the result in f's entry of ``chain.limits``, under the
+    scale, the level and the target's cut of ``points``: a call with the
+    same three reads it, whichever reader made it.  A call that raises
+    keeps nothing."""
+    cut = tuple(_target_cut(f, scale, points, (scale.n,))[0])
+    memo = chain.limits.get(f)
+    out = None if memo is None else memo.get((scale, k, cut))
+    if out is not None:
+        return out
+    pts, vals, noise = _level_sequence(chain, f, k, cut)
     basis = [[chain.image(scale.functions[i - 1], k, x)[0] for x in pts]
              for i in range(k + 2, scale.n + 1)]
     out = _deflated_limit_status(vals, basis)
     if out[0] == "diverged" and vals and max(vals) - min(vals) <= max(noise):
         value, conf = _median(vals), max(noise)
         out = _status_from_conf(value, conf), value, conf
+    if memo is None:
+        chain.limits[f] = {(scale, k, cut): out}
+    else:
+        memo[scale, k, cut] = out
     return out
 
 
@@ -650,7 +667,8 @@ def extract_operator(f, scale, chain, constants, schedule):
     level-k weighted derivative divided by the unit constant.  Each limit
     is the bundle's rule (:func:`_operator_limit`, the one cut and limit of
     :meth:`ScaleArtifacts.limit`) run on the schedule's points, from the
-    deepest level down (:func:`~chebscale.operators.deepest_first`).
+    deepest level down (:func:`~chebscale.operators.deepest_first`); a
+    limit the chain already keeps for the same cut is read, not redone.
     """
     if chain.canonicity.get("x0") not in ("type_II", "unknown"):
         raise EvaluationError("extract_operator needs a chain of type II at x0")
@@ -814,12 +832,12 @@ def _outer_partials(art, nest):
     """Outer-level values on the classification points, cropped to the
     nest's reliable range (cells whose embedded quadrature error rivals
     their value, e.g. oscillatory integrands on wide far cells, are
-    excluded)."""
+    excluded), read through the nest's array form."""
     sigma = art.grid.sigma
     pts = [x for x in art.class_points if sigma * x <= sigma * nest.reliable_x]
     if len(pts) < 6:
         pts = art.class_points[:6]
-    return [nest.value(x, 0) for x in pts]
+    return tabulate(NodeFn(lambda x: nest.value(x, 0), nest.values), np.array(pts)).tolist()
 
 
 def _partial_levels(art, i):
@@ -964,14 +982,18 @@ class _Check:
         (5.20)-(5.21): for each ``(k, upto, i)`` of ``levels`` the level-k
         residual of the expansion up to phi_upto is o(image of phi_i), or
         o(1) when i is None.  Returns the weakest status and the status per
-        entry."""
+        entry.  The entries come in ascending level order and run from the
+        deepest down (:func:`~chebscale.operators.deepest_first`)."""
         art = self.art
         image = art.M_phi if chain == "M" else art.L_phi
-        per = {}
-        for j, (k, upto, i) in enumerate(levels):
+
+        def status(j):
+            k, upto, i = levels[j]
             rows, floors = self.residuals(k, chain, upto)
             cmps = [1.0] * len(rows) if i is None else [image(k, i, x) for x in art.probes]
-            per[j], _ = _zero_limit_status(rows, cmps, floors)
+            return _zero_limit_status(rows, cmps, floors)[0]
+
+        per = dict(enumerate(deepest_first(len(levels), status)))
         return _weakest(per.values()), per
 
     def r0(self):
@@ -1248,16 +1270,17 @@ def check_incomplete(f, i, artifacts, source=None, remainder=None, coefficients=
     convex = ck.nonneg()
     if convex and not ck.lf_zero:
         ck.notes.append("L[f] >= 0 on the schedule: (6.18) O-estimates checked")
-        ok18 = True
-        for k in range(i, n):
+
+        def bounded(j):  # level i + j, from the deepest down
+            k = i + j
             nest = art.nest(*_partial_levels(art, k + 1), ck.lf)
             ratios = []
             for x in art.probes:
                 ref = max(1.0, abs(nest.value(x, 0)))
                 ratios.append(art.M(k, f, x) / ref)
-            bounded, _ = is_bounded_tail(ratios)
-            if bounded is False:
-                ok18 = False
+            return is_bounded_tail(ratios)[0] is not False
+
+        ok18 = all(deepest_first(n - i, bounded))
         verdicts["(6.18) O-estimates"] = _v("holds" if ok18 else "fails")
 
     groups = [
@@ -1282,16 +1305,23 @@ def check_O(f, i, artifacts, source=None, coefficients=None):
     ck = _Check(art, f, source)
     verdicts = ck.verdicts
 
+    def sequence():  # M_{i-1}[f] along the classification points
+        cut = _target_cut(f, art.scale, art.class_points, (n,))[0]
+        return _level_sequence(art.chain_q, f, i - 1, cut)
+
     if i == 1:
         rows = [f(x, 0).value / art.scale.phi_value(1, x) for x in art.probes]
         verdicts["(5.36) O-form"] = _bounded_verdict(rows)
+        _, seq, noise = sequence()
     else:
-        # (5.31): limits below the boundary order, then boundedness at i-1
-        ck.ladder("(5.31)", i - 1, coefficients)
+        # (5.31): limits below the boundary order, then boundedness at i-1;
+        # level i-1 is the deepest read, so its sequence runs first
+        _, (_, seq, noise) = deepest_first(
+            2, lambda j: sequence() if j else ck.ladder("(5.31)", i - 1, coefficients)
+        )
         verdicts["(5.29) coefficients"] = _v(
             "holds" if ck.coeffs is not None else "inconclusive", values=ck.coeffs
         )
-    _, seq, noise = _level_sequence(art.chain_q, art.scale, f, i - 1, art.class_points)
     noisy = [j for j, (v, nz) in enumerate(zip(seq, noise)) if nz > 1e-3 * abs(v)]
     if noisy:
         # a kept value inside its own rounding noise decides nothing

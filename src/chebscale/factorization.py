@@ -78,7 +78,10 @@ class WeightChain:
     ``canonicity`` is classified on its first read
     (:func:`classify_canonicity`), so an error raised while classifying
     surfaces at that read, not where the chain is built.  :meth:`image`
-    reads and keeps the chain's images, M_k[f] (type II) or L_k[f] (type I).
+    reads and keeps the chain's images, M_k[f] (type II) or L_k[f] (type I);
+    ``limits`` keeps the operator limits of the type-II chain's images
+    (``expansion._operator_limit``).  Both memos hold floats only, one
+    entry per live target, gone with the target.
     """
 
     weights: list  # jet-evaluators for |r_i|
@@ -86,22 +89,32 @@ class WeightChain:
     interval: tuple
     n: int
     provenance: str
-    # target -> {(k, x): (value, noise)}; floats only, gone with the target
+    # target -> {x: (values, noises) of levels 0..k}
     _images: WeakKeyDictionary = field(default_factory=WeakKeyDictionary, init=False, repr=False)
+    # target -> {(scale, k, cut points): (status, value, confidence)}
+    limits: WeakKeyDictionary = field(default_factory=WeakKeyDictionary, init=False, repr=False)
 
     @cached_property
     def canonicity(self):
         return classify_canonicity(self)
 
     def image(self, f, k, x):
-        """``(value, noise)`` of :func:`apply_chain` at level k and point x,
-        kept in f's entry; a call that raises keeps nothing."""
+        """``(value, noise)`` of :func:`apply_chain` at level k and point x.
+
+        f's entry keeps, per point, every level of the deepest pass run
+        there (:func:`chain_levels`): a shallower level is read from it, and
+        a deeper one runs a new pass that replaces it, as
+        :class:`~chebscale.jet.JetMemo` does with orders.  A call that
+        raises keeps nothing."""
         memo = self._images.get(f)
-        out = None if memo is None else memo.get((k, x))
-        if out is None:
-            out = apply_chain(self, f, x, level=k, with_noise=True)
-            self._images.setdefault(f, {})[k, x] = out
-        return out
+        levels = None if memo is None else memo.get(x)
+        if levels is None or len(levels[0]) <= k:
+            levels = chain_levels(self, f, x, k)
+            if memo is None:
+                self._images[f] = {x: levels}
+            else:
+                memo[x] = levels
+        return levels[0][k], levels[1][k]
 
     def weight_jet(self, i, x, order):
         return self.weights[i](x, order)
@@ -399,11 +412,47 @@ def divide_and_differentiate(scale, pivot, schedule):
 # -- chain application (shared with the operators module) ---------------------------
 
 
+def chain_levels(chain, f, x, k):
+    """Levels 0..k of the chain at ``x`` in one pass: the tuples of their
+    values and of their noises (see :func:`apply_chain`).
+
+    The pass runs at order k, so the intermediate after weight i has order
+    k - i.  Level j's own pass would compute the first j - i + 1
+    coefficients of that intermediate, and no more: coefficient m of every
+    jet operation reads only coefficients 0..m (the jet module's truncation
+    rule).  So level j's value is coefficient 0 of the intermediate after
+    weight j, and its noise is the running estimate read off those
+    prefixes, each bit for bit what a pass at order j gives.
+    """
+    if not 0 <= k <= chain.n:
+        raise EvaluationError(f"level {k} outside [0, {chain.n}]")
+    w = chain.weight_jet
+    cur = w(0, x, k) * truncate(f(x, k), k)
+    steps = [cur.coeffs]  # coefficients of each intermediate
+    weights = [None]  # coefficients of each weight past r_0
+    for i in range(1, k + 1):
+        wj = w(i, x, k - i)
+        cur = wj * derivative(cur)
+        steps.append(cur.coeffs)
+        weights.append(wj.coeffs)
+    eps = 2.2e-16
+    noises = []
+    for j in range(k + 1):
+        noise = eps * max(map(abs, steps[0][: j + 1]))
+        for i in range(1, j + 1):
+            m = j - i + 1  # coefficients of level j's intermediate i
+            noise *= max(1.0, float(m))
+            noise = noise * max(map(abs, weights[i][:m])) + eps * max(map(abs, steps[i][:m]))
+        noises.append(noise)
+    return tuple(c[0] for c in steps), tuple(noises)
+
+
 def apply_chain(chain, f, x, level=None, with_noise=False):
     """Weighted derivative of ``f`` at ``x`` through the chain up to ``level``.
 
     Level k evaluates r_k (r_{k-1} ( ... (r_0 f)' ... )')' in jet arithmetic,
-    each weight expanded only to the residual order it still needs.
+    each weight expanded only to the residual order it still needs: the
+    deepest level of :func:`chain_levels`.
 
     With ``with_noise`` the return is ``(value, noise)`` where noise is a
     running estimate of the rounding floor: derivatives of functions with a
@@ -411,24 +460,10 @@ def apply_chain(chain, f, x, level=None, with_noise=False):
     largest intermediate coefficient, amplified by every later weight.
     """
     k = chain.n if level is None else level
-    if not 0 <= k <= chain.n:
-        raise EvaluationError(f"level {k} outside [0, {chain.n}]")
-    w = chain.weight_jet
-    fj = truncate(f(x, k), k)
-    cur = w(0, x, k) * fj
-    eps = 2.2e-16
-    noise = eps * max(abs(c) for c in cur.coeffs)
-    for i in range(1, k + 1):
-        noise *= max(1.0, float(cur.order))
-        cur = derivative(cur)
-        wj = w(i, x, k - i)
-        cur = wj * cur
-        wmax = max(abs(c) for c in wj.coeffs)
-        cmax = max(abs(c) for c in cur.coeffs)
-        noise = noise * wmax + eps * cmax
+    values, noises = chain_levels(chain, f, x, k)
     if with_noise:
-        return cur.value, noise
-    return cur.value
+        return values[k], noises[k]
+    return values[k]
 
 
 # -- principal system ----------------------------------------------------------------

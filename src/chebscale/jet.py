@@ -381,7 +381,9 @@ class JetMemo:
     asked in ascending order, the memo recomputes the point at each order.
     The rule belongs to the readers; a scalar read at order 0 pays for
     order 0 only, and an expression's (``expr.ExpressionFunction``) builds
-    no jet per AST node, only the one jet it stores.
+    no jet per AST node, only the one jet it stores.  A chain's images
+    follow the same policy, one pass per point at the deepest level asked
+    there (:meth:`~chebscale.factorization.WeightChain.image`).
 
     With ``arrays`` the evaluator ``fn`` also takes a node array for ``x``
     (its array form) and returns a jet with array coefficients.  Only the

@@ -56,10 +56,10 @@ def deepest_first(count, level):
     """``[level(k) for k in range(count)]``, computed from the deepest level
     down.
 
-    Level k of a chain asks each weight's :class:`~chebscale.jet.JetMemo`
-    at order k - i, so once the deepest level has run at a point every
-    shallower level reads truncations there instead of computing the
-    weights, prefix Wronskians and target again.  Each level's outcome is
+    Level k of a chain reads each point's record of the deepest pass run
+    there (:meth:`~chebscale.factorization.WeightChain.image`), so once the
+    deepest level has run at a point every shallower level reads its value
+    from that pass instead of running its own.  Each level's outcome is
     recorded and replayed in ascending order: the error raised is the one
     the ascending order raises first."""
     outcomes = [None] * count

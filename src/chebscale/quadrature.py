@@ -821,3 +821,45 @@ class NestedIntegral:
             hi = max(lev.suffix[i], lev.suffix[i + 1])
             out = min(max(out, lo), hi)
         return out
+
+    def values(self, xs, level=0):
+        """The array form of :meth:`value` (see :class:`NodeFn`): each entry
+        is ``value(x, level)`` bit for bit, or NaN where ``x`` lies outside
+        the grid or on a log cell, which :func:`tabulate` evaluates again.
+
+        Each point keeps the scalar path's shapes: its powers go through
+        one (15, 16) @ (16,) product and its cell through (15,) . (15,)
+        dots, stacked; a single (N, 15) @ (15,) product may round
+        differently."""
+        lev = self.levels[level]
+        grid = self.grid
+        w = grid.sigma * np.asarray(xs, dtype=float)
+        i = np.searchsorted(grid.nodes, w, side="right") - 1
+        slack = 1e-12 * max(1.0, abs(grid.nodes[-1]))
+        flagged = (i < 0) | (w > grid.nodes[-1] + slack)
+        i = np.clip(i, 0, grid.cells - 1)
+        if lev.log_cells:
+            flagged |= np.isin(i, lev.log_cells)
+        half = grid.half[i, 0]
+        xi = np.clip((w - grid.mid[i, 0]) / half, -1.0, 1.0)
+        g = lev.gvals[i]
+        powers = np.power(xi[:, None], np.arange(CARD_COEF.shape[1]))
+        card = np.matmul(CARD_COEF, powers[:, :, None])
+        anti = np.matmul(g[:, None, :], card)[:, 0, 0]
+        with np.errstate(all="ignore"):
+            if lev.orientation == "from_T":
+                out = lev.cum[i] + grid.sigma * half * anti
+                at_node = lev.cum[i]
+            else:
+                full = np.matmul(g[:, None, :], WGK[:, None])[:, 0, 0]
+                rest = grid.sigma * half * (full - anti)
+                bound = half * np.matmul(np.abs(g)[:, None, :], WGK[:, None])[:, 0, 0]
+                rest = np.minimum(np.maximum(rest, -bound), bound)
+                out = lev.suffix[i + 1] + rest
+                single = (g.min(axis=1) >= 0.0) | (g.max(axis=1) <= 0.0)
+                lo = np.minimum(lev.suffix[i], lev.suffix[i + 1])
+                hi = np.maximum(lev.suffix[i], lev.suffix[i + 1])
+                out = np.where(single, np.minimum(np.maximum(out, lo), hi), out)
+                at_node = lev.suffix[i]
+        out = np.where(w == grid.nodes[i], at_node, out)
+        return np.where(flagged, np.nan, out)

@@ -22,8 +22,9 @@ from chebscale import (
     make_schedule,
     verify_hierarchy,
 )
+from chebscale import expansion
 from chebscale.errors import ChebscaleError, LimitDiverged
-from chebscale.expansion import _abs, _guarded_ratio, _type1_levels
+from chebscale.expansion import _abs, _guarded_ratio, _operator_limit, _type1_levels
 from chebscale.expr import ExpressionFunction
 from chebscale.factorization import apply_full_operator
 
@@ -471,9 +472,9 @@ def test_extract_operator_on_a_bundle_computes_no_member_image(appendix_artifact
                                                                 monkeypatch):
     # the bundle's constants read M_k[phi_h] for h >= k + 2 at every schedule
     # point, which is the deflation basis of every operator limit there;
-    # every module that binds apply_chain is patched, as the tracer does
+    # every module that binds chain_levels (the one chain pass) is patched
     art = appendix_artifacts
-    real = importlib.import_module("chebscale.factorization").apply_chain
+    real = importlib.import_module("chebscale.factorization").chain_levels
     seen = []
 
     def counted(chain, f, *args, **kw):
@@ -481,11 +482,69 @@ def test_extract_operator_on_a_bundle_computes_no_member_image(appendix_artifact
         return real(chain, f, *args, **kw)
 
     for name, mod in list(sys.modules.items()):
-        if name.startswith("chebscale.") and getattr(mod, "apply_chain", None) is real:
-            monkeypatch.setattr(mod, "apply_chain", counted)
+        if name.startswith("chebscale.") and getattr(mod, "chain_levels", None) is real:
+            monkeypatch.setattr(mod, "chain_levels", counted)
     f = ExpressionFunction("2*exp(x) - x + 3*log(x) + 5")
     extract_operator(f, art.scale, art.chain_q, art.constants, art.schedule)
     assert seen and all(g is f for g in seen)
+
+
+def _limit_runs(monkeypatch):
+    """The levels whose limit pipeline runs from now on (each run reads a
+    level sequence first)."""
+    real = expansion._level_sequence
+    runs = []
+
+    def counted(chain, f, k, pts):
+        runs.append(k)
+        return real(chain, f, k, pts)
+
+    monkeypatch.setattr(expansion, "_level_sequence", counted)
+    return runs
+
+
+def _same_result(a, b):
+    return (a.statuses, a.partial) == (b.statuses, b.partial) and all(
+        str(x) == str(y) for x, y in zip(a.coefficients + a.confidences,
+                                         b.coefficients + b.confidences))
+
+
+def test_extract_operator_reads_the_limits_check_complete_kept(appendix_artifacts, monkeypatch):
+    art = appendix_artifacts
+    text = "2*exp(x) - x + 3*log(x) + 5 + exp(-x)"
+    args = art.scale, art.chain_q, art.constants, art.schedule
+    ref = extract_operator(ExpressionFunction(text), *args)  # a fresh target: no memo
+    f = ExpressionFunction(text)
+    check_complete(f, art)
+    runs = _limit_runs(monkeypatch)
+    got = extract_operator(f, *args)
+    assert runs == []  # the schedule's cut is the classification points' cut here
+    assert _same_result(got, ref)
+    # another cut of the same target computes its own limits
+    other = make_schedule(4.0, math.inf, 9, 1.3)
+    ref = extract_operator(ExpressionFunction(text), art.scale, art.chain_q, art.constants, other)
+    del runs[:]
+    assert _same_result(extract_operator(f, art.scale, art.chain_q, art.constants, other), ref)
+    assert sorted(runs) == [0, 1, 2, 3]
+    # and so does another scale on the same chain, whatever its members' values
+    twin = ChebyshevScale.from_exprs([m.name for m in art.scale.functions], T=4.0, x0=math.inf)
+    del runs[:]
+    _operator_limit(art.chain_q, twin, f, 1, art.class_points)
+    assert runs == [1]
+
+
+def test_a_dropped_target_leaves_no_limit_in_the_chain(appendix_artifacts):
+    limits = appendix_artifacts.chain_q.limits
+    before = len(limits)
+    gc.disable()
+    try:
+        f = ExpressionFunction("3*exp(x) + x - log(x) + 2")
+        appendix_artifacts.limit(f, 2)
+        assert f in limits and len(limits) == before + 1
+        del f
+        assert len(limits) == before
+    finally:
+        gc.enable()
 
 
 def test_checks_release_their_target(cubic_artifacts):

@@ -1,9 +1,12 @@
 import json
 import math
 import random
+import struct
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chebscale import (
     ChebyshevScale,
@@ -29,7 +32,7 @@ from chebscale.errors import (
 )
 from chebscale.expr import ExpressionFunction
 from chebscale.jet import JetMemo
-from chebscale.jet import jet_constant, jpow, jet_variable
+from chebscale.jet import derivative, jet_constant, jpow, jet_variable, truncate
 
 PROBES = [4.5, 5.5, 7.0, 9.0, 12.0, 16.0, 22.0, 30.0]
 
@@ -345,3 +348,99 @@ def test_a_chain_whose_weights_change_sign_is_refused(capsys):
     argv = ["verify", "--scale", appendix, "--T", "2", "--f", "exp(x)+x+log(x)+1", "--json"]
     assert cli.run(argv) == 2
     assert "changes sign" in capsys.readouterr().err
+
+
+def _level_pass(chain, f, x, k):
+    """The reference: one chain pass per level, as ``apply_chain`` ran before
+    a pass served every shallower level."""
+    w = chain.weight_jet
+    fj = truncate(f(x, k), k)
+    cur = w(0, x, k) * fj
+    eps = 2.2e-16
+    noise = eps * max(abs(c) for c in cur.coeffs)
+    for i in range(1, k + 1):
+        noise *= max(1.0, float(cur.order))
+        cur = derivative(cur)
+        wj = w(i, x, k - i)
+        cur = wj * cur
+        wmax = max(abs(c) for c in wj.coeffs)
+        cmax = max(abs(c) for c in cur.coeffs)
+        noise = noise * wmax + eps * cmax
+    return cur.value, noise
+
+
+def _bits(v):
+    return struct.pack("d", math.nan if math.isnan(v) else v)
+
+
+@pytest.fixture(scope="module")
+def bench_bundles(appendix_artifacts, cubic_artifacts, poly_artifacts, taylor_artifacts):
+    """The bundles of the four benchmark scales."""
+    return {"appendix": appendix_artifacts, "cubic": cubic_artifacts,
+            "poly": poly_artifacts, "taylor": taylor_artifacts}
+
+
+# remainders of each scale toward its x0, and terms that raise at some points
+REMAINDERS = {
+    "appendix": ["exp(-x)", "x^-3", "exp(-x)*cos(x)", "log(x)^2", "sqrt(x)"],
+    "poly": ["x^-1", "x^-2.5", "exp(-x)", "log(x)", "sin(x)"],
+    "cubic": ["x^4", "exp(x)", "sin(x)^5", "(-x)^3.5", "x^5*cos(x)"],
+    "taylor": ["(1-x)^4", "(1-x)^3.5", "exp(-1/(1-x))", "log(1-x)*(1-x)^3", "x^7"],
+}
+RAISING = ["log({} - x)", "log(x - {})", "sqrt({} - x)", "(x - {})^0.5"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(REMAINDERS)), st.data())
+def test_chain_levels_are_the_per_level_chain_bit_for_bit(bench_bundles, name, data):
+    art = bench_bundles[name]
+    scale = art.scale
+    coeffs = data.draw(st.lists(st.floats(-3.0, 3.0), min_size=scale.n, max_size=scale.n))
+    terms = [f"{c!r}*({m.name})" for c, m in zip(coeffs, scale.functions)]
+    rest = data.draw(st.sampled_from(REMAINDERS[name]))
+    terms.append(f"{data.draw(st.floats(-2.0, 2.0))!r}*({rest})")
+    pts = art.class_points
+    j = data.draw(st.integers(0, len(pts) - 2))
+    x = pts[j] + data.draw(st.sampled_from([0.0, 0.5, 0.999])) * (pts[j + 1] - pts[j])
+    if data.draw(st.booleans()):  # a target that raises on one side of c
+        c = data.draw(st.floats(min(pts[0], pts[-1]), max(pts[0], pts[-1])))
+        terms.append(data.draw(st.sampled_from(RAISING)).format(repr(c)))
+    text = " + ".join(terms)
+    k = data.draw(st.integers(0, scale.n))
+    for chain in (art.chain_q, art.chain_p):
+        try:
+            values, noises = factorization.chain_levels(chain, ExpressionFunction(text), x, k)
+        except Exception as exc:
+            # the pass raises what the level-k pass raises
+            with pytest.raises(type(exc)) as ref:
+                _level_pass(chain, ExpressionFunction(text), x, k)
+            assert str(ref.value) == str(exc)
+            continue
+        assert len(values) == len(noises) == k + 1
+        for level in range(k + 1):
+            value, noise = _level_pass(chain, ExpressionFunction(text), x, level)
+            assert _bits(values[level]) == _bits(value)
+            assert _bits(noises[level]) == _bits(noise)
+            # apply_chain at that level is the pass of that level
+            assert _bits(apply_chain(chain, ExpressionFunction(text), x, level)) == _bits(value)
+
+
+def test_one_chain_pass_serves_every_shallower_level(appendix_artifacts, monkeypatch):
+    chain = appendix_artifacts.chain_q
+    real = factorization.chain_levels
+    passes = []
+
+    def counted(chain, f, x, k):
+        passes.append((x, k))
+        return real(chain, f, x, k)
+
+    monkeypatch.setattr(factorization, "chain_levels", counted)
+    f = ExpressionFunction("2*exp(x) - x + exp(-x)")
+    deep = [chain.image(f, k, 9.0) for k in (3, 2, 1, 0)]
+    assert passes == [(9.0, 3)]
+    # ascending reads deepen the point's record, one pass per new level
+    up = [chain.image(f, k, 12.0) for k in (0, 1, 1, 0)]
+    assert passes == [(9.0, 3), (12.0, 0), (12.0, 1)]
+    g = ExpressionFunction("2*exp(x) - x + exp(-x)")
+    assert deep == [apply_chain(chain, g, 9.0, k, with_noise=True) for k in (3, 2, 1, 0)]
+    assert up == [apply_chain(chain, g, 12.0, k, with_noise=True) for k in (0, 1, 1, 0)]

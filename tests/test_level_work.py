@@ -273,11 +273,11 @@ class _RaisingTarget:
 
 
 def test_ladder_raises_the_shallowest_levels_error(appendix_artifacts):
-    # level k asks the target at order k: levels 1 and 3 raise, and the
-    # ascending order meets level 1 first
+    # level k asks the target at order k: levels 2 and 3 raise, and the
+    # ascending order meets level 2 first
     art = appendix_artifacts
-    ck = _Check(art, _RaisingTarget("exp(-x) + x", {1, 3}), source=lambda x: 0.0)
-    with pytest.raises(EvaluationError, match="order 1"):
+    ck = _Check(art, _RaisingTarget("exp(-x) + x", {2, 3}), source=lambda x: 0.0)
+    with pytest.raises(EvaluationError, match="order 2"):
         ck.ladder("(5.7)", art.n, None, last="(5.8)")
 
 

@@ -1,12 +1,16 @@
 import math
 import random
+import struct
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate as scipy_integrate
 
 from chebscale import integrate, make_schedule
 from chebscale.errors import DivergentTail, EvaluationError
-from chebscale.quadrature import NestedIntegral, WorkGrid, classify_toward
+from chebscale.quadrature import NestedIntegral, NodeFn, WorkGrid, classify_toward, tabulate
 
 
 def test_integrate_examples():
@@ -216,3 +220,93 @@ def test_non_finite_tail_cells_raise():
                        lambda t: math.exp(-t) * t**-5)
     assert info.value.decisive is False
     assert "level 0 has non-finite cells from x=529.563" in str(info.value)
+
+
+def _steep_nest():
+    # to_x0 over to_x0: the inner tail of e^-t t^-5 is steep on the far
+    # cells, so the inner level integrates them in log form
+    probes = make_schedule(4.0, math.inf, 10, 1.22).points
+    grid = WorkGrid(4.0, math.inf, include=probes, hard_cap=292.0)
+    return NestedIntegral(grid, [lambda t: math.exp(-t), None], ["to_x0", "to_x0"],
+                          lambda t: math.exp(-t) * t**-5)
+
+
+ARRAY_FORM_NESTS = {
+    "from_T": lambda: NestedIntegral(
+        WorkGrid(1.0, math.inf, include=[2.0, 4.0, 8.0, 16.0]),
+        [lambda t: t, lambda t: t * t], ["from_T", "from_T"], lambda t: math.exp(-t)),
+    "to_x0 log cells": _steep_nest,
+    "mirrored": lambda: NestedIntegral(
+        WorkGrid(0.4, 0.0, include=[0.3, 0.2, 0.1]),
+        [lambda t: 1.0 + t, None], ["from_T", "to_x0"], lambda t: math.cos(t) - 0.5),
+    "mixed toward 0": lambda: NestedIntegral(
+        WorkGrid(-1.0, 0.0, include=[-0.5, -0.25, -0.125]),
+        [None, lambda t: 2.0 - t], ["to_x0", "from_T"], lambda t: t * t - 0.1),
+}
+
+
+@pytest.fixture(scope="module")
+def array_form_nests():
+    return {name: build() for name, build in ARRAY_FORM_NESTS.items()}
+
+
+def _scalar_or_error(nest, x, level):
+    try:
+        return nest.value(x, level)
+    except EvaluationError as exc:
+        return exc
+
+
+def _assert_array_form(nest, xs, level):
+    """Every finite entry is the scalar value bit for bit; a flagged one is a
+    point outside the grid or on a log cell; tabulate is the scalar loop."""
+    lev = nest.levels[level]
+    got = nest.values(xs, level)
+    for x, v in zip(xs.tolist(), got.tolist()):
+        ref = _scalar_or_error(nest, x, level)
+        if math.isfinite(v):
+            assert struct.pack("d", v) == struct.pack("d", ref), (x, v, ref)
+        else:
+            w = nest.grid.sigma * x
+            i = min(max(int(np.searchsorted(nest.grid.nodes, w, side="right")) - 1, 0),
+                    nest.grid.cells - 1)
+            assert isinstance(ref, EvaluationError) or i in lev.log_cells, (x, ref)
+    fn = NodeFn(lambda x: nest.value(x, level), lambda xs: nest.values(xs, level))
+    refs = [_scalar_or_error(nest, x, level) for x in xs.tolist()]
+    first_error = next((r for r in refs if isinstance(r, EvaluationError)), None)
+    if first_error is None:
+        table = tabulate(fn, xs)
+        assert [struct.pack("d", v) for v in table.tolist()] == [struct.pack("d", r) for r in refs]
+    else:
+        with pytest.raises(EvaluationError, match=str(first_error)):
+            tabulate(fn, xs)
+
+
+@pytest.mark.parametrize("name", sorted(ARRAY_FORM_NESTS))
+def test_nest_array_form_is_the_value_at_every_grid_node(array_form_nests, name):
+    nest = array_form_nests[name]
+    grid = nest.grid
+    for level in range(nest.depth):
+        _assert_array_form(nest, grid.xnodes, level)  # the Kronrod nodes
+        _assert_array_form(nest, grid.sigma * grid.nodes, level)  # the cell edges
+
+
+def test_the_steep_nest_has_log_cells(array_form_nests):
+    nest = array_form_nests["to_x0 log cells"]
+    assert nest.levels[1].log_cells
+    flagged = ~np.isfinite(nest.values(nest.grid.xnodes, 1))
+    assert flagged.sum() == 15 * len(nest.levels[1].log_cells)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(ARRAY_FORM_NESTS)), st.data())
+def test_nest_array_form_is_the_value_at_drawn_points(array_form_nests, name, data):
+    nest = array_form_nests[name]
+    lo, hi = sorted((nest.grid.T, nest.grid.sigma * nest.grid.nodes[-1]))
+    span = hi - lo
+    inside = st.floats(lo, hi)
+    outside = st.floats(lo - span, lo, exclude_max=True) | st.floats(hi + 1e-6 * span, hi + span)
+    xs = data.draw(st.lists(inside | outside if data.draw(st.booleans()) else inside,
+                            min_size=1, max_size=40))
+    level = data.draw(st.integers(0, nest.depth - 1))
+    _assert_array_form(nest, np.array(xs), level)
