@@ -81,7 +81,6 @@ from .scale import finite_prefix, ratio_decreases_to_zero, require_verified, sca
 from .wronskian import bordered_wronskian, wronskian_flags
 
 _LIMIT_TOL = 1e-6  # "a limit exists" when confidence < tol * (1 + |value|)
-_REFINE_SWEEPS = 5  # Gauss-Seidel sweeps of extract_recursive; fewer move coefficients
 
 
 def _guarded_ratio(num_fn, den_fn):
@@ -528,14 +527,14 @@ def _deflated_limit_status(values, basis_rows):
 def extract_recursive(f, scale, schedule):
     """Coefficients by peeling: a_i from the residual-over-phi_i limits.
 
-    After the defining recursive pass, up to ``_REFINE_SWEEPS`` Gauss-Seidel
-    sweeps re-extract each coefficient from the residual with *all* other
-    extracted terms removed; they stop once a sweep changes no coefficient
-    and no confidence bit, since every later sweep would repeat it.  The
-    limits are mathematically identical; the sweeps damp the pollution a
-    small error in an early coefficient injects into later ratios through
-    the scale's dynamic range.  The probes are the target's cut
-    (:func:`_target_cut`), as on the operator route.
+    After the defining recursive pass, one Gauss-Seidel sweep re-extracts
+    each coefficient from the residual with *all* other extracted terms
+    removed, and a verification pass reads the final values and
+    confidences the same way.  The limits are mathematically identical;
+    the sweep damps the pollution a small error in an early coefficient
+    injects into later ratios through the scale's dynamic range.  The
+    probes are the target's cut (:func:`_target_cut`), as on the operator
+    route.
     """
     require_verified(scale)
     n = scale.n
@@ -614,24 +613,17 @@ def extract_recursive(f, scale, schedule):
             conf_by_coeff[i] = conf
             extended = True
             residual = [r - value * p for r, p in zip(residual, phis[i])]
-        # Gauss-Seidel sweeps: each coefficient re-extracted with all other
-        # terms removed (same limits, far less pollution); the full residual
-        # rides along as an empirical remainder shape; a sweep that starts
-        # where the previous one started repeats it, and so does every later
-        # one, so the sweeps stop there
-        last = None
-        for _ in range(_REFINE_SWEEPS if coeffs else 0):
-            state = repr((coeffs, sorted(conf_by_coeff.items())))  # bit-exact
-            if state == last:
-                break
-            last = state
-            rem_row = peeled()
-            for i in range(len(coeffs)):
-                status, value, conf = ratio_limit(peeled(skip=i), i, rem_row)
-                if status in ("stable", "loose") and math.isfinite(value):
-                    delta = abs(value - coeffs[i])
-                    coeffs[i] = value
-                    conf_by_coeff[i] = max(conf, 0.1 * delta)
+        # one Gauss-Seidel sweep: each coefficient re-extracted with all
+        # other terms removed (same limit, far less pollution), the full
+        # residual riding along as an empirical remainder shape; a move
+        # widens the coefficient's confidence to a tenth of its size
+        rem_row = peeled()
+        for i in range(len(coeffs)):
+            status, value, conf = ratio_limit(peeled(skip=i), i, rem_row)
+            if status in ("stable", "loose") and math.isfinite(value):
+                delta = abs(value - coeffs[i])
+                coeffs[i] = value
+                conf_by_coeff[i] = max(conf, 0.1 * delta)
         if len(coeffs) == n or (attempt and not extended):
             break
 

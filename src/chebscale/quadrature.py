@@ -755,6 +755,12 @@ class NestedIntegral:
         edge = _GAP_EDGES[j]
         pieces = max(1, math.ceil(lev.log_pieces * (edge - xi) / _MAX_GAP))
         pts, weights = _kronrod_pieces(xi, edge, pieces)
+        if pts[-1] >= edge and j <= len(XGK):
+            # xi is within rounding of the Kronrod node at ``edge``, so the
+            # samples round onto it: the sliver is its width times the
+            # integrand at that node
+            piece = (edge - xi) * math.exp(lev.log_rows[k][j - 1])
+            return float(lev.log_after[k, j] + lev.log_scale[k] * piece)
         vals = np.exp(_interpolation(pts, XGK, _BW15) @ lev.log_rows[k])
         return float(lev.log_after[k, j] + lev.log_scale[k] * float(vals @ weights))
 

@@ -163,34 +163,35 @@ def _det_pivoted_nodes(a):
     return det, conditioning, det_scale, np.where(zero, 0.0, floor)
 
 
+def _minor(matrix, memo, cols, row):
+    """Determinant of the rows ``row..`` and columns ``cols`` of ``matrix``
+    by expansion along its first row; ``memo`` keeps it per column set.  A
+    module-level function, so the recursion forms no reference cycle."""
+    if len(cols) == 1:
+        return matrix[row][cols[0]]
+    got = memo.get(cols)
+    if got is not None:
+        return got
+    acc = None
+    sign = 1.0
+    for pos, c in enumerate(cols):
+        rest = cols[:pos] + cols[pos + 1 :]
+        term = matrix[row][c] * _minor(matrix, memo, rest, row + 1)
+        if sign < 0:
+            term = -term
+        acc = term if acc is None else acc + term
+        sign = -sign
+    memo[cols] = acc
+    return acc
+
+
 def det_jet(matrix):
     """Determinant of a square matrix of jets (or floats), by memoized minor
     expansion."""
     k = len(matrix)
     if k == 1:
         return matrix[0][0]
-    memo = {}
-
-    def minor(cols, row):
-        if len(cols) == 1:
-            return matrix[row][cols[0]]
-        key = cols
-        got = memo.get(key)
-        if got is not None:
-            return got
-        acc = None
-        sign = 1.0
-        for pos, c in enumerate(cols):
-            rest = cols[:pos] + cols[pos + 1 :]
-            term = matrix[row][c] * minor(rest, row + 1)
-            if sign < 0:
-                term = -term
-            acc = term if acc is None else acc + term
-            sign = -sign
-        memo[key] = acc
-        return acc
-
-    return minor(tuple(range(k)), 0)
+    return _minor(matrix, {}, tuple(range(k)), 0)
 
 
 def _derivative_matrix(scale, indices, x, rows):

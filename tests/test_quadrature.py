@@ -298,6 +298,16 @@ def test_the_steep_nest_has_log_cells(array_form_nests):
     assert flagged.sum() == 15 * len(nest.levels[1].log_cells)
 
 
+def test_the_steep_nest_is_finite_at_its_log_cell_nodes(array_form_nests):
+    # a Kronrod node of a log cell, approached from within rounding, leaves
+    # a sub-interval whose samples round onto the node
+    nest = array_form_nests["to_x0 log cells"]
+    lev = nest.levels[1]
+    xs = (nest.grid.sigma * nest.grid.cellnodes[lev.log_cells]).ravel()
+    assert len(xs) == 240
+    assert all(math.isfinite(nest.value(x, 1)) for x in xs.tolist())
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(sorted(ARRAY_FORM_NESTS)), st.data())
 def test_nest_array_form_is_the_value_at_drawn_points(array_form_nests, name, data):

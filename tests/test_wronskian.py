@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 
@@ -43,6 +44,24 @@ def _log_col(x, k):
 
 def _const_col(x, k):
     return [1.0] + [0.0] * (k - 1)
+
+
+@pytest.mark.parametrize("order, x", [(0, 7.0), (2, 7.0), (0, np.linspace(6.0, 9.0, 16))],
+                         ids=["order 0", "order 2", "node array"])
+def test_wronskian_jet_leaves_nothing_for_the_collector(order, x):
+    # the minor expansion's memo must be freed by reference counting alone:
+    # a reference cycle would keep its jets or node arrays until gc runs
+    sc = ChebyshevScale.from_exprs(["exp(x)", "x", "log(x)", "1"], T=4.0, x0=math.inf)
+    wronskian_jet(sc, (1, 2, 3, 4), 5.0, order)  # builds the lazy state once
+    gc.collect()
+    gc.disable()
+    try:
+        w = wronskian_jet(sc, (1, 2, 3, 4), x, order)
+        assert np.all(np.isfinite(w.value))
+        del w
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_monomial_wronskian_constant(poly_scale):
