@@ -10,10 +10,8 @@ For each seed it draws the targets of one ``churn`` pass (the same draw as
 ``extract_recursive`` on the pass's appendix bundle.  Per route it prints
 how many coefficients are decisive (status ``stable`` or ``loose``, finite
 value), how many of those miss the truth by more than their confidence and
-by more than ten times it, and the worst ratio of miss to confidence.  A
-miss within four ulps of the truth counts as none, so an exact claim
-(confidence 0) that only rounds is honest.  An honest confidence bounds the
-miss, so the last three read 0, 0 and <= 1.
+by more than ten times it, and the worst ratio of miss to confidence.  An
+honest confidence bounds the miss, so the last three read 0, 0 and <= 1.
 """
 
 from __future__ import annotations
@@ -70,8 +68,6 @@ def route_records(seed):
 
 def miss_ratio(rec):
     err, conf = abs(rec["value"] - rec["truth"]), rec["confidence"]
-    if err <= 4 * math.ulp(rec["truth"]):
-        return 0.0
     if conf > 0:
         return err / conf
     return math.inf if err > 0 else 0.0

@@ -29,12 +29,9 @@ Cache policy: these memos are all that is kept, each by one owner.
   (:attr:`~chebscale.factorization.WeightChain.canonicity`; only
   :func:`extract_operator` and ``factorize`` read it).
 - Images: each chain keeps, per live target and point, the values and
-  noises of every level of the deepest chain pass run there
-  (:meth:`~chebscale.factorization.WeightChain.image`).  A reader of
-  several operator levels (the constants, :meth:`_Check.ladder`,
-  :meth:`_Check.residual_set`, :func:`extract_operator`) asks the deepest
-  level first (:func:`~chebscale.operators.deepest_first`), so one pass
-  serves every shallower level.
+  noises of every level of one chain pass run there to level n - 1
+  (:meth:`~chebscale.factorization.WeightChain.image`), so one pass serves
+  every weighted derivative read at that point, in any order.
 - Operator limits: the type-II chain keeps each live target's limits
   under the scale, the level and the target's cut of the points
   (:func:`_operator_limit`), so :meth:`ScaleArtifacts.limit` and
@@ -75,7 +72,7 @@ from .factorization import (
     well_conditioned_probes,
 )
 from .jet import JetMemo
-from .operators import deepest_first, operator_constants
+from .operators import operator_constants
 from .quadrature import NestedIntegral, NodeFn, WorkGrid, node_values, tabulate
 from .scale import finite_prefix, ratio_decreases_to_zero, require_verified, scale_schedule
 from .wronskian import bordered_wronskian, wronskian_flags
@@ -635,12 +632,14 @@ def extract_recursive(f, scale, schedule):
         status, value, conf = ratio_limit(peeled(skip=i), i, peeled())
         if status not in ("stable", "loose"):
             status, value, conf = ratio_limit(peeled(skip=i), i, None)
-        statuses.append(status)
-        confs.append(max(conf, conf_by_coeff.get(i, 0.0)))
-        if status in ("stable", "loose") and math.isfinite(value):
+        conf = max(conf, conf_by_coeff.get(i, 0.0))
+        decisive = status in ("stable", "loose") and math.isfinite(value)
+        if decisive:
             coeffs[i] = value
-        else:
-            partial = True
+            status = _status_from_conf(value, conf)  # of the confidence reported
+        partial = partial or not decisive or status == "unstable"
+        statuses.append(status)
+        confs.append(conf)
     if stopped is not None:
         statuses.append(stopped)
     return ExpansionResult(
@@ -658,24 +657,19 @@ def extract_operator(f, scale, chain, constants, schedule):
     its detected structural constants; ``a_{k+1}`` is the limit of the
     level-k weighted derivative divided by the unit constant.  Each limit
     is the bundle's rule (:func:`_operator_limit`, the one cut and limit of
-    :meth:`ScaleArtifacts.limit`) run on the schedule's points, from the
-    deepest level down (:func:`~chebscale.operators.deepest_first`); a
-    limit the chain already keeps for the same cut is read, not redone.
+    :meth:`ScaleArtifacts.limit`) run on the schedule's points; a limit the
+    chain already keeps for the same cut is read, not redone.
     """
     if chain.canonicity.get("x0") not in ("type_II", "unknown"):
         raise EvaluationError("extract_operator needs a chain of type II at x0")
     eps = constants.epsilon
     pts = scale.toward_x0(schedule.points)
-
-    def limit(k):
-        out = _operator_limit(chain, scale, f, k, pts)
-        if out[0] == "diverged" and k == 0:
-            raise LimitDiverged("M_0[f] has no finite limit")
-        return out
-
     coeffs, confs, statuses = [], [], []
     partial = False
-    for k, (status, value, conf) in enumerate(deepest_first(scale.n, limit)):
+    for k in range(scale.n):
+        status, value, conf = _operator_limit(chain, scale, f, k, pts)
+        if status == "diverged" and k == 0:
+            raise LimitDiverged("M_0[f] has no finite limit")
         statuses.append(status)
         if status in ("diverged", "unstable"):
             partial = True
@@ -683,7 +677,8 @@ def extract_operator(f, scale, chain, constants, schedule):
             confs.append(math.inf)
         else:
             coeffs.append(value / eps[k])
-            confs.append(conf / abs(eps[k]))
+            # the division rounds: no confidence is below a few ulps
+            confs.append(max(conf / abs(eps[k]), 4 * math.ulp(coeffs[-1])))
     return ExpansionResult(
         coefficients=coeffs,
         confidences=confs,
@@ -894,16 +889,15 @@ class _Check:
             self.lf = art.lf_evaluator(f, source)
 
     def ladder(self, eq, count, coefficients, last=None):
-        """The operator limits of M_k[f], k < count (deepest first, see
-        :func:`~chebscale.operators.deepest_first`), as "<eq> limit k="
-        verdicts, plus "<eq> limits" and a copy of the deepest one as
+        """The operator limits of M_k[f], k < count, as "<eq> limit k="
+        verdicts, plus "<eq> limits" and a copy of the last one as
         "<last> last limit" when ``last`` is given.
 
         Sets the coefficients with their confidences: the supplied ones
         (exact), else a_{k+1} = lim M_k[f] / eps_k once every limit exists,
         else None."""
         verdicts = self.verdicts
-        limits = deepest_first(count, lambda k: self.art.limit(self.f, k))
+        limits = [self.art.limit(self.f, k) for k in range(count)]
         for k, (status, value, conf) in enumerate(limits):
             verdicts[f"{eq} limit k={k}"] = _v(_status(status), value=value, confidence=conf)
         if last is not None:
@@ -974,18 +968,14 @@ class _Check:
         (5.20)-(5.21): for each ``(k, upto, i)`` of ``levels`` the level-k
         residual of the expansion up to phi_upto is o(image of phi_i), or
         o(1) when i is None.  Returns the weakest status and the status per
-        entry.  The entries come in ascending level order and run from the
-        deepest down (:func:`~chebscale.operators.deepest_first`)."""
+        entry."""
         art = self.art
         image = art.M_phi if chain == "M" else art.L_phi
-
-        def status(j):
-            k, upto, i = levels[j]
+        per = {}
+        for j, (k, upto, i) in enumerate(levels):
             rows, floors = self.residuals(k, chain, upto)
             cmps = [1.0] * len(rows) if i is None else [image(k, i, x) for x in art.probes]
-            return _zero_limit_status(rows, cmps, floors)[0]
-
-        per = dict(enumerate(deepest_first(len(levels), status)))
+            per[j] = _zero_limit_status(rows, cmps, floors)[0]
         return _weakest(per.values()), per
 
     def r0(self):
@@ -1263,8 +1253,7 @@ def check_incomplete(f, i, artifacts, source=None, remainder=None, coefficients=
     if convex and not ck.lf_zero:
         ck.notes.append("L[f] >= 0 on the schedule: (6.18) O-estimates checked")
 
-        def bounded(j):  # level i + j, from the deepest down
-            k = i + j
+        def bounded(k):
             nest = art.nest(*_partial_levels(art, k + 1), ck.lf)
             ratios = []
             for x in art.probes:
@@ -1272,7 +1261,8 @@ def check_incomplete(f, i, artifacts, source=None, remainder=None, coefficients=
                 ratios.append(art.M(k, f, x) / ref)
             return is_bounded_tail(ratios)[0] is not False
 
-        ok18 = all(deepest_first(n - i, bounded))
+        # a list, not a generator: every level runs, so its error surfaces
+        ok18 = all([bounded(k) for k in range(i, n)])
         verdicts["(6.18) O-estimates"] = _v("holds" if ok18 else "fails")
 
     groups = [
@@ -1306,11 +1296,9 @@ def check_O(f, i, artifacts, source=None, coefficients=None):
         verdicts["(5.36) O-form"] = _bounded_verdict(rows)
         _, seq, noise = sequence()
     else:
-        # (5.31): limits below the boundary order, then boundedness at i-1;
-        # level i-1 is the deepest read, so its sequence runs first
-        _, (_, seq, noise) = deepest_first(
-            2, lambda j: sequence() if j else ck.ladder("(5.31)", i - 1, coefficients)
-        )
+        # (5.31): limits below the boundary order, then boundedness at i-1
+        ck.ladder("(5.31)", i - 1, coefficients)
+        _, seq, noise = sequence()
         verdicts["(5.29) coefficients"] = _v(
             "holds" if ck.coeffs is not None else "inconclusive", values=ck.coeffs
         )

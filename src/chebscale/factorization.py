@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import EvaluationError, PivotVanishes, ToleranceNotMet, WronskianDegenerate
 from .jet import JetMemo, antiderivative, derivative, jet_constant, jet_derivative, truncate
-from .quadrature import NestedIntegral, NodeFn, WorkGrid, classify_toward
+from .quadrature import _SCALAR_ERRORS, NestedIntegral, NodeFn, WorkGrid, classify_toward
 from .scale import finite_prefix, make_schedule, require_verified
 from .wronskian import det_pivoted, wronskian, wronskian_flags, wronskian_jet
 
@@ -101,15 +101,23 @@ class WeightChain:
     def image(self, f, k, x):
         """``(value, noise)`` of :func:`apply_chain` at level k and point x.
 
-        f's entry keeps, per point, every level of the deepest pass run
-        there (:func:`chain_levels`): a shallower level is read from it, and
-        a deeper one runs a new pass that replaces it, as
-        :class:`~chebscale.jet.JetMemo` does with orders.  A call that
-        raises keeps nothing."""
+        f's entry keeps, per point, every level of one pass
+        (:func:`chain_levels`) run to level n - 1 (the last weighted
+        derivative), or to k if that is deeper, so every later read of a
+        level up to n - 1 is served from it, in any order.  A pass to n - 1
+        that raises is retried at level k, so a target whose higher-order
+        jets raise gets level k's own value or error.  A call that raises
+        keeps nothing."""
         memo = self._images.get(f)
         levels = None if memo is None else memo.get(x)
         if levels is None or len(levels[0]) <= k:
-            levels = chain_levels(self, f, x, k)
+            depth = max(k, self.n - 1)
+            try:
+                levels = chain_levels(self, f, x, depth)
+            except _SCALAR_ERRORS:  # a deeper order raised: run level k alone
+                if depth == k:
+                    raise
+                levels = chain_levels(self, f, x, k)
             if memo is None:
                 self._images[f] = {x: levels}
             else:
@@ -452,7 +460,7 @@ def apply_chain(chain, f, x, level=None, with_noise=False):
 
     Level k evaluates r_k (r_{k-1} ( ... (r_0 f)' ... )')' in jet arithmetic,
     each weight expanded only to the residual order it still needs: the
-    deepest level of :func:`chain_levels`.
+    last level of a :func:`chain_levels` pass to k.
 
     With ``with_noise`` the return is ``(value, noise)`` where noise is a
     running estimate of the rounding floor: derivatives of functions with a

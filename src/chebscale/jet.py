@@ -376,14 +376,9 @@ class JetMemo:
     One jet per point: the highest order computed there so far.  A request
     at a lower order is served as its truncation, which is exact (see the
     module docstring); a higher order recomputes and replaces it.  A request
-    that raises stores nothing.  So a reader of several orders at a point
-    asks the deepest first (:func:`~chebscale.operators.deepest_first`):
-    asked in ascending order, the memo recomputes the point at each order.
-    The rule belongs to the readers; a scalar read at order 0 pays for
-    order 0 only, and an expression's (``expr.ExpressionFunction``) builds
-    no jet per AST node, only the one jet it stores.  A chain's images
-    follow the same policy, one pass per point at the deepest level asked
-    there (:meth:`~chebscale.factorization.WeightChain.image`).
+    that raises stores nothing.  A scalar read at order 0 pays for order 0
+    only, and an expression's (``expr.ExpressionFunction``) builds no jet
+    per AST node, only the one jet it stores.
 
     With ``arrays`` the evaluator ``fn`` also takes a node array for ``x``
     (its array form) and returns a jet with array coefficients.  Only the

@@ -52,36 +52,11 @@ def detect_constant(values):
     return mean, spread
 
 
-def deepest_first(count, level):
-    """``[level(k) for k in range(count)]``, computed from the deepest level
-    down.
-
-    Level k of a chain reads each point's record of the deepest pass run
-    there (:meth:`~chebscale.factorization.WeightChain.image`), so once the
-    deepest level has run at a point every shallower level reads its value
-    from that pass instead of running its own.  Each level's outcome is
-    recorded and replayed in ascending order: the error raised is the one
-    the ascending order raises first."""
-    outcomes = [None] * count
-    for k in range(count - 1, -1, -1):
-        try:
-            outcomes[k] = (level(k), None)
-        except Exception as exc:  # replayed below, in ascending order
-            outcomes[k] = (None, exc)
-    out = []
-    for value, exc in outcomes:
-        if exc is not None:
-            raise exc
-        out.append(value)
-    return out
-
-
 def operator_constants(scale, chain_q, chain_p, schedule):
     """Detect the structural constants along the schedule.
 
     ``epsilon`` and ``b`` are the means of the constancy tests of
-    M_k[phi_{k+1}] and L_k[phi_{n-k}], each run from the deepest level
-    down (:func:`deepest_first`).  Raises :class:`NotConstant` if a chain
+    M_k[phi_{k+1}] and L_k[phi_{n-k}].  Raises :class:`NotConstant` if a chain
     image of its own kernel-edge function fails its constancy test, which
     signals a broken chain.  ``positivity_case`` reads the signs of the
     leading Wronskians at the last point where they are all finite.  The
@@ -96,7 +71,8 @@ def operator_constants(scale, chain_q, chain_p, schedule):
 
     epsilon = []
     constancy = {}
-    for k, (mean, spread) in enumerate(deepest_first(n, lambda k: constant(chain_q, k + 1, k))):
+    for k in range(n):
+        mean, spread = constant(chain_q, k + 1, k)
         epsilon.append(1 if mean > 0 else -1)
         constancy[f"M_{k}[phi_{k + 1}]"] = {"value": mean, "spread": spread}
     epsilon_hk = {}
@@ -111,7 +87,8 @@ def operator_constants(scale, chain_q, chain_p, schedule):
                 sign = -1
             epsilon_hk[(h, k)] = sign
     b = [0.0] * n
-    for k, (mean, spread) in enumerate(deepest_first(n, lambda k: constant(chain_p, n - k, k))):
+    for k in range(n):
+        mean, spread = constant(chain_p, n - k, k)
         b[n - k - 1] = mean
         constancy[f"L_{k}[phi_{n - k}]"] = {"value": mean, "spread": spread}
 

@@ -545,7 +545,10 @@ class NestedIntegral:
     a to_x0 level with a non-finite cell (weights that overflow on a grid
     built without ``hard_cap``) raises a non-decisive one.
     ``value_error`` sums the cells' embedded errors and, per to_x0 level,
-    the uncertainty of the remainder beyond the grid.
+    the uncertainty of the remainder beyond the grid.  On an outer from_T
+    level of a deeper nest it is not a bound: the inner levels' errors and
+    the rounding of the cumulative sums are not carried outward.  Its one
+    reader, the (5.17) bound, reads a one-level to_x0 nest.
     """
 
     def __init__(self, grid, weights, orientations, density):

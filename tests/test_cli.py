@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import os
@@ -168,3 +169,14 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["command"] == "analyze"
+
+
+def test_oracle_sweep_reads_ok_on_a_true_expansion(capsys):
+    path = Path(__file__).resolve().parents[1] / "scripts" / "oracle_sweep.py"
+    spec = importlib.util.spec_from_file_location("oracle_sweep", path)
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    assert sweep.main(["--targets", "x + log(x) + x^-2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].split()[-2:] == ["ok", "ok"]
+    assert lines[-1] == "runs not ok: 0 of 2"

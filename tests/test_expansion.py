@@ -64,6 +64,29 @@ def test_extract_operator_exact_kernel(appendix_artifacts):
     assert all(abs(c - t) < 1e-4 for c, t in zip(res.coefficients, truth))  # NaN too
 
 
+def test_a_stable_recursive_coefficient_carries_a_stable_confidence(appendix_artifacts):
+    # the sweep widens a confidence to a tenth of its move; the status
+    # reported is the one of the confidence reported
+    art = appendix_artifacts
+    g = construct_from_source(art, [-1.429226, -2.23613, 2.957124, 1.818327],
+                              ExpressionFunction("sin(x)"), mode="from_T")
+    res = extract_recursive(g, art.scale, art.schedule)
+    stable = [(a, c) for a, c, s in zip(res.coefficients, res.confidences, res.statuses)
+              if s == "stable"]
+    assert stable and all(c <= 1e-6 * (1.0 + abs(a)) for a, c in stable), res
+
+
+def test_an_exact_operator_coefficient_is_within_its_confidence(appendix_artifacts):
+    # a_1 = lim M_0[f] / eps_0 rounds one ulp off the truth, so a
+    # confidence of 0 would claim too much
+    art = appendix_artifacts
+    truth = [-2.553967, 2.581976, 1.995092, 1.581524]
+    f = ExpressionFunction(" + ".join(
+        f"{c!r}*({m.name})" for c, m in zip(truth, art.scale.functions)))
+    res = extract_operator(f, art.scale, art.chain_q, art.constants, art.schedule)
+    assert all(abs(a - t) <= c for a, t, c in zip(res.coefficients, truth, res.confidences))
+
+
 def test_extract_operator_taylor_case():
     sc = ChebyshevScale.from_exprs(["1", "1-x", "(1-x)^2", "(1-x)^3"], T=0.0, x0=1.0)
     sched = make_schedule(0.0, 1.0, 12, 0.5)

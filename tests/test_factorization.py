@@ -25,6 +25,7 @@ from chebscale import (
 )
 from chebscale import cli, factorization
 from chebscale.errors import (
+    EvaluationError,
     NotAsymptoticScale,
     PivotVanishes,
     ToleranceNotMet,
@@ -427,6 +428,7 @@ def test_chain_levels_are_the_per_level_chain_bit_for_bit(bench_bundles, name, d
 
 def test_one_chain_pass_serves_every_shallower_level(appendix_artifacts, monkeypatch):
     chain = appendix_artifacts.chain_q
+    n = chain.n
     real = factorization.chain_levels
     passes = []
 
@@ -435,12 +437,42 @@ def test_one_chain_pass_serves_every_shallower_level(appendix_artifacts, monkeyp
         return real(chain, f, x, k)
 
     monkeypatch.setattr(factorization, "chain_levels", counted)
-    f = ExpressionFunction("2*exp(x) - x + exp(-x)")
-    deep = [chain.image(f, k, 9.0) for k in (3, 2, 1, 0)]
-    assert passes == [(9.0, 3)]
-    # ascending reads deepen the point's record, one pass per new level
-    up = [chain.image(f, k, 12.0) for k in (0, 1, 1, 0)]
-    assert passes == [(9.0, 3), (12.0, 0), (12.0, 1)]
-    g = ExpressionFunction("2*exp(x) - x + exp(-x)")
-    assert deep == [apply_chain(chain, g, 9.0, k, with_noise=True) for k in (3, 2, 1, 0)]
-    assert up == [apply_chain(chain, g, 12.0, k, with_noise=True) for k in (0, 1, 1, 0)]
+    text = "2*exp(x) - x + exp(-x)"
+    f = ExpressionFunction(text)
+    # a first read at any level up to n - 1 runs one pass to n - 1; later
+    # reads up to n - 1, in any order, run none
+    reads = {9.0 + first: [first, *reversed(range(n)), *range(n)] for first in range(n)}
+    got = [(x, ks, [chain.image(f, k, x) for k in ks]) for x, ks in reads.items()]
+    assert passes == [(x, n - 1) for x in reads]
+    # a level-n read deepens the record once, and it serves every level
+    ks = (n, 0, n, n - 1)
+    got.append((9.0, ks, [chain.image(f, k, 9.0) for k in ks]))
+    assert passes[n:] == [(9.0, n)]
+    monkeypatch.undo()  # the references run passes of their own
+    g = ExpressionFunction(text)
+    for x, ks, images in got:
+        assert images == [apply_chain(chain, g, x, k, with_noise=True) for k in ks]
+
+
+def test_a_target_raising_at_a_deep_order_keeps_its_shallow_images(appendix_artifacts):
+    # the pass to level n - 1 asks f at order n - 1 and raises; the retry at
+    # the level asked gives that level's own pass, bit for bit
+    chain = appendix_artifacts.chain_q
+
+    class RaisingAtThree:
+        def __init__(self):
+            self.f = ExpressionFunction("exp(-x) + x")
+
+        def __call__(self, x, order):
+            if order >= 3:
+                raise EvaluationError(f"order {order}")
+            return self.f(x, order)
+
+    f, g = RaisingAtThree(), ExpressionFunction("exp(-x) + x")
+    for x in (9.0, 12.0):
+        value, noise = chain.image(f, 0, x)
+        ref = apply_chain(chain, g, x, 0, with_noise=True)
+        assert (_bits(value), _bits(noise)) == tuple(map(_bits, ref))
+        assert chain.image(f, 2, x) == apply_chain(chain, g, x, 2, with_noise=True)
+        with pytest.raises(EvaluationError, match="order 3"):
+            chain.image(f, 3, x)

@@ -1,6 +1,6 @@
 """Work done once per target: the limit decision's lazy leave-one-out, the
-deepest-level-first readers of several operator levels, and the source
-tabulated once per check.
+readers of several operator levels (one chain pass per point), and the
+source tabulated once per check.
 
 Each test fails if the repeated work comes back or if an output moves:
 ``_deflated_limit_status`` is compared bit for bit with the eager rule it
@@ -23,6 +23,7 @@ from chebscale import (
     expansion,
     extract_operator,
     extract_recursive,
+    factorization,
     make_schedule,
 )
 from chebscale.errors import EvaluationError, LimitDiverged
@@ -32,10 +33,12 @@ from chebscale.expansion import (
     _limit_status,
     _status_from_conf,
     check_complete,
+    check_incomplete,
+    check_O,
 )
 from chebscale.expr import ExpressionFunction
 from chebscale.factorization import build_type1_chain, build_type2_chain
-from chebscale.operators import deepest_first, operator_constants
+from chebscale.operators import operator_constants
 
 GOLDEN = Path(__file__).parent / "data" / "extrapolate_golden.json"
 
@@ -218,7 +221,7 @@ def test_operator_constants_evaluate_each_chain_weight_once_per_point(
             counts[c, i] = Counter()
             _count_scalar_calls(monkeypatch, weight, counts[c, i])
     operator_constants(appendix_scale, *chains, appendix_schedule)
-    # ascending levels evaluate r_0 at every order up to n - 1, so 4 times
+    # one chain pass to level n - 1 per point serves every level
     worst = {key: max(cnt.values(), default=0) for key, cnt in counts.items()}
     assert max(worst.values()) == 1, worst
 
@@ -232,31 +235,31 @@ def test_ladder_evaluates_a_constructed_target_twice_per_point(appendix_artifact
     _count_scalar_calls(monkeypatch, g._memo, counts)
     ck = _Check(art, g, source=lambda x: psi(x, 0).value)
     ck.ladder("(5.7)", art.n, None, last="(5.8)")
-    # order 0 for the reach, then the deepest level; the ascending order
-    # evaluated once more per level
+    # order 0 for the reach, then the one chain pass to level n - 1
     assert counts and max(counts.values()) <= 2, counts
     assert set(counts) <= set(art.class_points)
 
 
-def test_deepest_first_computes_down_and_returns_up():
-    asked = []
+def test_a_check_sequence_runs_one_chain_pass_per_point(appendix_artifacts, monkeypatch):
+    # the (5.22), (4.22) and (6.18) levels of check_incomplete and the
+    # (5.31) ladder and sequence of check_O read M_k[f] and L_k[f] at
+    # several levels in turn: each chain's first pass at a point serves all
+    art = appendix_artifacts
+    f = ExpressionFunction("2*exp(x) - x + 3*log(x) + 5 + exp(-x)")
+    real = factorization.chain_levels
+    passes = Counter()
 
-    def level(k):
-        asked.append(k)
-        return k * k
+    def counted(chain, g, x, k):
+        if g is f:
+            passes[id(chain), x] += 1
+        return real(chain, g, x, k)
 
-    assert deepest_first(4, level) == [0, 1, 4, 9]
-    assert asked == [3, 2, 1, 0]
-
-
-def test_deepest_first_raises_what_the_ascending_order_raises_first():
-    def level(k):
-        if k in (1, 3):
-            raise EvaluationError(f"level {k}")
-        return k
-
-    with pytest.raises(EvaluationError, match="level 1"):
-        deepest_first(4, level)
+    monkeypatch.setattr(factorization, "chain_levels", counted)
+    for i in (1, 2, 3):
+        check_incomplete(f, i, art)
+    for i in (1, 2, 3, 4):
+        check_O(f, i, art)
+    assert passes and max(passes.values()) == 1, passes
 
 
 class _RaisingTarget:
