@@ -25,9 +25,10 @@ Cache policy: these memos are all that is kept, each by one owner.
   P-weight nest of (6.12) with its values on the grid nodes (through the
   nest's array form), and W(phi_1..phi_n) on the grid nodes, which every
   L[f] table divides by.
-  Each chain classifies its canonicity on first read
-  (:attr:`~chebscale.factorization.WeightChain.canonicity`; only
-  :func:`extract_operator` and ``factorize`` read it).
+  Each chain classifies its canonicity per endpoint, on first read
+  (:meth:`~chebscale.factorization.WeightChain.canonicity_at`; only
+  :func:`extract_operator`, which reads x0, and ``factorize``, which reads
+  both, ask).
 - Images: each chain keeps, per live target and point, the values and
   noises of every level of one chain pass run there to level n - 1
   (:meth:`~chebscale.factorization.WeightChain.image`), so one pass serves
@@ -136,13 +137,15 @@ class ScaleArtifacts:
         require_verified(scale)
         self.scale = scale
         self.schedule = schedule
-        self.chain_q = build_type2_chain(scale, schedule)
-        self.chain_p = build_type1_chain(scale, schedule)
+        scan = {}  # the build's Wronskian evaluations, shared and then dropped
+        self.chain_q = build_type2_chain(scale, schedule, scan)
+        self.chain_p = build_type1_chain(scale, schedule, scan)
         self.q_vals = [NodeFn.of(w) for w in self.chain_q.weights]
         self.p_vals = [NodeFn.of(w) for w in self.chain_p.weights]
         weights = self.q_vals + self.p_vals
         self.probes = well_conditioned_probes(
-            scale, finite_prefix(scale.toward_x0(schedule.points), weights), minimum=6
+            scale, finite_prefix(scale.toward_x0(schedule.points), weights), minimum=6,
+            scan=scan,
         )
         if scale.infinite:
             # cap the tail reach where the chain evaluations overflow, probing
@@ -154,7 +157,7 @@ class ScaleArtifacts:
                                  hard_cap=finite_prefix(far, weights)[-1])
         else:
             self.grid = WorkGrid(scale.T, scale.x0, include=self.probes)
-        self.constants = operator_constants(scale, self.chain_q, self.chain_p, schedule)
+        self.constants = operator_constants(scale, self.chain_q, self.chain_p, schedule, scan)
         self._targets = weakref.WeakKeyDictionary()
         # classification points: the probe schedule extended geometrically to
         # the grid's reach (table lookups there are free, and integrals need
@@ -660,7 +663,7 @@ def extract_operator(f, scale, chain, constants, schedule):
     :meth:`ScaleArtifacts.limit`) run on the schedule's points; a limit the
     chain already keeps for the same cut is read, not redone.
     """
-    if chain.canonicity.get("x0") not in ("type_II", "unknown"):
+    if chain.canonicity_at("x0") not in ("type_II", "unknown"):
         raise EvaluationError("extract_operator needs a chain of type II at x0")
     eps = constants.epsilon
     pts = scale.toward_x0(schedule.points)

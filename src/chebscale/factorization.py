@@ -8,8 +8,8 @@ Given a verified scale, this module builds
   chain,
 
 runs the divide-and-differentiate construction and applies the full
-operator as a Wronskian quotient.  A chain's canonicity at both endpoints
-is classified on its first read, not when the chain is built.
+operator as a Wronskian quotient.  A chain's canonicity is classified per
+endpoint, each on its first read, not when the chain is built.
 
 Weights are stored unsigned (positive) together with a sign word; the sign
 pattern has product +1, so composing the unsigned chain to full depth
@@ -61,9 +61,10 @@ class _PrefixWronskians:
             return jet_constant(1.0, x, order)
         return self._memos[i - 1](x, order)
 
-    def check(self, i, x):
-        """Raise WronskianDegenerate when the prefix Wronskian vanishes at x."""
-        ev = wronskian(self.scale, self.indices(i), x)
+    def check(self, i, x, scan):
+        """Raise WronskianDegenerate when the prefix Wronskian vanishes at x
+        (``scan``: the build's shared evaluations, see ``wronskian``)."""
+        ev = wronskian(self.scale, self.indices(i), x, scan)
         if ev.vanishes:
             raise WronskianDegenerate(
                 f"W{self.indices(i)} ~ 0 at x={x} (value {ev.value})"
@@ -75,9 +76,11 @@ class _PrefixWronskians:
 class WeightChain:
     """Factorization weights r_0..r_n, unsigned, with a separate sign word.
 
-    ``canonicity`` is classified on its first read
-    (:func:`classify_canonicity`), so an error raised while classifying
-    surfaces at that read, not where the chain is built.  :meth:`image`
+    The verdict at each endpoint is classified on its first read
+    (:meth:`canonicity_at`), so an error raised while classifying surfaces
+    at that read, not where the chain is built, and an endpoint that
+    nothing reads is never classified.  ``canonicity`` holds both
+    endpoints' verdicts (:func:`classify_canonicity`).  :meth:`image`
     reads and keeps the chain's images, M_k[f] (type II) or L_k[f] (type I);
     ``limits`` keeps the operator limits of the type-II chain's images
     (``expansion._operator_limit``).  Both memos hold floats only, one
@@ -93,10 +96,20 @@ class WeightChain:
     _images: WeakKeyDictionary = field(default_factory=WeakKeyDictionary, init=False, repr=False)
     # target -> {(scale, k, cut points): (status, value, confidence)}
     limits: WeakKeyDictionary = field(default_factory=WeakKeyDictionary, init=False, repr=False)
+    # endpoint -> its canonicity verdict
+    _verdicts: dict = field(default_factory=dict, init=False, repr=False)
 
     @cached_property
     def canonicity(self):
         return classify_canonicity(self)
+
+    def canonicity_at(self, endpoint):
+        """The canonicity verdict at ``endpoint`` ("x0" or "T"), classified
+        on its first read (see :func:`classify_canonicity`)."""
+        verdict = self._verdicts.get(endpoint)
+        if verdict is None:
+            verdict = self._verdicts[endpoint] = _classify_endpoint(self, endpoint)
+        return verdict
 
     def image(self, f, k, x):
         """``(value, noise)`` of :func:`apply_chain` at level k and point x.
@@ -161,30 +174,39 @@ def _chain_from_signed(signed_fns, scale, provenance, probes, arrays=False):
     finite.  A weight whose sign differs at an earlier probe marks a
     Wronskian zero inside the interval, where the chain is no factorization:
     the first such flip raises WronskianDegenerate, naming the weight and
-    both points.  ``arrays``: the signed evaluators take node arrays.
+    both points.  Each weight is read once per probe at order 0, and its
+    unsigned memo starts with those jets.  ``arrays``: the signed
+    evaluators take node arrays.
     """
-    values = [lambda x, fn=fn: fn(x, 0).value for fn in signed_fns]
-    ordered = finite_prefix(scale.toward_x0(probes), values)
+    read = [{} for _ in signed_fns]  # per weight: probe -> its order-0 jet
+
+    def reader(fn, jets):
+        def value(x):
+            jets[x] = j = fn(x, 0)
+            return j.value
+        return value
+
+    ordered = finite_prefix(scale.toward_x0(probes), list(map(reader, signed_fns, read)))
     if not ordered:
         raise WronskianDegenerate(f"no probe keeps the {provenance} weights finite")
     x_ref = ordered[-1]
-    signs = [_signed_sign(fn(x_ref, 0).value, x_ref) for fn in signed_fns]
+    signs = [_signed_sign(jets[x_ref].value, x_ref) for jets in read]
     for x in ordered:
-        for k, (fn, s) in enumerate(zip(signed_fns, signs)):
-            v = fn(x, 0).value
-            if _signed_sign(v, x) != s:
+        for k, (jets, s) in enumerate(zip(read, signs)):
+            if _signed_sign(jets[x].value, x) != s:
                 raise WronskianDegenerate(
                     f"{provenance} weight r{k} changes sign between x={x} and x={x_ref}"
                 )
     unsigned = [
-        JetMemo(fn if s > 0 else lambda x, m, f=fn: -f(x, m), f"{provenance}:r{k}", arrays)
-        for k, (fn, s) in enumerate(zip(signed_fns, signs))
+        JetMemo(fn if s > 0 else lambda x, m, f=fn: -f(x, m), f"{provenance}:r{k}", arrays,
+                jets=jets if s > 0 else {x: -j for x, j in jets.items()})
+        for k, (fn, s, jets) in enumerate(zip(signed_fns, signs, read))
     ]
     return WeightChain(weights=unsigned, signs=signs, interval=(scale.T, scale.x0),
                        n=scale.n, provenance=provenance)
 
 
-def well_conditioned_probes(scale, points, minimum=4):
+def well_conditioned_probes(scale, points, minimum=4, scan=None):
     """Probes where the full Wronskian W(phi_1..phi_n) is numerically
     trustworthy: the bundle's probes and the factorization probes.
 
@@ -192,12 +214,18 @@ def well_conditioned_probes(scale, points, minimum=4):
     relative noise of the determinant; beyond 1e12 the value is unusable and
     the probe is skipped.  Operator-limit sequences are not cut
     here: they have their own cut (``expansion._level_sequence``).
+
+    The scan is shared within a build: a bundle passes its ``scan`` (see
+    :func:`~chebscale.wronskian.wronskian`) here, to both chain builds and
+    to ``operator_constants``, so W(phi_1..phi_n) is computed once per
+    point in the build, and the chains' prefix checks and the positivity
+    test read the same evaluations.  Nothing is kept after the build.
     """
     idx = tuple(range(1, scale.n + 1))
     kept = []
     for x in points:
         try:
-            ev = wronskian(scale, idx, x)
+            ev = wronskian(scale, idx, x, scan)
         except (ArithmeticError, EvaluationError):
             continue
         if math.isfinite(ev.conditioning) and ev.conditioning < 1e12:
@@ -209,17 +237,17 @@ def well_conditioned_probes(scale, points, minimum=4):
     return kept
 
 
-def _polya_chain(scale, prefixes, provenance, schedule):
+def _polya_chain(scale, prefixes, provenance, schedule, scan):
     """Shared Polya construction over a prefix-Wronskian family.
 
     Signed weights: r_0 = 1/W_1, r_i = W_i^2/(W_{i-1} W_{i+1}) for
     1 <= i <= n-1, r_n = W_n/W_{n-1}; the product telescopes to 1.
     """
     n = scale.n
-    probes = well_conditioned_probes(scale, schedule.points)
+    probes = well_conditioned_probes(scale, schedule.points, scan=scan)
     for x in probes:
         for i in range(1, n + 1):
-            prefixes.check(i, x)
+            prefixes.check(i, x, scan)
 
     def r0(x, order):
         return 1.0 / prefixes.jet(1, x, order)
@@ -237,18 +265,21 @@ def _polya_chain(scale, prefixes, provenance, schedule):
     return _chain_from_signed(fns, scale, provenance, probes, arrays=True)
 
 
-def build_type2_chain(scale, schedule):
+def build_type2_chain(scale, schedule, scan=None):
     """Polya chain from forward prefixes; canonical of type II at x0 (its
-    ``canonicity`` is classified on first read)."""
+    ``canonicity`` is classified on first read).  ``scan``: the build's
+    shared Wronskian evaluations (:func:`well_conditioned_probes`)."""
     require_verified(scale)
-    return _polya_chain(scale, _PrefixWronskians(scale), "polya_q", schedule)
+    return _polya_chain(scale, _PrefixWronskians(scale), "polya_q", schedule, scan)
 
 
-def build_type1_chain(scale, schedule):
+def build_type1_chain(scale, schedule, scan=None):
     """Polya chain from reversed prefixes; "the" type-I chain at x0 (its
-    ``canonicity`` is classified on first read)."""
+    ``canonicity`` is classified on first read).  ``scan`` as for
+    :func:`build_type2_chain`."""
     require_verified(scale)
-    return _polya_chain(scale, _PrefixWronskians(scale, reverse=True), "polya_p", schedule)
+    return _polya_chain(scale, _PrefixWronskians(scale, reverse=True), "polya_p", schedule,
+                        scan)
 
 
 # -- canonicity classification ---------------------------------------------------
@@ -281,7 +312,10 @@ def _endpoint_kinds(integrands, pts):
 def classify_canonicity(chain):
     """Endpoint classification ``{"x0": ..., "T": ...}`` from the
     reciprocal-weight integrals; :attr:`WeightChain.canonicity` calls it on
-    its first read, so an error raised here surfaces at that read.
+    its first read, so an error raised here surfaces at that read.  Each
+    endpoint's verdict is the chain's own (:meth:`WeightChain.canonicity_at`):
+    an endpoint classified before, as x0 by ``extract_operator``, is read,
+    not classified again.
 
     type_I: every reciprocal middle weight has a divergent integral toward
     the endpoint (kind ``diverged_*`` of
@@ -293,23 +327,24 @@ def classify_canonicity(chain):
     per refinement round
     (:func:`~chebscale.quadrature.integrate_all`).
     """
+    return {endpoint: chain.canonicity_at(endpoint) for endpoint in ("x0", "T")}
+
+
+def _classify_endpoint(chain, endpoint):
+    """The verdict of :func:`classify_canonicity` at one endpoint."""
     recips = [
         NodeFn(lambda x, w=w: 1.0 / w.value(x), lambda xs, w=w: 1.0 / w.values(xs))
         for w in chain.weights[1:chain.n]
     ]
-    out = {}
-    for endpoint in ("x0", "T"):
-        pts = finite_prefix(_endpoint_schedule(chain.interval, endpoint).points, recips)
-        kinds = _endpoint_kinds(recips, pts)
-        if all(k.startswith("diverged") for k in kinds):
-            out[endpoint] = "type_I"
-        elif all(k == "converged" for k in kinds):
-            out[endpoint] = "type_II"
-        elif any(k.startswith("diverged") for k in kinds) and "converged" in kinds:
-            out[endpoint] = "neither"
-        else:
-            out[endpoint] = "unknown"
-    return out
+    pts = finite_prefix(_endpoint_schedule(chain.interval, endpoint).points, recips)
+    kinds = _endpoint_kinds(recips, pts)
+    if all(k.startswith("diverged") for k in kinds):
+        return "type_I"
+    if all(k == "converged" for k in kinds):
+        return "type_II"
+    if any(k.startswith("diverged") for k in kinds) and "converged" in kinds:
+        return "neither"
+    return "unknown"
 
 
 # -- the full operator -------------------------------------------------------------

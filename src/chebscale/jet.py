@@ -17,6 +17,12 @@ where the scalar path raises (overflow, a domain error, division by a value
 coefficient computed from it; callers evaluate flagged nodes again with
 scalar jets (see ``quadrature.tabulate``).
 
+The product is the hot operation.  Two jets of one order multiply without
+coercion or truncation, and orders up to 3 (every benchmark scale has
+n - 1 = 3) are unrolled; every coefficient still adds its terms in the
+convolution loop's order, so a product is the loop's bit for bit, the sign
+of a -0.0 included, for float and array coefficients alike.
+
 Operations are pure and reentrant, and coefficient k of every result depends
 only on coefficients 0..k of the operands, so a jet truncated to order m is
 bit for bit the jet computed at order m.  :class:`JetMemo` rests on this: it
@@ -85,17 +91,18 @@ class Jet:
         out.coeffs = tuple(coeffs)
         return out
 
+    def _check_anchor(self, other):
+        if other.anchor is not self.anchor and other.anchor != self.anchor:
+            raise EvaluationError(f"jet anchors differ: {self.anchor} vs {other.anchor}")
+
     def _coerce(self, other):
         """Promote a scalar to a constant jet; truncate both to a common order."""
         if isinstance(other, Jet):
-            if other.anchor is not self.anchor and other.anchor != self.anchor:
-                raise EvaluationError(
-                    f"jet anchors differ: {self.anchor} vs {other.anchor}"
-                )
-            m = min(self.order, other.order)
-            return self.coeffs[: m + 1], other.coeffs[: m + 1]
+            self._check_anchor(other)
+            m = min(len(self.coeffs), len(other.coeffs))
+            return self.coeffs[:m], other.coeffs[:m]
         if isinstance(other, (int, float)):
-            c = [0.0] * (self.order + 1)
+            c = [0.0] * len(self.coeffs)
             c[0] = float(other)
             return self.coeffs, tuple(c)
         return NotImplemented
@@ -129,22 +136,17 @@ class Jet:
         return self._like([-x for x in self.coeffs])
 
     def __mul__(self, other):
+        if type(other) is Jet and len(other.coeffs) == len(self.coeffs):
+            # operands of one order: nothing to promote or truncate
+            self._check_anchor(other)
+            return self._like(_mul_coeffs(self.coeffs, other.coeffs))
         if isinstance(other, (int, float)):
             f = float(other)
             return self._like([f * x for x in self.coeffs])
         pair = self._coerce(other)
         if pair is NotImplemented:
             return NotImplemented
-        a, b = pair
-        m = len(a)
-        out = [0.0] * m
-        for k in range(m):
-            # no 0.0 to start from: a product's -0.0 stays -0.0, as in floats
-            s = a[0] * b[k]
-            for j in range(1, k + 1):
-                s = s + a[j] * b[k - j]
-            out[k] = s
-        return self._like(out)
+        return self._like(_mul_coeffs(*pair))
 
     __rmul__ = __mul__
 
@@ -190,6 +192,38 @@ def _math(fn, u0):
         except (OverflowError, ValueError):
             out.append(math.nan)
     return np.array(out)
+
+
+def _mul_coeffs(a, b):
+    """Coefficients of the product of two equal-length coefficient tuples.
+
+    Coefficient k adds a[j] * b[k - j] for j = 0, 1, ..., k in that order,
+    starting from the first term (no 0.0 to start from, so a product's -0.0
+    stays -0.0, as in floats).  Orders up to 3 are unrolled, each sum in
+    that same order."""
+    m = len(a)
+    if m == 1:
+        return (a[0] * b[0],)
+    if m == 2:
+        a0, a1 = a
+        b0, b1 = b
+        return (a0 * b0, a0 * b1 + a1 * b0)
+    if m == 3:
+        a0, a1, a2 = a
+        b0, b1, b2 = b
+        return (a0 * b0, a0 * b1 + a1 * b0, a0 * b2 + a1 * b1 + a2 * b0)
+    if m == 4:
+        a0, a1, a2, a3 = a
+        b0, b1, b2, b3 = b
+        return (a0 * b0, a0 * b1 + a1 * b0, a0 * b2 + a1 * b1 + a2 * b0,
+                a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0)
+    out = []
+    for k in range(m):
+        s = a[0] * b[k]
+        for j in range(1, k + 1):
+            s = s + a[j] * b[k - j]
+        out.append(s)
+    return tuple(out)
 
 
 def _div_coeffs(a, b):
@@ -385,15 +419,18 @@ class JetMemo:
     last node array is kept, by identity: the evaluators of one tabulation
     share their parts' jets on it.  Without ``arrays`` a node array raises
     :class:`~chebscale.errors.NoArrayForm`.
+
+    ``jets`` (a dict ``x -> jet``, taken over, not copied) starts the memo
+    with jets its caller already has, each ``fn``'s own at its point.
     """
 
     __slots__ = ("fn", "name", "arrays", "_jets", "_nodes", "__weakref__")
 
-    def __init__(self, fn, name="", arrays=False):
+    def __init__(self, fn, name="", arrays=False, jets=None):
         self.fn = fn
         self.name = name
         self.arrays = arrays
-        self._jets = {}
+        self._jets = {} if jets is None else jets
         self._nodes = None  # (node array, jet) of the last array asked for
 
     def __call__(self, x, order):

@@ -52,14 +52,15 @@ def detect_constant(values):
     return mean, spread
 
 
-def operator_constants(scale, chain_q, chain_p, schedule):
+def operator_constants(scale, chain_q, chain_p, schedule, scan=None):
     """Detect the structural constants along the schedule.
 
     ``epsilon`` and ``b`` are the means of the constancy tests of
     M_k[phi_{k+1}] and L_k[phi_{n-k}].  Raises :class:`NotConstant` if a chain
     image of its own kernel-edge function fails its constancy test, which
     signals a broken chain.  ``positivity_case`` reads the signs of the
-    leading Wronskians at the last point where they are all finite.  The
+    leading Wronskians at the last point where they are all finite (read
+    from ``scan``, the build's shared evaluations, when given).  The
     chains keep every image read here: the M_k[phi_h] of ``epsilon_hk`` are
     the deflation basis of every later operator limit on the schedule.
     """
@@ -96,7 +97,8 @@ def operator_constants(scale, chain_q, chain_p, schedule):
     for x in reversed(pts):  # the last point where the leading Wronskians are finite
         try:
             positivity = all(
-                wronskian(scale, tuple(range(1, i + 1)), x).value > 0 for i in range(1, n + 1)
+                wronskian(scale, tuple(range(1, i + 1)), x, scan).value > 0
+                for i in range(1, n + 1)
             )
             break
         except EvaluationError:  # one of them overflows at x

@@ -202,9 +202,19 @@ def _derivative_matrix(scale, indices, x, rows):
     return [[cols[c][r] for c in range(len(indices))] for r in range(rows)]
 
 
-def wronskian(scale, indices, x):
-    """W(phi_{i1}, ..., phi_{ik}) at x as a :class:`WronskianEvaluation`."""
+def wronskian(scale, indices, x, scan=None):
+    """W(phi_{i1}, ..., phi_{ik}) at x as a :class:`WronskianEvaluation`.
+
+    ``scan`` is a dict that one bundle build shares between its readers
+    (the probe scan, the prefix checks of both chains and the positivity
+    test of ``operator_constants``): it keeps each evaluation under
+    ``(indices, x)``, so each is computed once in the build.  A call that
+    raises keeps nothing."""
     indices = tuple(indices)
+    if scan is not None:
+        ev = scan.get((indices, x))
+        if ev is not None:
+            return ev
     if not indices:
         raise EvaluationError("empty index set")
     k = len(indices)
@@ -212,7 +222,10 @@ def wronskian(scale, indices, x):
     value, conditioning, _, floor = det_pivoted(matrix)
     if not math.isfinite(value):
         raise EvaluationError(f"Wronskian overflow at x={x} for {indices}")
-    return WronskianEvaluation(x, value, conditioning, floor)
+    ev = WronskianEvaluation(x, value, conditioning, floor)
+    if scan is not None:
+        scan[indices, x] = ev
+    return ev
 
 
 def wronskian_flags(scale, indices, xs):

@@ -180,3 +180,20 @@ def test_oracle_sweep_reads_ok_on_a_true_expansion(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[1].split()[-2:] == ["ok", "ok"]
     assert lines[-1] == "runs not ok: 0 of 2"
+
+
+def test_bundle_cost_times_every_phase_of_a_build(capsys):
+    path = Path(__file__).resolve().parents[1] / "scripts" / "bundle_cost.py"
+    spec = importlib.util.spec_from_file_location("bundle_cost", path)
+    cost = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(cost)
+    assert cost.main(["--repeats", "1", "--scales", "appendix"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].split() == ["scale", "verify", "type_II", "type_I", "probes", "grid",
+                                "constants", "rest", "total"]
+    name, *cells = lines[2].split()
+    ms = [float(c) for c in cells]
+    assert name == "appendix" and len(lines) == 3
+    assert all(t > 0.0 for t in ms)
+    # with one build every column is that build's, so the phases add up
+    assert sum(ms[:-1]) == pytest.approx(ms[-1], abs=0.01)

@@ -1,7 +1,10 @@
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from chebscale.errors import DivisionByZeroJet, DomainErrorJet, OrderExceeded
 from chebscale.jet import (
@@ -136,3 +139,58 @@ def test_derivative_antiderivative_inverse():
     back = antiderivative(antiderivative(d, jet_derivative(a, 1)), a.value)
     for x, y in zip(a.coeffs, back.coeffs):
         assert close(x, y, 1e-13)
+
+
+def _loop_product(a, b):
+    """The product's coefficients by the plain convolution loop: the
+    reference the jet product must match bit for bit."""
+    m = min(len(a), len(b))
+    out = []
+    for k in range(m):
+        s = a[0] * b[k]
+        for j in range(1, k + 1):
+            s = s + a[j] * b[k - j]
+        out.append(s)
+    return out
+
+
+def _same(got, want):
+    """Equal values with equal signs (so -0.0 is not 0.0); any NaN matches
+    any NaN, since the interpreter's own float paths may set a NaN's sign
+    bit either way."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    nan = np.isnan(want)
+    return bool(np.array_equal(np.isnan(got), nan)
+                and np.array_equal(got[~nan], want[~nan])
+                and np.array_equal(np.signbit(got[~nan]), np.signbit(want[~nan])))
+
+
+_COEFF = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 1.0, -1.0]),
+)
+
+
+@given(st.data())
+def test_jet_product_is_the_loop_bit_for_bit(data):
+    nodes = data.draw(st.sampled_from([None, 1, 3]), label="nodes")
+    orders = data.draw(st.tuples(st.integers(0, 6), st.integers(0, 6)), label="orders")
+    if data.draw(st.booleans(), label="equal orders"):
+        orders = (orders[0], orders[0])
+    anchor = 2.0 if nodes is None else np.linspace(1.0, 2.0, nodes)
+    jets = []
+    for order in orders:
+        if nodes is None:
+            coeffs = [data.draw(_COEFF) for _ in range(order + 1)]
+        else:
+            coeffs = [np.array([data.draw(_COEFF) for _ in range(nodes)])
+                      for _ in range(order + 1)]
+        jets.append(Jet(anchor, coeffs))
+    a, b = jets
+    with np.errstate(all="ignore"):
+        got = (a * b).coeffs
+        want = _loop_product(a.coeffs, b.coeffs)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert type(g) is type(w)
+        assert _same(g, w)

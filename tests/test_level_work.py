@@ -1,12 +1,15 @@
 """Work done once per target: the limit decision's lazy leave-one-out, the
 readers of several operator levels (one chain pass per point), and the
-source tabulated once per check.
+source tabulated once per check; and work done once per bundle build: each
+Wronskian of the probe scan, each signed weight's value at a probe, and
+only the canonicity verdicts that are read.
 
 Each test fails if the repeated work comes back or if an output moves:
 ``_deflated_limit_status`` is compared bit for bit with the eager rule it
 replaced (kept below), and the counting tests wrap ``JetMemo.fn`` of the
 evaluators they watch."""
 
+import importlib
 import json
 import math
 import random
@@ -19,6 +22,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from chebscale import (
+    ChebyshevScale,
+    artifacts_for,
+    cli,
     construct_from_source,
     expansion,
     extract_operator,
@@ -39,6 +45,7 @@ from chebscale.expansion import (
 from chebscale.expr import ExpressionFunction
 from chebscale.factorization import build_type1_chain, build_type2_chain
 from chebscale.operators import operator_constants
+from chebscale.scale import require_verified
 
 GOLDEN = Path(__file__).parent / "data" / "extrapolate_golden.json"
 
@@ -328,3 +335,70 @@ def test_the_recursive_route_makes_one_sweep(taylor_scale, monkeypatch):
     assert len(calls) == 12
     assert res.statuses == ["stable", "stable", "stable", "loose"]
     assert all(abs(c - t) < 1e-9 for c, t in zip(res.coefficients, [1.0, 0.0, 0.0, 2.0]))
+
+
+def _cold_appendix():
+    """A fresh appendix scale, verified, and its paper schedule."""
+    scale = ChebyshevScale.from_exprs(["exp(x)", "x", "log(x)", "1"], T=4.0, x0=math.inf)
+    require_verified(scale)
+    return scale, make_schedule(4.0, math.inf, 10, 1.22)
+
+
+def test_a_cold_bundle_evaluates_each_wronskian_once(monkeypatch):
+    scale, schedule = _cold_appendix()
+    module = importlib.import_module("chebscale.wronskian")
+    real = module._derivative_matrix
+    counts = Counter()
+
+    def counted(scale, indices, x, rows):
+        counts[tuple(indices), x] += 1
+        return real(scale, indices, x, rows)
+
+    monkeypatch.setattr(module, "_derivative_matrix", counted)
+    artifacts_for(scale, schedule)
+    # the probe scan, both chains' prefix checks and the positivity test
+    # share one evaluation of each (indices, point)
+    assert len(counts) == 80, len(counts)
+    assert max(counts.values()) == 1, counts.most_common(3)
+
+
+def test_a_cold_bundle_reads_each_signed_weight_once_per_probe(monkeypatch):
+    scale, schedule = _cold_appendix()
+    real = factorization._chain_from_signed
+    counts = Counter()
+
+    def counted(provenance, k, fn):
+        def call(x, order):
+            if order == 0 and not isinstance(x, np.ndarray):
+                counts[provenance, k, x] += 1
+            return fn(x, order)
+        return call
+
+    def chain_from_signed(signed_fns, scale, provenance, *args, **kwargs):
+        fns = [counted(provenance, k, fn) for k, fn in enumerate(signed_fns)]
+        return real(fns, scale, provenance, *args, **kwargs)
+
+    monkeypatch.setattr(factorization, "_chain_from_signed", chain_from_signed)
+    art = artifacts_for(scale, schedule)
+    assert {p for p, _, _ in counts} == {"polya_q", "polya_p"}
+    assert {x for _, _, x in counts} >= set(art.probes)
+    assert max(counts.values()) == 1, counts.most_common(3)
+
+
+def test_expand_classifies_x0_only_and_factorize_both_endpoints(monkeypatch, capsys):
+    real = factorization._endpoint_schedule
+    endpoints = []
+
+    def recorded(interval, endpoint):
+        endpoints.append(endpoint)
+        return real(interval, endpoint)
+
+    monkeypatch.setattr(factorization, "_endpoint_schedule", recorded)
+    appendix = str(Path(__file__).parent / "data" / "appendix.scale")
+    assert cli.run(["expand", "--scale", appendix, "--f", "2*exp(x) - x + 3*log(x) + 5",
+                    "--ratio", "1.22", "--probes", "10", "--json"]) == 0
+    assert endpoints == ["x0"]
+    endpoints.clear()
+    assert cli.run(["factorize", "--scale", appendix, "--json"]) == 0
+    assert sorted(endpoints) == ["T", "T", "x0", "x0"]
+    capsys.readouterr()
