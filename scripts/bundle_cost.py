@@ -16,13 +16,17 @@ loaded scale, and prints the best time of each phase in milliseconds:
     type_I     the type-I (Polya) chain
     probes     the bundle's well-conditioned probes
     grid       the tail reach and the work grid
-    constants  the structural constants (operator_constants)
+    constants  the structural constants: the schedule's node-array chain
+               passes (schedule_images, which the bundle runs before its
+               probe cut, as the cut reads the weight values they leave)
+               and operator_constants
     rest       the classification points
     total      the whole build
 
-A phase runs from the end of the one before it to the return of its call in
-``ScaleArtifacts.__init__``, so the phases add up to the build.  Each column
-is its own best over the repeats, so the phases need not add up to the best
+A build's time line is cut where each of the calls in ``CALLS`` returns in
+``ScaleArtifacts.__init__``, and each stretch is charged to the phase of
+the call that ends it, so the phases add up to the build.  Each column is
+its own best over the repeats, so the phases need not add up to the best
 total.
 """
 
@@ -44,33 +48,35 @@ SCALES = {
     "poly": (ROOT / "perfbench" / "scales" / "poly.scale", ()),
     "taylor": (ROOT / "perfbench" / "scales" / "taylor.scale", ()),
 }
-# phase name -> the name ScaleArtifacts.__init__ calls to end it, in order
-PHASES = {
-    "verify": "require_verified",
-    "type_II": "build_type2_chain",
-    "type_I": "build_type1_chain",
-    "probes": "well_conditioned_probes",
-    "grid": "WorkGrid",
-    "constants": "operator_constants",
+# a name ScaleArtifacts.__init__ calls -> the phase of the stretch it ends
+CALLS = {
+    "require_verified": "verify",
+    "build_type2_chain": "type_II",
+    "build_type1_chain": "type_I",
+    "schedule_images": "constants",
+    "well_conditioned_probes": "probes",
+    "WorkGrid": "grid",
+    "operator_constants": "constants",
 }
+PHASES = ["verify", "type_II", "type_I", "probes", "grid", "constants"]
 COLUMNS = [*PHASES, "rest", "total"]
 
 
 def timed_build(scale, schedule):
-    """One build's phase times in seconds, read off the ends of the calls
-    that close each phase (wrapped for this build only)."""
+    """One build's phase times in seconds, read off the returns of the
+    calls in ``CALLS`` (wrapped for this build only)."""
     ends = {}
-    real = {name: getattr(expansion, name) for name in PHASES.values()}
+    real = {name: getattr(expansion, name) for name in CALLS}
 
-    def closing(phase, fn):
+    def closing(name, fn):
         def call(*args, **kwargs):
             out = fn(*args, **kwargs)
-            ends.setdefault(phase, time.perf_counter())
+            ends.setdefault(name, time.perf_counter())
             return out
         return call
 
-    for phase, name in PHASES.items():
-        setattr(expansion, name, closing(phase, real[name]))
+    for name, fn in real.items():
+        setattr(expansion, name, closing(name, fn))
     try:
         start = time.perf_counter()
         expansion.ScaleArtifacts(scale, schedule)
@@ -78,10 +84,10 @@ def timed_build(scale, schedule):
     finally:
         for name, fn in real.items():
             setattr(expansion, name, fn)
-    times, last = {}, start
-    for phase in PHASES:
-        times[phase] = ends[phase] - last
-        last = ends[phase]
+    times, last = dict.fromkeys(PHASES, 0.0), start
+    for name, t in sorted(ends.items(), key=lambda item: item[1]):
+        times[CALLS[name]] += t - last
+        last = t
     times["rest"] = end - last
     times["total"] = end - start
     return times

@@ -141,7 +141,8 @@ def cmd_factorize(scale, args):
     schedule = scale_schedule(scale, args.probes, args.ratio)
     art = artifacts_for(scale, schedule)
     probes = art.probes
-    dd_p = divide_and_differentiate(scale, "last", schedule)
+    # on the probes the bundle's chains chose: no Wronskian evaluated again
+    dd_p = divide_and_differentiate(scale, "last", schedule, probes=art.chain_p.probes)
     ratio_checks = {}
     for i in range(scale.n + 1):
         c, dev = fit_ratio_constant(art.chain_p.weights[i], dd_p.weights[i], probes)

@@ -32,11 +32,16 @@ Cache policy: these memos are all that is kept, each by one owner.
 - Images: each chain keeps, per live target and point, the values and
   noises of every level of one chain pass run there to level n - 1
   (:meth:`~chebscale.factorization.WeightChain.image`), so one pass serves
-  every weighted derivative read at that point, in any order.
+  every weighted derivative read at that point, in any order.  A bundle
+  fills the scale members' images at the schedule points with one
+  node-array pass per (chain, member)
+  (:func:`~chebscale.operators.schedule_images`), which also leaves each
+  weight's and member's jets there in their memos.
 - Operator limits: the type-II chain keeps each live target's limits
   under the scale, the level and the target's cut of the points
   (:func:`_operator_limit`), so :meth:`ScaleArtifacts.limit` and
-  :func:`extract_operator` share them where their cuts agree.
+  :func:`extract_operator` share them where their cuts agree; it keeps
+  the cut too, under the scale and the points it was taken of.
 - Target values: the bundle's record of a live target keeps L[f] on the
   grid nodes and whether L[f] vanishes along the probes.  Records, images
   and limits go with the target, so no later target is served its
@@ -73,7 +78,7 @@ from .factorization import (
     well_conditioned_probes,
 )
 from .jet import JetMemo
-from .operators import operator_constants
+from .operators import operator_constants, schedule_images
 from .quadrature import NestedIntegral, NodeFn, WorkGrid, node_values, tabulate
 from .scale import finite_prefix, ratio_decreases_to_zero, require_verified, scale_schedule
 from .wronskian import bordered_wronskian, wronskian_flags
@@ -140,13 +145,17 @@ class ScaleArtifacts:
         scan = {}  # the build's Wronskian evaluations, shared and then dropped
         self.chain_q = build_type2_chain(scale, schedule, scan)
         self.chain_p = build_type1_chain(scale, schedule, scan)
+        # the constants' chain passes, run first: they evaluate every weight
+        # once on the schedule's node array, and the probe cut reads the
+        # values they leave in the weights' memos (nothing here raises)
+        schedule_images(scale, self.chain_q, self.chain_p, schedule)
+        cut = [w.value for w in self.chain_q.weights + self.chain_p.weights]
+        self.probes = well_conditioned_probes(
+            scale, finite_prefix(scale.toward_x0(schedule.points), cut), minimum=6, scan=scan,
+        )
         self.q_vals = [NodeFn.of(w) for w in self.chain_q.weights]
         self.p_vals = [NodeFn.of(w) for w in self.chain_p.weights]
         weights = self.q_vals + self.p_vals
-        self.probes = well_conditioned_probes(
-            scale, finite_prefix(scale.toward_x0(schedule.points), weights), minimum=6,
-            scan=scan,
-        )
         if scale.infinite:
             # cap the tail reach where the chain evaluations overflow, probing
             # by doublings up to 3e5
@@ -360,11 +369,18 @@ def _operator_limit(chain, scale, f, k, points):
 
     The chain keeps the result in f's entry of ``chain.limits``, under the
     scale, the level and the target's cut of ``points``: a call with the
-    same three reads it, whichever reader made it.  A call that raises
-    keeps nothing."""
-    cut = tuple(_target_cut(f, scale, points, (scale.n,))[0])
+    same three reads it, whichever reader made it.  The entry keeps the
+    cut too, under the scale and ``points``, so a call at another level on
+    the same points cuts nothing.  A call that raises keeps no limit."""
+    points = tuple(points)
     memo = chain.limits.get(f)
-    out = None if memo is None else memo.get((scale, k, cut))
+    cut = None if memo is None else memo.get((scale, points))
+    if cut is None:
+        cut = tuple(_target_cut(f, scale, points, (scale.n,))[0])
+        if memo is None:
+            memo = chain.limits[f] = {}
+        memo[scale, points] = cut
+    out = memo.get((scale, k, cut))
     if out is not None:
         return out
     pts, vals, noise = _level_sequence(chain, f, k, cut)
@@ -374,10 +390,7 @@ def _operator_limit(chain, scale, f, k, points):
     if out[0] == "diverged" and vals and max(vals) - min(vals) <= max(noise):
         value, conf = _median(vals), max(noise)
         out = _status_from_conf(value, conf), value, conf
-    if memo is None:
-        chain.limits[f] = {(scale, k, cut): out}
-    else:
-        memo[scale, k, cut] = out
+    memo[scale, k, cut] = out
     return out
 
 

@@ -462,5 +462,8 @@ class ExpressionFunction:
     def values(self, xs):
         return self._memo.values(xs)
 
+    def keep_nodes(self, points, j):
+        self._memo.keep_nodes(points, j)
+
     def __repr__(self):
         return f"ExpressionFunction({self.name!r})"

@@ -11,6 +11,13 @@ runs the divide-and-differentiate construction and applies the full
 operator as a Wronskian quotient.  A chain's canonicity is classified per
 endpoint, each on its first read, not when the chain is built.
 
+A chain pass (:func:`chain_levels`) runs at a point or, in its array form,
+on a node array: the same jet recurrences on array coefficients, each
+node's levels and noises the scalar pass's bit for bit, or flagged (NaN)
+where the scalar pass raises.  :meth:`WeightChain.images_on` runs one such
+pass per target over a schedule and keeps each node's levels as the
+per-point images; flagged nodes are left to the scalar pass.
+
 Weights are stored unsigned (positive) together with a sign word; the sign
 pattern has product +1, so composing the unsigned chain to full depth
 reproduces the operator exactly.  Chains are unique only up to per-weight
@@ -22,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate
 from weakref import WeakKeyDictionary
 
 import numpy as np
@@ -81,8 +89,10 @@ class WeightChain:
     at that read, not where the chain is built, and an endpoint that
     nothing reads is never classified.  ``canonicity`` holds both
     endpoints' verdicts (:func:`classify_canonicity`).  :meth:`image`
-    reads and keeps the chain's images, M_k[f] (type II) or L_k[f] (type I);
-    ``limits`` keeps the operator limits of the type-II chain's images
+    reads and keeps the chain's images, M_k[f] (type II) or L_k[f] (type I),
+    and :meth:`images_on` fills them over a node array in one pass per
+    target; ``limits`` keeps the operator limits of the type-II chain's
+    images and the target's cuts they are read on
     (``expansion._operator_limit``).  Both memos hold floats only, one
     entry per live target, gone with the target.
     """
@@ -92,9 +102,12 @@ class WeightChain:
     interval: tuple
     n: int
     provenance: str
-    # target -> {x: (values, noises) of levels 0..k}
+    probes: tuple = ()  # the well-conditioned probes the signs were read at
+    # target -> {x: (values, noises) of levels 0..k, or None where the
+    # array pass of images_on flagged x}
     _images: WeakKeyDictionary = field(default_factory=WeakKeyDictionary, init=False, repr=False)
-    # target -> {(scale, k, cut points): (status, value, confidence)}
+    # target -> {(scale, k, cut points): (status, value, confidence),
+    #            (scale, points): the target's cut of the points}
     limits: WeakKeyDictionary = field(default_factory=WeakKeyDictionary, init=False, repr=False)
     # endpoint -> its canonicity verdict
     _verdicts: dict = field(default_factory=dict, init=False, repr=False)
@@ -120,7 +133,8 @@ class WeightChain:
         level up to n - 1 is served from it, in any order.  A pass to n - 1
         that raises is retried at level k, so a target whose higher-order
         jets raise gets level k's own value or error.  A call that raises
-        keeps nothing."""
+        keeps nothing.  The levels :meth:`images_on` kept are these, bit for
+        bit, and a point it flagged is read as one never read."""
         memo = self._images.get(f)
         levels = None if memo is None else memo.get(x)
         if levels is None or len(levels[0]) <= k:
@@ -136,6 +150,55 @@ class WeightChain:
             else:
                 memo[x] = levels
         return levels[0][k], levels[1][k]
+
+    def images_on(self, fs, xs):
+        """Keep, at every node of the float64 array ``xs``, the levels that
+        :meth:`image`'s pass to level n - 1 gives for each target of
+        ``fs``, run as one node-array pass per target (:func:`chain_levels`).
+
+        The weights are evaluated once on ``xs``, each at the order that
+        pass reads it (r_n, which it does not read, at order 0), and each
+        target once at order n - 1.  Their per-point memos keep those jets
+        at every node no array flags (:meth:`~chebscale.jet.JetMemo.keep_nodes`),
+        so a later scalar read there finds what a pass point by point
+        leaves.  A node where a target's pass is flagged is recorded
+        without levels: its first :meth:`image` read runs the scalar pass
+        there, in the order the reads come, so values and errors are those
+        of a point-by-point loop.  A target whose every node is recorded
+        already is skipped, and nothing raises here: an evaluator without
+        an array form leaves every node to the scalar pass."""
+        points = xs.tolist()
+        todo = []
+        for f in fs:
+            memo = self._images.get(f)
+            if memo is None:
+                memo = self._images[f] = {}
+            if any(x not in memo for x in points):
+                todo.append((f, memo))
+        if not todo:
+            return
+        depth = self.n - 1
+        with np.errstate(all="ignore"):
+            try:
+                jets = [w(xs, max(depth - i, 0)) for i, w in enumerate(self.weights)]
+            except _SCALAR_ERRORS:
+                return
+            for w, j in zip(self.weights, jets):
+                w.keep_nodes(points, j)
+            for f, memo in todo:
+                try:
+                    values, noises = chain_levels(self, f, xs, depth)
+                except _SCALAR_ERRORS:
+                    continue
+                keep = getattr(f, "keep_nodes", None)
+                if keep is not None:
+                    keep(points, f(xs, depth))
+                values, noises = np.array(values), np.array(noises)
+                flagged = (np.isnan(values).any(axis=0) | np.isnan(noises).any(axis=0)).tolist()
+                rows = zip(points, flagged, values.T.tolist(), noises.T.tolist())
+                for x, bad, vals, noise in rows:
+                    if x not in memo:
+                        memo[x] = None if bad else (tuple(vals), tuple(noise))
 
     def weight_jet(self, i, x, order):
         return self.weights[i](x, order)
@@ -203,7 +266,7 @@ def _chain_from_signed(signed_fns, scale, provenance, probes, arrays=False):
         for k, (fn, s, jets) in enumerate(zip(signed_fns, signs, read))
     ]
     return WeightChain(weights=unsigned, signs=signs, interval=(scale.T, scale.x0),
-                       n=scale.n, provenance=provenance)
+                       n=scale.n, provenance=provenance, probes=tuple(probes))
 
 
 def well_conditioned_probes(scale, points, minimum=4, scan=None):
@@ -424,19 +487,23 @@ class _Product:
         return out
 
 
-def divide_and_differentiate(scale, pivot, schedule):
+def divide_and_differentiate(scale, pivot, schedule, probes=None):
     """The two-step "divide by the pivot term, then differentiate" algorithm.
 
     ``pivot="first"`` factors out the currently-largest term and yields a
     type-II chain; ``pivot="last"`` factors out the smallest and yields the
     type-I chain.  Terms are never re-expanded: every image stays one opaque
     jet-evaluator, so compound terms remain grouped exactly.  The chain's
-    ``canonicity`` is classified on first read.
+    ``canonicity`` is classified on first read.  ``probes``: the
+    well-conditioned probes of ``schedule`` (:func:`well_conditioned_probes`)
+    when the caller has them, as the ``probes`` of a Polya chain built on
+    it, so W(phi_1..phi_n) is not evaluated there again.
     """
     if pivot not in ("first", "last"):
         raise EvaluationError("pivot must be 'first' or 'last'")
     require_verified(scale)
-    probes = well_conditioned_probes(scale, schedule.points)
+    if probes is None:
+        probes = well_conditioned_probes(scale, schedule.points)
     images = list(scale.functions)
     pivots = []
     for _ in range(scale.n):
@@ -465,10 +532,23 @@ def chain_levels(chain, f, x, k):
     jet operation reads only coefficients 0..m (the jet module's truncation
     rule).  So level j's value is coefficient 0 of the intermediate after
     weight j, and its noise is the running estimate read off those
-    prefixes, each bit for bit what a pass at order j gives.
+    prefixes, each bit for bit what a pass at order j gives.  The largest
+    magnitude of each prefix is the running maximum of its jet's
+    coefficients, which picks the element ``max`` over the prefix picks.
+
+    ``x`` may be a node array (the array form): the jets have array
+    coefficients and the maxima are elementwise, so each node's values and
+    noises are the scalar pass's bit for bit, except where the scalar pass
+    raises: those nodes are NaN.
     """
     if not 0 <= k <= chain.n:
         raise EvaluationError(f"level {k} outside [0, {chain.n}]")
+    if isinstance(x, np.ndarray):
+        def prefix_max(coeffs):  # a NaN, where flagged, reaches the maxima
+            return np.maximum.accumulate(np.abs(coeffs), axis=0)
+    else:
+        def prefix_max(coeffs):
+            return list(accumulate(map(abs, coeffs), max))
     w = chain.weight_jet
     cur = w(0, x, k) * truncate(f(x, k), k)
     steps = [cur.coeffs]  # coefficients of each intermediate
@@ -478,14 +558,17 @@ def chain_levels(chain, f, x, k):
         cur = wj * derivative(cur)
         steps.append(cur.coeffs)
         weights.append(wj.coeffs)
+    # [i][m - 1]: the largest magnitude of the first m coefficients
+    step_max = [prefix_max(c) for c in steps]
+    weight_max = [None] + [prefix_max(c) for c in weights[1:]]
     eps = 2.2e-16
     noises = []
     for j in range(k + 1):
-        noise = eps * max(map(abs, steps[0][: j + 1]))
+        noise = eps * step_max[0][j]
         for i in range(1, j + 1):
             m = j - i + 1  # coefficients of level j's intermediate i
             noise *= max(1.0, float(m))
-            noise = noise * max(map(abs, weights[i][:m])) + eps * max(map(abs, steps[i][:m]))
+            noise = noise * weight_max[i][m - 1] + eps * step_max[i][m - 1]
         noises.append(noise)
     return tuple(c[0] for c in steps), tuple(noises)
 

@@ -421,7 +421,11 @@ class JetMemo:
     :class:`~chebscale.errors.NoArrayForm`.
 
     ``jets`` (a dict ``x -> jet``, taken over, not copied) starts the memo
-    with jets its caller already has, each ``fn``'s own at its point.
+    with jets its caller already has, each ``fn``'s own at its point, and
+    :meth:`keep_nodes` seeds per-point jets from a jet of the array form:
+    a node's coefficients of an array jet are its scalar jet's bit for bit
+    (see the module docstring), so a memo seeded from one array pass holds
+    what a pass point by point would have left in it.
     """
 
     __slots__ = ("fn", "name", "arrays", "_jets", "_nodes", "__weakref__")
@@ -451,6 +455,23 @@ class JetMemo:
         j = self.fn(xs, order)
         self._nodes = (xs, j)
         return j
+
+    def keep_nodes(self, points, j):
+        """Keep ``j``, this evaluator's jet on the node array of ``points``
+        (floats, in node order), as per-point jets: each node where no
+        coefficient is NaN (flagged) gets its jet, unless the memo holds
+        one as long there already.  Flagged nodes keep nothing, so their
+        first read runs ``fn`` there."""
+        coeffs = np.array(j.coeffs)
+        flagged = np.isnan(coeffs).any(axis=0).tolist()
+        jets = self._jets
+        m = len(coeffs)
+        for x, bad, row in zip(points, flagged, coeffs.T.tolist()):
+            if not bad:
+                old = jets.get(x)
+                if old is None or len(old.coeffs) < m:
+                    jets[x] = kept = Jet.__new__(Jet)  # floats already
+                    kept.anchor, kept.coeffs = x, tuple(row)
 
     def value(self, x):
         return self(x, 0).value

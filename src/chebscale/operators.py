@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import EvaluationError, NotConstant
 from .wronskian import wronskian
 
@@ -52,6 +54,20 @@ def detect_constant(values):
     return mean, spread
 
 
+def schedule_images(scale, chain_q, chain_p, schedule):
+    """The images of every scale member through both chains at every
+    schedule point, as one node-array chain pass per (chain, member) over
+    one shared node array of the points ordered toward x0
+    (:meth:`~chebscale.factorization.WeightChain.images_on`).  Each weight
+    and each member is evaluated once on that array, and the chains keep
+    the levels of every node the array pass does not flag; a second call
+    does no work.  Nothing raises here: a flagged node's first read runs
+    the scalar pass, where its error, if any, surfaces."""
+    xs = np.array(scale.toward_x0(schedule.points), dtype=float)
+    for chain in (chain_q, chain_p):
+        chain.images_on(scale.functions, xs)
+
+
 def operator_constants(scale, chain_q, chain_p, schedule, scan=None):
     """Detect the structural constants along the schedule.
 
@@ -60,10 +76,17 @@ def operator_constants(scale, chain_q, chain_p, schedule, scan=None):
     image of its own kernel-edge function fails its constancy test, which
     signals a broken chain.  ``positivity_case`` reads the signs of the
     leading Wronskians at the last point where they are all finite (read
-    from ``scan``, the build's shared evaluations, when given).  The
-    chains keep every image read here: the M_k[phi_h] of ``epsilon_hk`` are
-    the deflation basis of every later operator limit on the schedule.
+    from ``scan``, the build's shared evaluations, when given).
+
+    The images come from :func:`schedule_images`, one node-array pass per
+    (chain, member), run here unless the caller ran it (a bundle does,
+    before its probe cut); the points that pass flags are read point by
+    point, in the order of the tests below, so values and errors are those
+    of the point-by-point loop.  The chains keep every image read here:
+    the M_k[phi_h] of ``epsilon_hk`` are the deflation basis of every later
+    operator limit on the schedule.
     """
+    schedule_images(scale, chain_q, chain_p, schedule)
     pts = scale.toward_x0(schedule.points)
     n = scale.n
 

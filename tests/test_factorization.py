@@ -1,9 +1,11 @@
+import dataclasses
 import json
 import math
 import random
 import struct
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +23,7 @@ from chebscale import (
     divide_and_differentiate,
     fit_ratio_constant,
     make_schedule,
+    operator_constants,
     scale_schedule,
 )
 from chebscale import cli, factorization
@@ -424,6 +427,116 @@ def test_chain_levels_are_the_per_level_chain_bit_for_bit(bench_bundles, name, d
             assert _bits(noises[level]) == _bits(noise)
             # apply_chain at that level is the pass of that level
             assert _bits(apply_chain(chain, ExpressionFunction(text), x, level)) == _bits(value)
+
+
+# points past the edge of double range for the chain weights: the type-II
+# weights of the appendix overflow from x ~ 355 on (550 is the last point
+# of its default schedule), the type-I weights of cubic underflow to a
+# division by ~0 and those of poly overflow; taylor's weights stay finite
+# up to the last double below 1
+EDGE = {
+    "appendix": [360.0, 549.7558138880003],
+    "cubic": [-1e-80],
+    "poly": [1e80],
+    "taylor": [1.0 - 2.0**-53],
+}
+
+
+@pytest.fixture(scope="module")
+def twin_bundles(bench_bundles):
+    """A second bundle of each benchmark scale, on fresh members: no memo
+    is shared with the first."""
+    twins = {}
+    for name, art in bench_bundles.items():
+        scale = ChebyshevScale.from_exprs([m.name for m in art.scale.functions],
+                                          T=art.scale.T, x0=art.scale.x0)
+        twins[name] = artifacts_for(scale, art.schedule)
+    return twins
+
+
+def _outcome(read, *args):
+    """``read(*args)`` as the bits of its floats, or the type and text of
+    what it raised."""
+    try:
+        return tuple(map(_bits, read(*args)))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(sorted(REMAINDERS)), st.data())
+def test_the_array_pass_is_the_scalar_pass_bit_for_bit(bench_bundles, twin_bundles, name,
+                                                        data):
+    art = bench_bundles[name]
+    scale = art.scale
+    n = scale.n
+    coeffs = data.draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n))
+    terms = [f"{c!r}*({m.name})" for c, m in zip(coeffs, scale.functions)]
+    rest = data.draw(st.sampled_from(REMAINDERS[name]))
+    terms.append(f"{data.draw(st.floats(-2.0, 2.0))!r}*({rest})")
+    pts = art.class_points
+    drawn = set()
+    for _ in range(data.draw(st.integers(1, 5))):
+        j = data.draw(st.integers(0, len(pts) - 2))
+        drawn.add(pts[j] + data.draw(st.sampled_from([0.0, 0.5, 0.999])) * (pts[j + 1] - pts[j]))
+    if data.draw(st.booleans()):
+        drawn.update(EDGE[name])
+    if data.draw(st.booleans()):  # a target that raises on one side of c
+        c = data.draw(st.floats(min(pts[0], pts[-1]), max(pts[0], pts[-1])))
+        terms.append(data.draw(st.sampled_from(RAISING)).format(repr(c)))
+    text = " + ".join(terms)
+    if data.draw(st.integers(0, 9)) == 0:  # f = +-0: levels of either sign
+        text = f"{data.draw(st.sampled_from([0.0, -0.0]))!r}*({scale.functions[0].name})"
+    nodes = scale.toward_x0(drawn)
+    xs = np.array(nodes)
+    k = data.draw(st.integers(0, n))
+    for chain, twin in ((art.chain_q, twin_bundles[name].chain_q),
+                        (art.chain_p, twin_bundles[name].chain_p)):
+        with np.errstate(all="ignore"):
+            values, noises = factorization.chain_levels(chain, ExpressionFunction(text), xs, k)
+        for p, x in enumerate(nodes):
+            got = [v[p] for v in values] + [nz[p] for nz in noises]
+            try:
+                ref = factorization.chain_levels(chain, ExpressionFunction(text), x, k)
+            except Exception:
+                # where the scalar pass raises, the node is flagged
+                assert any(math.isnan(v) for v in got)
+                continue
+            # every other element is the scalar pass's, -0.0 included
+            assert all(math.isnan(v) or _bits(v) == _bits(r)
+                       for v, r in zip(got, ref[0] + ref[1]))
+        # the images a node-array pass keeps, and the scalar pass that a
+        # flagged node falls back to, are what reads point by point give,
+        # value or error
+        g, h = ExpressionFunction(text), ExpressionFunction(text)
+        twin.images_on([g], xs)
+        for x in nodes:
+            for level in range(n):
+                assert _outcome(twin.image, g, level, x) == _outcome(chain.image, h, level, x)
+
+
+@pytest.mark.parametrize("name", ["appendix paper", "appendix default", "cubic", "poly",
+                                  "taylor"])
+def test_operator_constants_are_the_point_by_point_loops(bench_bundles, name, monkeypatch):
+    # the appendix's default schedule ends at x = 550, where the array pass
+    # flags every member: its constants there come from the scalar fallback
+    art = bench_bundles[name.split()[0]]
+    members = [m.name for m in art.scale.functions]
+
+    def constants():
+        scale = ChebyshevScale.from_exprs(members, T=art.scale.T, x0=art.scale.x0)
+        schedule = scale_schedule(scale) if name == "appendix default" else art.schedule
+        chains = build_type2_chain(scale, schedule), build_type1_chain(scale, schedule)
+        xs = np.array(scale.toward_x0(schedule.points))
+        chains[0].images_on(scale.functions, xs)
+        flagged = {x for f in scale.functions
+                   for x, v in chains[0]._images.get(f, {}).items() if v is None}
+        return repr(dataclasses.asdict(operator_constants(scale, *chains, schedule))), flagged
+
+    got, flagged = constants()
+    assert bool(flagged) == (name == "appendix default")
+    monkeypatch.setattr(WeightChain, "images_on", lambda chain, fs, xs: None)
+    assert constants() == (got, set())
 
 
 def test_one_chain_pass_serves_every_shallower_level(appendix_artifacts, monkeypatch):

@@ -45,7 +45,7 @@ from chebscale.expansion import (
 from chebscale.expr import ExpressionFunction
 from chebscale.factorization import build_type1_chain, build_type2_chain
 from chebscale.operators import operator_constants
-from chebscale.scale import require_verified
+from chebscale.scale import require_verified, scale_schedule
 
 GOLDEN = Path(__file__).parent / "data" / "extrapolate_golden.json"
 
@@ -218,19 +218,55 @@ def _count_scalar_calls(monkeypatch, memo, counts):
     monkeypatch.setattr(memo, "fn", counted)
 
 
-def test_operator_constants_evaluate_each_chain_weight_once_per_point(
-        appendix_scale, appendix_schedule, monkeypatch):
-    chains = [build_type2_chain(appendix_scale, appendix_schedule),
-              build_type1_chain(appendix_scale, appendix_schedule)]
-    counts = {}
+def _weight_evaluations(scale, schedule, monkeypatch):
+    """The evaluations of every chain weight that ``operator_constants``
+    makes on fresh chains: per (chain, weight), the node arrays with their
+    orders and the count at each point; and the nodes its array pass flags."""
+    chains = [build_type2_chain(scale, schedule), build_type1_chain(scale, schedule)]
+    scalar, arrays = {}, {}
     for c, chain in enumerate(chains):
         for i, weight in enumerate(chain.weights):
-            counts[c, i] = Counter()
-            _count_scalar_calls(monkeypatch, weight, counts[c, i])
-    operator_constants(appendix_scale, *chains, appendix_schedule)
-    # one chain pass to level n - 1 per point serves every level
-    worst = {key: max(cnt.values(), default=0) for key, cnt in counts.items()}
-    assert max(worst.values()) == 1, worst
+            scalar[c, i], arrays[c, i] = Counter(), []
+            fn = weight.fn
+
+            def counted(x, order, fn=fn, key=(c, i)):
+                if isinstance(x, np.ndarray):
+                    arrays[key].append((x.tolist(), order))
+                else:
+                    scalar[key][x] += 1
+                return fn(x, order)
+
+            monkeypatch.setattr(weight, "fn", counted)
+    images_on = factorization.WeightChain.images_on
+    flagged = set()
+
+    def recorded(chain, fs, xs):
+        images_on(chain, fs, xs)
+        flagged.update(x for f in fs for x, levels in chain._images[f].items() if levels is None)
+
+    monkeypatch.setattr(factorization.WeightChain, "images_on", recorded)
+    operator_constants(scale, *chains, schedule)
+    monkeypatch.undo()
+    return scalar, arrays, flagged
+
+
+def test_operator_constants_evaluate_each_chain_weight_once_per_point(monkeypatch):
+    # the paper schedule keeps every weight finite; the default one reaches
+    # x = 550, where the type-II weights overflow
+    scale, paper = _cold_appendix()
+    n = scale.n
+    for schedule in (paper, scale_schedule(scale)):
+        nodes = scale.toward_x0(schedule.points)
+        scalar, arrays, flagged = _weight_evaluations(scale, schedule, monkeypatch)
+        # one evaluation on the schedule's node array, at the order the pass
+        # to level n - 1 reads the weight (r_n, not read there, at order 0)
+        assert arrays == {(c, i): [(nodes, max(n - 1 - i, 0))]
+                          for c in range(2) for i in range(n + 1)}
+        # none alone at a node where that array pass is finite; the flagged
+        # node is read point by point
+        assert sorted(flagged) == ([] if schedule is paper else nodes[-1:])
+        assert not any(cnt[x] for cnt in scalar.values() for x in nodes if x not in flagged)
+        assert all(any(cnt[x] for cnt in scalar.values()) for x in flagged)
 
 
 def test_ladder_evaluates_a_constructed_target_twice_per_point(appendix_artifacts,
@@ -360,6 +396,49 @@ def test_a_cold_bundle_evaluates_each_wronskian_once(monkeypatch):
     # share one evaluation of each (indices, point)
     assert len(counts) == 80, len(counts)
     assert max(counts.values()) == 1, counts.most_common(3)
+
+
+def test_factorize_evaluates_each_wronskian_once(monkeypatch, capsys):
+    # the bundle's scan, then divide-and-differentiate on the probes the
+    # bundle's chains chose
+    module = importlib.import_module("chebscale.wronskian")
+    real = module._derivative_matrix
+    counts = Counter()
+
+    def counted(scale, indices, x, rows):
+        if not isinstance(x, np.ndarray):
+            counts[tuple(indices), x] += 1
+        return real(scale, indices, x, rows)
+
+    monkeypatch.setattr(module, "_derivative_matrix", counted)
+    appendix = str(Path(__file__).parent / "data" / "appendix.scale")
+    assert cli.run(["factorize", "--scale", appendix, "--ratio", "1.22", "--probes", "10",
+                    "--json"]) == 0
+    capsys.readouterr()
+    assert len(counts) == 80, len(counts)
+    assert max(counts.values()) == 1, counts.most_common(3)
+
+
+def test_a_repeat_limit_cuts_the_target_once(appendix_artifacts, monkeypatch):
+    art = appendix_artifacts
+    real = expansion._target_cut
+    cuts = []
+
+    def counted(f, scale, points, members):
+        cuts.append(tuple(points))
+        return real(f, scale, points, members)
+
+    monkeypatch.setattr(expansion, "_target_cut", counted)
+    text = "2*exp(x) - x + 3*log(x) + 5 + exp(-x)"
+    f = ExpressionFunction(text)
+    got = [art.limit(f, k) for k in (0, 1, 0, 3, 2)]
+    assert cuts == [tuple(art.class_points)]
+    # another set of points is cut on its own
+    expansion._operator_limit(art.chain_q, art.scale, f, 0, art.class_points[:-1])
+    assert len(cuts) == 2
+    monkeypatch.undo()
+    g = ExpressionFunction(text)
+    assert got == [art.limit(g, k) for k in (0, 1, 0, 3, 2)]
 
 
 def test_a_cold_bundle_reads_each_signed_weight_once_per_probe(monkeypatch):
