@@ -142,7 +142,7 @@ def cmd_factorize(scale, args):
     art = artifacts_for(scale, schedule)
     probes = art.probes
     # on the probes the bundle's chains chose: no Wronskian evaluated again
-    dd_p = divide_and_differentiate(scale, "last", schedule, probes=art.chain_p.probes)
+    dd_p = divide_and_differentiate(scale, "last", art.chain_p.probes)
     ratio_checks = {}
     for i in range(scale.n + 1):
         c, dev = fit_ratio_constant(art.chain_p.weights[i], dd_p.weights[i], probes)

@@ -359,6 +359,18 @@ def _level_sequence(chain, f, k, pts):
     return pts[:cut], vals[:cut], [nz for _, nz in pairs[:cut]]
 
 
+def _kept_cut(chain, scale, f, points):
+    """The target's cut of ``points`` (:func:`_target_cut`), kept in f's
+    entry of ``chain.limits`` under the scale and ``points``: a later call
+    on the same points, at any level and from any reader, cuts nothing."""
+    points = tuple(points)
+    memo = chain.limits.setdefault(f, {})
+    cut = memo.get((scale, points))
+    if cut is None:
+        cut = memo[scale, points] = tuple(_target_cut(f, scale, points, (scale.n,))[0])
+    return cut
+
+
 def _operator_limit(chain, scale, f, k, points):
     """The limit of M_k[f] toward x0 as ``(status, value, confidence)``: the
     sequence :func:`_level_sequence` keeps along ``points``, deflated by the
@@ -368,18 +380,11 @@ def _operator_limit(chain, scale, f, k, points):
     confidence.
 
     The chain keeps the result in f's entry of ``chain.limits``, under the
-    scale, the level and the target's cut of ``points``: a call with the
-    same three reads it, whichever reader made it.  The entry keeps the
-    cut too, under the scale and ``points``, so a call at another level on
-    the same points cuts nothing.  A call that raises keeps no limit."""
-    points = tuple(points)
-    memo = chain.limits.get(f)
-    cut = None if memo is None else memo.get((scale, points))
-    if cut is None:
-        cut = tuple(_target_cut(f, scale, points, (scale.n,))[0])
-        if memo is None:
-            memo = chain.limits[f] = {}
-        memo[scale, points] = cut
+    scale, the level and the target's cut of ``points`` (:func:`_kept_cut`):
+    a call with the same three reads it, whichever reader made it.  A call
+    that raises keeps no limit."""
+    cut = _kept_cut(chain, scale, f, points)
+    memo = chain.limits[f]
     out = memo.get((scale, k, cut))
     if out is not None:
         return out
@@ -1303,18 +1308,16 @@ def check_O(f, i, artifacts, source=None, coefficients=None):
     ck = _Check(art, f, source)
     verdicts = ck.verdicts
 
-    def sequence():  # M_{i-1}[f] along the classification points
-        cut = _target_cut(f, art.scale, art.class_points, (n,))[0]
-        return _level_sequence(art.chain_q, f, i - 1, cut)
-
     if i == 1:
         rows = [f(x, 0).value / art.scale.phi_value(1, x) for x in art.probes]
         verdicts["(5.36) O-form"] = _bounded_verdict(rows)
-        _, seq, noise = sequence()
     else:
         # (5.31): limits below the boundary order, then boundedness at i-1
         ck.ladder("(5.31)", i - 1, coefficients)
-        _, seq, noise = sequence()
+    # M_{i-1}[f] along the classification points, on the cut the limits keep
+    cut = _kept_cut(art.chain_q, art.scale, f, art.class_points)
+    _, seq, noise = _level_sequence(art.chain_q, f, i - 1, cut)
+    if i > 1:
         verdicts["(5.29) coefficients"] = _v(
             "holds" if ck.coeffs is not None else "inconclusive", values=ck.coeffs
         )

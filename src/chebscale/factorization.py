@@ -18,7 +18,9 @@ where the scalar pass raises.  :meth:`WeightChain.images_on` runs one such
 pass per target over a schedule and keeps each node's levels as the
 per-point images; flagged nodes are left to the scalar pass.
 
-Weights are stored unsigned (positive) together with a sign word; the sign
+Weights are stored unsigned (positive) together with a sign word, read off
+the signed weights' values at the probes (:func:`_chain_from_signed`: one
+node array per Polya weight, through ``quadrature.tabulate``); the sign
 pattern has product +1, so composing the unsigned chain to full depth
 reproduces the operator exactly.  Chains are unique only up to per-weight
 constants with product 1, hence all comparisons are ratio-constancy checks.
@@ -36,7 +38,8 @@ import numpy as np
 
 from .errors import EvaluationError, PivotVanishes, ToleranceNotMet, WronskianDegenerate
 from .jet import JetMemo, antiderivative, derivative, jet_constant, jet_derivative, truncate
-from .quadrature import _SCALAR_ERRORS, NestedIntegral, NodeFn, WorkGrid, classify_toward
+from .quadrature import (_SCALAR_ERRORS, NestedIntegral, NodeFn, WorkGrid, classify_toward,
+                         tabulate)
 from .scale import finite_prefix, make_schedule, require_verified
 from .wronskian import det_pivoted, wronskian, wronskian_flags, wronskian_jet
 
@@ -74,10 +77,7 @@ class _PrefixWronskians:
         (``scan``: the build's shared evaluations, see ``wronskian``)."""
         ev = wronskian(self.scale, self.indices(i), x, scan)
         if ev.vanishes:
-            raise WronskianDegenerate(
-                f"W{self.indices(i)} ~ 0 at x={x} (value {ev.value})"
-            )
-        return ev
+            raise WronskianDegenerate(f"W{self.indices(i)} ~ 0 at x={x} (value {ev.value})")
 
 
 @dataclass
@@ -210,9 +210,7 @@ class WeightChain:
         """Weights sampled on the schedule's finite prefix plus canonicity,
         JSON-friendly."""
         pts = finite_prefix(schedule.points, [w.value for w in self.weights])
-        samples = {}
-        for i in range(self.n + 1):
-            samples[f"r{i}"] = [(x, self.weight_value(i, x)) for x in pts]
+        samples = {f"r{i}": [(x, self.weight_value(i, x)) for x in pts] for i in range(self.n + 1)}
         return {
             "provenance": self.provenance,
             "n": self.n,
@@ -232,39 +230,46 @@ def _signed_sign(value, where):
 def _chain_from_signed(signed_fns, scale, provenance, probes, arrays=False):
     """Detect signs at the latest finite probe and memoize unsigned evaluators.
 
-    Signs are read near x0 (they are constant wherever the defining
-    Wronskians keep their sign), at the last probe where every weight is
-    finite.  A weight whose sign differs at an earlier probe marks a
-    Wronskian zero inside the interval, where the chain is no factorization:
-    the first such flip raises WronskianDegenerate, naming the weight and
-    both points.  Each weight is read once per probe at order 0, and its
-    unsigned memo starts with those jets.  ``arrays``: the signed
-    evaluators take node arrays.
+    Each signed weight's order-0 values at the probes ordered toward x0 are
+    read through ``quadrature.tabulate`` (on their node array when
+    ``arrays``), up to the first probe where an earlier weight is not
+    finite: the probes end where ``finite_prefix`` ends them, and an error
+    it does not catch, raised there, propagates.  Signs are read near x0
+    (they are constant wherever the defining Wronskians keep their sign),
+    at the last probe where every weight is finite.  A weight whose sign
+    differs at an earlier probe marks a Wronskian zero inside the interval,
+    where the chain is no factorization: the first such flip raises
+    WronskianDegenerate, naming the weight and both points.  The unsigned
+    memos start empty.
     """
-    read = [{} for _ in signed_fns]  # per weight: probe -> its order-0 jet
-
-    def reader(fn, jets):
-        def value(x):
-            jets[x] = j = fn(x, 0)
-            return j.value
-        return value
-
-    ordered = finite_prefix(scale.toward_x0(probes), list(map(reader, signed_fns, read)))
+    xs = np.array(scale.toward_x0(probes), dtype=float)
+    rows, stop = [], None  # stop: an error finite_prefix lets through, where the probes end
+    for fn in signed_fns:
+        raised = {}
+        on_nodes = (lambda nodes, fn=fn: fn(nodes, 0).value) if arrays else None
+        vals = tabulate(NodeFn(lambda x, fn=fn: fn(float(x), 0).value, on_nodes), xs,
+                        raised=raised)
+        bad = np.flatnonzero(~np.isfinite(vals))
+        if len(bad):
+            exc = raised.get(int(bad[0]))
+            stop = None if isinstance(exc, (ArithmeticError, EvaluationError)) else exc
+            xs = xs[:bad[0]]
+        rows.append(vals)
+    if stop is not None:
+        raise stop
+    ordered = xs.tolist()
     if not ordered:
         raise WronskianDegenerate(f"no probe keeps the {provenance} weights finite")
+    rows = [row[:len(ordered)].tolist() for row in rows]
     x_ref = ordered[-1]
-    signs = [_signed_sign(jets[x_ref].value, x_ref) for jets in read]
-    for x in ordered:
-        for k, (jets, s) in enumerate(zip(read, signs)):
-            if _signed_sign(jets[x].value, x) != s:
-                raise WronskianDegenerate(
-                    f"{provenance} weight r{k} changes sign between x={x} and x={x_ref}"
-                )
-    unsigned = [
-        JetMemo(fn if s > 0 else lambda x, m, f=fn: -f(x, m), f"{provenance}:r{k}", arrays,
-                jets=jets if s > 0 else {x: -j for x, j in jets.items()})
-        for k, (fn, s, jets) in enumerate(zip(signed_fns, signs, read))
-    ]
+    signs = [_signed_sign(row[-1], x_ref) for row in rows]
+    for j, x in enumerate(ordered):
+        for k, (row, s) in enumerate(zip(rows, signs)):
+            if _signed_sign(row[j], x) != s:
+                raise WronskianDegenerate(f"{provenance} weight r{k} changes sign "
+                                          f"between x={x} and x={x_ref}")
+    unsigned = [JetMemo(fn if s > 0 else lambda x, m, f=fn: -f(x, m), f"{provenance}:r{k}", arrays)
+                for k, (fn, s) in enumerate(zip(signed_fns, signs))]
     return WeightChain(weights=unsigned, signs=signs, interval=(scale.T, scale.x0),
                        n=scale.n, provenance=provenance, probes=tuple(probes))
 
@@ -294,9 +299,7 @@ def well_conditioned_probes(scale, points, minimum=4, scan=None):
         if math.isfinite(ev.conditioning) and ev.conditioning < 1e12:
             kept.append(x)
     if len(kept) < minimum:
-        raise WronskianDegenerate(
-            f"only {len(kept)} probes are well conditioned (need {minimum})"
-        )
+        raise WronskianDegenerate(f"only {len(kept)} probes are well conditioned (need {minimum})")
     return kept
 
 
@@ -487,30 +490,26 @@ class _Product:
         return out
 
 
-def divide_and_differentiate(scale, pivot, schedule, probes=None):
+def divide_and_differentiate(scale, pivot, probes):
     """The two-step "divide by the pivot term, then differentiate" algorithm.
 
     ``pivot="first"`` factors out the currently-largest term and yields a
     type-II chain; ``pivot="last"`` factors out the smallest and yields the
     type-I chain.  Terms are never re-expanded: every image stays one opaque
     jet-evaluator, so compound terms remain grouped exactly.  The chain's
-    ``canonicity`` is classified on first read.  ``probes``: the
-    well-conditioned probes of ``schedule`` (:func:`well_conditioned_probes`)
-    when the caller has them, as the ``probes`` of a Polya chain built on
-    it, so W(phi_1..phi_n) is not evaluated there again.
+    ``canonicity`` is classified on first read.  ``probes``: well-conditioned
+    probes (:func:`well_conditioned_probes`), such as the ``probes`` of a
+    Polya chain, which then need no Wronskian evaluated again.
     """
     if pivot not in ("first", "last"):
         raise EvaluationError("pivot must be 'first' or 'last'")
     require_verified(scale)
-    if probes is None:
-        probes = well_conditioned_probes(scale, schedule.points)
     images = list(scale.functions)
     pivots = []
     for _ in range(scale.n):
         g = images[0] if pivot == "first" else images[-1]
         for x in probes:
-            j = g(x, 0)
-            if abs(j.value) <= 1e-300:
+            if abs(g(x, 0).value) <= 1e-300:
                 raise PivotVanishes(f"pivot image zero at probe x={x}")
         pivots.append(g)
         rest = images[1:] if pivot == "first" else images[:-1]
@@ -632,9 +631,10 @@ class PrincipalSystem:
     beta: object  # upper-triangular basis-change coefficients (numpy array)
 
 
-def build_principal_system(scale, chain_p, schedule):
-    """Nested from_T integrals of the type-I chain, plus the change of basis."""
-    probes = well_conditioned_probes(scale, schedule.points)
+def build_principal_system(scale, chain_p):
+    """Nested from_T integrals of the type-I chain, plus the change of basis,
+    on the probes the chain's signs were read at."""
+    probes = chain_p.probes
     # from_T nests never look past the probes; a short reach keeps
     # exponentially growing type-I weights inside double range
     grid = WorkGrid(scale.T, scale.x0, include=probes, hard_cap=1.05 * max(probes))
@@ -674,8 +674,7 @@ def build_principal_system(scale, chain_p, schedule):
             rows.append([P[n - j].value(x) for j in range(i + 1, n + 1)])
             rhs.append(scale.phi_value(i, x) - b[i - 1] * P[n - i].value(x))
         sol, *_ = np.linalg.lstsq(np.array(rows), np.array(rhs), rcond=None)
-        for off, j in enumerate(range(i + 1, n + 1)):
-            beta[i - 1, j - 1] = sol[off]
+        beta[i - 1, i:] = sol
     return PrincipalSystem(P=P, b=b, beta=beta)
 
 

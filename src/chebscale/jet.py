@@ -420,8 +420,6 @@ class JetMemo:
     share their parts' jets on it.  Without ``arrays`` a node array raises
     :class:`~chebscale.errors.NoArrayForm`.
 
-    ``jets`` (a dict ``x -> jet``, taken over, not copied) starts the memo
-    with jets its caller already has, each ``fn``'s own at its point, and
     :meth:`keep_nodes` seeds per-point jets from a jet of the array form:
     a node's coefficients of an array jet are its scalar jet's bit for bit
     (see the module docstring), so a memo seeded from one array pass holds
@@ -430,11 +428,11 @@ class JetMemo:
 
     __slots__ = ("fn", "name", "arrays", "_jets", "_nodes", "__weakref__")
 
-    def __init__(self, fn, name="", arrays=False, jets=None):
+    def __init__(self, fn, name="", arrays=False):
         self.fn = fn
         self.name = name
         self.arrays = arrays
-        self._jets = {} if jets is None else jets
+        self._jets = {}
         self._nodes = None  # (node array, jet) of the last array asked for
 
     def __call__(self, x, order):

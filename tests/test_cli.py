@@ -182,6 +182,21 @@ def test_oracle_sweep_reads_ok_on_a_true_expansion(capsys):
     assert lines[-1] == "runs not ok: 0 of 2"
 
 
+def test_confidence_honesty_tallies_both_routes(capsys):
+    path = Path(__file__).resolve().parents[1] / "scripts" / "confidence_honesty.py"
+    spec = importlib.util.spec_from_file_location("confidence_honesty", path)
+    honesty = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(honesty)
+    honesty.main(["--seeds", "21"])
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split() == ["seed", "route", "decisive", "err>conf", "err>10conf",
+                                "worst", "err/conf"]
+    rows = [line.split() for line in lines[1:]]
+    assert [row[:2] for row in rows] == [["21", "operator"], ["21", "recursive"]]
+    # the miss counts are not pinned: a sharper confidence moves them
+    assert all(int(row[2]) > 0 for row in rows)
+
+
 def test_bundle_cost_times_every_phase_of_a_build(capsys):
     path = Path(__file__).resolve().parents[1] / "scripts" / "bundle_cost.py"
     spec = importlib.util.spec_from_file_location("bundle_cost", path)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chebscale import (
@@ -35,8 +35,10 @@ from chebscale.errors import (
     WronskianDegenerate,
 )
 from chebscale.expr import ExpressionFunction
-from chebscale.jet import JetMemo
+from chebscale.factorization import well_conditioned_probes
+from chebscale.jet import Jet, JetMemo
 from chebscale.jet import derivative, jet_constant, jpow, jet_variable, truncate
+from chebscale.scale import finite_prefix
 
 PROBES = [4.5, 5.5, 7.0, 9.0, 12.0, 16.0, 22.0, 30.0]
 
@@ -104,12 +106,13 @@ def test_misordered_scale_rejected():
 def test_divide_and_differentiate_reproduces_both_chains(
     appendix_scale, appendix_schedule
 ):
-    dd_p = divide_and_differentiate(appendix_scale, "last", appendix_schedule)
+    probes = well_conditioned_probes(appendix_scale, appendix_schedule.points)
+    dd_p = divide_and_differentiate(appendix_scale, "last", probes)
     for i, ref in P_CLOSED.items():
         c, dev = fit_ratio_constant(dd_p.weights[i], ref, PROBES)
         assert dev < 1e-8, (i, c, dev)
     assert dd_p.canonicity["x0"] == "type_I"
-    dd_q = divide_and_differentiate(appendix_scale, "first", appendix_schedule)
+    dd_q = divide_and_differentiate(appendix_scale, "first", probes)
     for i, ref in QBAR_CLOSED.items():
         c, dev = fit_ratio_constant(dd_q.weights[i], ref, PROBES)
         assert dev < 1e-8, (i, c, dev)
@@ -120,7 +123,8 @@ def test_trench_uniqueness_up_to_constants(appendix_scale, appendix_schedule):
     # type-I chains from the two constructions have constant ratios whose
     # product is one
     polya = build_type1_chain(appendix_scale, appendix_schedule)
-    dd = divide_and_differentiate(appendix_scale, "last", appendix_schedule)
+    probes = well_conditioned_probes(appendix_scale, appendix_schedule.points)
+    dd = divide_and_differentiate(appendix_scale, "last", probes)
     consts = []
     for i in range(appendix_scale.n + 1):
         c, dev = fit_ratio_constant(polya.weights[i], dd.weights[i], PROBES)
@@ -298,7 +302,7 @@ def test_noncanonical_factorizations_of_u3():
 
 def test_principal_system_identities(appendix_scale, appendix_schedule):
     chain_p = build_type1_chain(appendix_scale, appendix_schedule)
-    ps = build_principal_system(appendix_scale, chain_p, appendix_schedule)
+    ps = build_principal_system(appendix_scale, chain_p)
     assert all(abs(b) > 0 for b in ps.b)
     # L_k[P_k] == 1 exactly through the table algebra
     for k in range(4):
@@ -316,7 +320,7 @@ def test_principal_system_identities(appendix_scale, appendix_schedule):
 
 def test_principal_system_hierarchy_at_T(appendix_scale, appendix_schedule):
     chain_p = build_type1_chain(appendix_scale, appendix_schedule)
-    ps = build_principal_system(appendix_scale, chain_p, appendix_schedule)
+    ps = build_principal_system(appendix_scale, chain_p)
     # toward T the order reverses: P_0 >> P_1 >> ... (ratios shrink)
     xs = [4.5, 4.1, 4.02]
     for i in range(3):
@@ -589,3 +593,131 @@ def test_a_target_raising_at_a_deep_order_keeps_its_shallow_images(appendix_arti
         assert chain.image(f, 2, x) == apply_chain(chain, g, x, 2, with_noise=True)
         with pytest.raises(EvaluationError, match="order 3"):
             chain.image(f, 3, x)
+
+
+def _point_by_point_chain_from_signed(signed_fns, scale, provenance, probes, arrays=False):
+    """The reference sign reader: every signed weight read alone at every
+    probe, in order toward x0, through ``finite_prefix``; then the signs at
+    the last kept probe and the first flip.  Its memos start empty too."""
+    read = [{} for _ in signed_fns]  # per weight: probe -> its order-0 value
+
+    def reader(fn, values):
+        def value(x):
+            values[x] = v = fn(x, 0).value
+            return v
+        return value
+
+    ordered = finite_prefix(scale.toward_x0(probes), list(map(reader, signed_fns, read)))
+    if not ordered:
+        raise WronskianDegenerate(f"no probe keeps the {provenance} weights finite")
+    x_ref = ordered[-1]
+    signs = [factorization._signed_sign(values[x_ref], x_ref) for values in read]
+    for x in ordered:
+        for k, (values, s) in enumerate(zip(read, signs)):
+            if factorization._signed_sign(values[x], x) != s:
+                raise WronskianDegenerate(
+                    f"{provenance} weight r{k} changes sign between x={x} and x={x_ref}"
+                )
+    unsigned = [
+        JetMemo(fn if s > 0 else lambda x, m, f=fn: -f(x, m), f"{provenance}:r{k}", arrays)
+        for k, (fn, s) in enumerate(zip(signed_fns, signs))
+    ]
+    return WeightChain(weights=unsigned, signs=signs, interval=(scale.T, scale.x0),
+                       n=scale.n, provenance=provenance, probes=tuple(probes))
+
+
+SPOIL_ERRORS = {"arith": ZeroDivisionError, "eval": EvaluationError, "value": ValueError}
+SPOIL_VALUES = {"inf": lambda v: math.inf, "nan": lambda v: math.nan, "zero": lambda v: 0.0,
+                "flip": lambda v: -v}
+
+
+class _Spoiled:
+    """A signed weight that, at the probes of ``bad`` (x -> kind), is not
+    finite, 0 or of the other sign, or raises; its node array flags them."""
+
+    def __init__(self, fn, bad):
+        self.fn, self.bad = fn, bad
+
+    def __call__(self, x, order):
+        j = self.fn(x, order)
+        if isinstance(x, np.ndarray):
+            hit = np.isin(x, list(self.bad))
+            return Jet(x, [np.where(hit, np.nan, j.coeffs[0]), *j.coeffs[1:]])
+        kind = self.bad.get(x)
+        if kind is None:
+            return j
+        if kind in SPOIL_ERRORS:
+            raise SPOIL_ERRORS[kind](f"spoiled at x={x}")
+        return jet_constant(SPOIL_VALUES[kind](j.value), x, order)
+
+
+SIGN_SCALES = {
+    "appendix": (["exp(x)", "x", "log(x)", "1"], math.inf),
+    "cubic": (["1", "x", "x^2", "x^3"], 0.0),
+    "poly": (["x^3", "x^2", "x", "1"], math.inf),
+    "taylor": (["1", "1-x", "(1-x)^2", "(1-x)^3"], 1.0),
+}
+SIGN_T = {"appendix": [4.0, 2.0], "cubic": [-1.0], "poly": [1.0], "taylor": [0.0]}
+BUILDS = {
+    "polya_q": lambda scale, schedule: build_type2_chain(scale, schedule),
+    "polya_p": lambda scale, schedule: build_type1_chain(scale, schedule),
+    "dd_first": lambda scale, schedule: divide_and_differentiate(
+        scale, "first", well_conditioned_probes(scale, schedule.points)),
+    "dd_last": lambda scale, schedule: divide_and_differentiate(
+        scale, "last", well_conditioned_probes(scale, schedule.points)),
+}
+
+
+def _sign_outcomes(reader, name, T, count, paper, spoils):
+    """Per build of ``BUILDS``, on a fresh scale read by ``reader``: the
+    chain's signs, probes and order-0 weight bits at its probes, or the type
+    and text of what the build raised.  ``spoils``: (weight, probe index,
+    kind) of :class:`_Spoiled`."""
+    members, x0 = SIGN_SCALES[name]
+    scale = ChebyshevScale.from_exprs(members, T=T, x0=x0)
+    ratio = (1.22 if math.isinf(x0) else 0.6) if paper else None
+    schedule = scale_schedule(scale, count, ratio)
+
+    def chain_from_signed(signed_fns, scale, provenance, probes, arrays=False):
+        nodes = scale.toward_x0(probes)
+        fns = [_Spoiled(fn, {nodes[i % len(nodes)]: kind for w, i, kind in spoils if w == k})
+               for k, fn in enumerate(signed_fns)]
+        return reader(fns, scale, provenance, probes, arrays)
+
+    real = factorization._chain_from_signed
+    factorization._chain_from_signed = chain_from_signed
+    out = {}
+    try:
+        for build, make in BUILDS.items():
+            try:
+                chain = make(scale, schedule)
+            except Exception as exc:
+                out[build] = type(exc), str(exc)
+                continue
+            weights = [_outcome(lambda w, x: (w(x, 0).value,), w, x)
+                       for x in chain.probes for w in chain.weights]
+            out[build] = chain.signs, chain.probes, weights
+    finally:
+        factorization._chain_from_signed = real
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(SIGN_SCALES)), st.integers(0, 1), st.integers(8, 13), st.booleans(),
+       st.lists(st.tuples(st.integers(0, 4), st.integers(0, 15),
+                          st.sampled_from(sorted(SPOIL_ERRORS) + sorted(SPOIL_VALUES))),
+                max_size=3))
+@example("appendix", 1, 12, False, [])  # --T 2: the type-II weight r2 flips
+@example("appendix", 0, 10, True, [(0, 0, "inf")])  # no probe is kept
+@example("appendix", 0, 10, True, [(1, 5, "value"), (3, 2, "inf")])  # cut before the raise
+@example("poly", 0, 12, False, [(2, 4, "value")])  # the raise ends the probes
+def test_the_node_array_sign_reader_is_the_point_by_point_one(name, t, count, paper, spoils):
+    T = SIGN_T[name][t % len(SIGN_T[name])]
+    got = _sign_outcomes(factorization._chain_from_signed, name, T, count, paper, spoils)
+    ref = _sign_outcomes(_point_by_point_chain_from_signed, name, T, count, paper, spoils)
+    assert got == ref
+    if (name, t, count, paper, spoils) == ("appendix", 1, 12, False, []):
+        assert got["polya_q"] == (WronskianDegenerate, "polya_q weight r2 changes sign "
+                                  "between x=3.0 and x=329.85348833280017")
+    if spoils == [(0, 0, "inf")]:
+        assert all(out[1].startswith("no probe keeps the") for out in got.values())

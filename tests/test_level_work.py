@@ -1,7 +1,8 @@
 """Work done once per target: the limit decision's lazy leave-one-out, the
-readers of several operator levels (one chain pass per point), and the
-source tabulated once per check; and work done once per bundle build: each
-Wronskian of the probe scan, each signed weight's value at a probe, and
+readers of several operator levels (one chain pass per point), the cut of
+the target's probes and the source tabulated once per check; and work done
+once per bundle build: each Wronskian of the probe scan, each signed weight
+on the probes' node array (alone only where that array flags a node), and
 only the canonicity verdicts that are read.
 
 Each test fails if the repeated work comes back or if an output moves:
@@ -441,27 +442,75 @@ def test_a_repeat_limit_cuts_the_target_once(appendix_artifacts, monkeypatch):
     assert got == [art.limit(g, k) for k in (0, 1, 0, 3, 2)]
 
 
-def test_a_cold_bundle_reads_each_signed_weight_once_per_probe(monkeypatch):
-    scale, schedule = _cold_appendix()
-    real = factorization._chain_from_signed
-    counts = Counter()
+def test_check_O_cuts_the_target_once(appendix_artifacts, monkeypatch):
+    # the (5.31) ladder's limits and the (5.32) sequence read one cut of f
+    art = appendix_artifacts
+    real = expansion._target_cut
+    cuts = []
 
-    def counted(provenance, k, fn):
+    def counted(f, scale, points, members):
+        cuts.append(tuple(points))
+        return real(f, scale, points, members)
+
+    monkeypatch.setattr(expansion, "_target_cut", counted)
+    for i in range(2, art.n + 1):
+        cuts.clear()
+        check_O(ExpressionFunction("2*exp(x) - x + 3*log(x) + 5 + exp(-x)"), i, art)
+        assert cuts == [tuple(art.class_points)], (i, len(cuts))
+
+
+def _signed_weight_reads(scale, schedule, monkeypatch):
+    """The reads of every signed weight while fresh Polya chains are built
+    on ``schedule``: per (chain, weight), the node arrays it is read on,
+    each with the nodes it flags there, and the points it is read at alone;
+    all at order 0."""
+    real = factorization._chain_from_signed
+    arrays, alone = {}, {}
+
+    def counted(key, fn):
+        arrays[key], alone[key] = [], []
+
         def call(x, order):
-            if order == 0 and not isinstance(x, np.ndarray):
-                counts[provenance, k, x] += 1
-            return fn(x, order)
+            assert order == 0
+            if not isinstance(x, np.ndarray):
+                alone[key].append(x)
+                return fn(x, order)
+            j = fn(x, order)
+            flagged = [v for v, ok in zip(x.tolist(), np.isfinite(j.value).tolist()) if not ok]
+            arrays[key].append((x.tolist(), flagged))
+            return j
         return call
 
     def chain_from_signed(signed_fns, scale, provenance, *args, **kwargs):
-        fns = [counted(provenance, k, fn) for k, fn in enumerate(signed_fns)]
+        fns = [counted((provenance, k), fn) for k, fn in enumerate(signed_fns)]
         return real(fns, scale, provenance, *args, **kwargs)
 
     monkeypatch.setattr(factorization, "_chain_from_signed", chain_from_signed)
-    art = artifacts_for(scale, schedule)
-    assert {p for p, _, _ in counts} == {"polya_q", "polya_p"}
-    assert {x for _, _, x in counts} >= set(art.probes)
-    assert max(counts.values()) == 1, counts.most_common(3)
+    chains = build_type2_chain(scale, schedule), build_type1_chain(scale, schedule)
+    monkeypatch.undo()
+    return chains, arrays, alone
+
+
+def test_a_cold_bundle_reads_each_signed_weight_once_per_probe(monkeypatch):
+    # the paper schedule keeps every weight finite; on the default one the
+    # type-II weight r1 overflows at the last probe (x = 550), which its
+    # array flags and its scalar read confirms, so the probes end there
+    scale, paper = _cold_appendix()
+    for schedule in (paper, scale_schedule(scale)):
+        chains, arrays, alone = _signed_weight_reads(scale, schedule, monkeypatch)
+        default = schedule is not paper
+        for chain in chains:
+            nodes = scale.toward_x0(chain.probes)
+            for k in range(scale.n + 1):
+                key = chain.provenance, k
+                cut = default and key[0] == "polya_q" and k >= 2
+                # one read on the probes' node array, up to the first probe
+                # where an earlier weight is not finite
+                [(xs, flagged)] = arrays[key]
+                assert xs == (nodes[:-1] if cut else nodes), key
+                # alone only at the nodes that array flags, once each
+                assert flagged == (nodes[-1:] if default and key == ("polya_q", 1) else [])
+                assert alone[key] == flagged, key
 
 
 def test_expand_classifies_x0_only_and_factorize_both_endpoints(monkeypatch, capsys):

@@ -159,7 +159,7 @@ def test_hierarchy_preservation(appendix_artifacts):
 
 def test_lemma_41_ladder(appendix_artifacts):
     art = appendix_artifacts
-    ps = build_principal_system(art.scale, art.chain_p, art.schedule)
+    ps = build_principal_system(art.scale, art.chain_p)
     # L_k[P_k] == 1 and L_k[P_i] << L_k[P_{i+1}] toward x0
     for k in range(art.n - 1):
         for x in (5.0, 12.0):
