@@ -49,8 +49,15 @@ Cache policy: these memos are all that is kept, each by one owner.
   check given a source reads L[f] = q_n * source instead, and its L[f]
   evaluator keeps the source on the grid nodes for the check's lifetime.
 
-Every other nest is built afresh on the shared grid by the check that reads
-it; grid tables go through array forms, which keep no point in any jet memo.
+- Nests: a :class:`ScaleArtifacts` bundle keeps the last
+  ``_NEST_MEMO_SIZE`` (64) nests built on its grid (:meth:`ScaleArtifacts.nest`,
+  least recently used out first), each under its weights, orientations and
+  density table, every input a build reads, or the message and
+  ``decisive`` of the DivergentTail the build raised.  Another source or
+  target gives another table, so no entry can serve a stale nest, and
+  entries hold no target (the weights are the bundle's own).
+
+Grid tables go through array forms, which keep no point in any jet memo.
 Outside these layers, ``scale.verified`` keeps the hierarchy verdict,
 ``extrapolate`` a Neville table per sequence length and ``quadrature`` its
 rule tables.
@@ -60,6 +67,7 @@ from __future__ import annotations
 
 import math
 import weakref
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -84,6 +92,7 @@ from .scale import finite_prefix, ratio_decreases_to_zero, require_verified, sca
 from .wronskian import bordered_wronskian, wronskian_flags
 
 _LIMIT_TOL = 1e-6  # "a limit exists" when confidence < tol * (1 + |value|)
+_NEST_MEMO_SIZE = 64  # nests a bundle keeps; every benchmark workload needs at most 35
 
 
 def _guarded_ratio(num_fn, den_fn):
@@ -134,8 +143,9 @@ class ScaleArtifacts:
     reference, to a record of its L[f] grid table and its L[f] = 0 test;
     the chains keep its M/L images, and the type-II chain its operator
     limits.  All go when the target goes, so a new target at a dead one's
-    address inherits none of its results.  :meth:`nest` builds a new nest
-    on the shared grid at every call.
+    address inherits none of its results.  ``_nests`` keeps the last
+    ``_NEST_MEMO_SIZE`` nests :meth:`nest` built, under their inputs, in
+    least recently used order; they hold no target.
     """
 
     def __init__(self, scale, schedule):
@@ -168,6 +178,7 @@ class ScaleArtifacts:
             self.grid = WorkGrid(scale.T, scale.x0, include=self.probes)
         self.constants = operator_constants(scale, self.chain_q, self.chain_p, schedule, scan)
         self._targets = weakref.WeakKeyDictionary()
+        self._nests = OrderedDict()
         # classification points: the probe schedule extended geometrically to
         # the grid's reach (table lookups there are free, and integrals need
         # the extra range to classify decisively)
@@ -303,8 +314,26 @@ class ScaleArtifacts:
         return node_values(NodeFn(lambda t: pnest.value(t, 0), pnest.values), self.grid.xnodes)
 
     def nest(self, weights, orientations, density):
-        """A new NestedIntegral on the shared grid."""
-        return NestedIntegral(self.grid, weights, orientations, density)
+        """The NestedIntegral of ``weights`` (the bundle's own, or None),
+        ``orientations`` and ``density`` on the shared grid, built once per
+        weights, orientations and density table.  A build reads nothing
+        else, so a repeat returns the kept nest, or raises a new
+        DivergentTail with the first build's message and ``decisive``."""
+        key = (tuple(weights), tuple(orientations), self.grid.values(density).tobytes())
+        kept = self._nests.get(key)
+        if kept is None:
+            try:
+                kept = NestedIntegral(self.grid, weights, orientations, density)
+            except DivergentTail as exc:
+                kept = (str(exc), exc.decisive)  # not exc: its traceback holds the density
+            self._nests[key] = kept
+            if len(self._nests) > _NEST_MEMO_SIZE:
+                self._nests.popitem(last=False)
+        else:
+            self._nests.move_to_end(key)
+        if isinstance(kept, tuple):
+            raise DivergentTail(*kept)
+        return kept
 
 
 def _target_cut(f, scale, points, members):
@@ -719,7 +748,9 @@ class ConstructedFunction:
     ``mode="from_T"`` anchors every level at T and works for any locally
     integrable source.  L[f] equals q_n * source exactly in both modes, and
     jets unwind algebraically through the nest, so evaluations carry no
-    cancellation beyond the tabulated level values.
+    cancellation beyond the tabulated level values.  The nest comes from
+    the bundle's memo (:meth:`ScaleArtifacts.nest`), so constructions from
+    one source share it whatever their coefficients.
     """
 
     def __init__(self, artifacts, coefficients, source_jetfn, mode="tail"):
@@ -732,9 +763,7 @@ class ConstructedFunction:
         self.coefficients = list(coefficients)
         orientation = "to_x0" if mode == "tail" else "from_T"
         weights = [art.q_vals[i] for i in range(1, n)] + [None]
-        self._nest = NestedIntegral(
-            art.grid, weights, [orientation] * n, NodeFn.of(source_jetfn)
-        )
+        self._nest = art.nest(weights, [orientation] * n, NodeFn.of(source_jetfn))
         sign = (-1) ** n if mode == "tail" else 1.0
 
         def prefactor(x, order):

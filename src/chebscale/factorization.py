@@ -247,7 +247,7 @@ def _chain_from_signed(signed_fns, scale, provenance, probes, arrays=False):
     for fn in signed_fns:
         raised = {}
         on_nodes = (lambda nodes, fn=fn: fn(nodes, 0).value) if arrays else None
-        vals = tabulate(NodeFn(lambda x, fn=fn: fn(float(x), 0).value, on_nodes), xs,
+        vals = tabulate(NodeFn(lambda x, fn=fn: fn(x, 0).value, on_nodes), xs,
                         raised=raised)
         bad = np.flatnonzero(~np.isfinite(vals))
         if len(bad):

@@ -225,7 +225,7 @@ def tabulate(fn, xs, catch=(), fill=math.inf, raised=None):
 
     The array form of a :class:`NodeFn` runs first, on the whole array; the
     nodes it flags, or every node when it fails or ``fn`` has none, go
-    through the scalar ``fn`` in node order.  A node where that raises one
+    through the scalar ``fn`` in node order, each as a Python float.  A node where that raises one
     of ``catch`` reads ``fill``; anything else propagates, unless
     ``raised`` is a dict: then the node reads NaN and ``raised`` maps its
     index to the exception.
@@ -238,7 +238,7 @@ def tabulate(fn, xs, catch=(), fill=math.inf, raised=None):
         redo = np.flatnonzero(~np.isfinite(vals))
     for i in redo:
         try:
-            vals[i] = fn(xs[i])
+            vals[i] = fn(float(xs[i]))
         except catch:
             vals[i] = fill
         except Exception as exc:

@@ -23,10 +23,11 @@ from chebscale import (
     verify_hierarchy,
 )
 from chebscale import expansion
-from chebscale.errors import ChebscaleError, LimitDiverged
+from chebscale.errors import ChebscaleError, DivergentTail, LimitDiverged
 from chebscale.expansion import _abs, _guarded_ratio, _operator_limit, _type1_levels
 from chebscale.expr import ExpressionFunction
 from chebscale.factorization import apply_full_operator
+from chebscale.quadrature import NestedIntegral, NodeFn, tabulate
 
 
 def test_extract_recursive_f1_example():
@@ -581,6 +582,132 @@ def test_checks_release_their_target(cubic_artifacts):
     del f, reports
     gc.collect()
     assert ref() is None
+
+
+def _counted_builds(monkeypatch):
+    """The argument tuples of every NestedIntegral the bundles build."""
+    builds = []
+
+    class Counted(NestedIntegral):
+        def __init__(self, *args):
+            builds.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(expansion, "NestedIntegral", Counted)
+    return builds
+
+
+def _levels(nest):
+    """Every table a nest's queries read, as bytes."""
+    return [(lev.cum.tobytes(), lev.cell_ints.tobytes(),
+             None if lev.suffix is None else lev.suffix.tobytes()) for lev in nest.levels]
+
+
+@pytest.mark.parametrize("stack", ["to_x0", "divergent"])
+def test_a_nest_reads_nothing_of_its_density_but_the_grid_table(appendix_scale,
+                                                                appendix_schedule, stack):
+    # the nest memo's key holds the density's grid table, not the density:
+    # two densities with one table build bitwise the same nest, or raise the
+    # same DivergentTail, and the bundle builds it once
+    art = artifacts_for(appendix_scale, appendix_schedule)
+    n = art.n
+    if stack == "to_x0":
+        weights, orientations = [art.q_vals[i] for i in range(1, n + 1)], ["to_x0"] * n
+        first = lambda t: math.exp(-t) * t**-2
+    else:
+        weights, orientations = [None], ["to_x0"]
+        first = lambda t: 1.0 / t
+    # the same table on the grid nodes, another function everywhere else
+    second = NodeFn(lambda t: 0.0, lambda xs: tabulate(first, xs))
+    assert art.grid.values(first).tobytes() == art.grid.values(second).tobytes()
+
+    def build(make, density):
+        try:
+            return make(weights, orientations, density)
+        except DivergentTail as exc:
+            return exc
+
+    direct = [build(lambda *a: NestedIntegral(art.grid, *a), d) for d in (first, second)]
+    kept = [build(art.nest, d) for d in (first, second)]
+    if stack == "to_x0":
+        a, b = direct
+        assert _levels(a) == _levels(b)
+        for level in range(n):
+            assert ([a.value(x, level) for x in art.probes]
+                    == [b.value(x, level) for x in art.probes])
+        assert kept[0] is kept[1]
+        assert _levels(kept[0]) == _levels(a)
+    else:
+        assert all(isinstance(exc, DivergentTail) for exc in direct + kept)
+        assert len({(str(exc), exc.decisive) for exc in direct + kept}) == 1
+        assert direct[0].decisive
+        assert kept[0] is not kept[1]  # a repeat raises a new exception
+    assert len(art._nests) == 1
+
+
+def test_targets_with_one_source_share_their_nests(appendix_scale, appendix_schedule,
+                                                   monkeypatch):
+    # L kills the scale, so two constructions from one source differ in no
+    # nest a check of them reads: the second construction and its check
+    # build none, and each report is that of a bundle that saw only it
+    psi = ExpressionFunction("exp(-x)")
+    src = lambda x: psi(x, 0).value
+    targets = ([1.0, 1.0, 1.0, 1.0], [2.0, -1.0, 0.5, 3.0])
+
+    def report(art, coefficients):
+        g = construct_from_source(art, coefficients, psi, mode="tail")
+        rep = check_complete(g, art, source=src)
+        return repr((rep.verdicts, rep.consistent, rep.notes))
+
+    fresh = [report(artifacts_for(appendix_scale, appendix_schedule), c) for c in targets]
+    builds = _counted_builds(monkeypatch)
+    art = artifacts_for(appendix_scale, appendix_schedule)
+    shared, counts = [], []
+    for c in targets:
+        before = len(builds)
+        shared.append(report(art, c))
+        counts.append(len(builds) - before)
+    assert counts[0] > 0 and counts[1] == 0
+    assert len(art._nests) == counts[0]  # no nest was built twice
+    assert shared == fresh
+
+
+def test_the_nest_memo_keeps_the_most_recently_used(appendix_scale, appendix_schedule,
+                                                    monkeypatch):
+    size = expansion._NEST_MEMO_SIZE
+    art = artifacts_for(appendix_scale, appendix_schedule)
+    densities = [lambda t, c=c: c for c in range(1, size + 6)]
+    builds = _counted_builds(monkeypatch)
+
+    def nest(density):
+        return art.nest([art.q_vals[1]], ["from_T"], density)
+
+    kept = [nest(d) for d in densities[:size]]
+    assert nest(densities[0]) is kept[0]  # a read moves the entry to the back
+    for d in densities[size:]:
+        nest(d)
+    assert len(builds) == size + 5
+    assert len(art._nests) == size
+    assert nest(densities[0]) is kept[0]
+    assert len(builds) == size + 5
+    assert nest(densities[1]) is not kept[1]  # the least recently used went first
+    assert len(builds) == size + 6
+
+
+def test_a_dropped_constructed_target_is_collected(appendix_scale, appendix_schedule):
+    # the nests the bundle keeps for a constructed target, and for its
+    # checks, hold neither the target nor its source
+    art = artifacts_for(appendix_scale, appendix_schedule)
+    psi = ExpressionFunction("exp(-x)")
+    g = construct_from_source(art, [1.0, -2.0, 0.5, 1.0], psi, mode="tail")
+    assert check_complete(g, art, source=lambda x: psi(x, 0).value, remainder=g.remainder,
+                          coefficients=g.coefficients).consistent
+    assert check_complete(g, art).consistent
+    assert art._nests
+    refs = [weakref.ref(g), weakref.ref(psi)]
+    del g, psi
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
 
 
 def test_bundle_lf_is_the_wronskian_quotient_at_every_node(cubic_artifacts):

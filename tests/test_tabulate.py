@@ -167,3 +167,12 @@ def test_chain_weight_table_makes_no_scalar_wronskian_call(appendix_artifacts, m
     for w in art.chain_q.weights[1:] + art.chain_p.weights[1:]:
         art.grid.values(NodeFn.of(w))  # a new function: a new table
     assert points and all(isinstance(x, np.ndarray) for x in points)
+
+
+def test_the_scalar_path_reads_python_floats():
+    # a flagged node is evaluated as a Python float, as in a point-by-point
+    # loop: 1/(x - 2) raises at x = 2 rather than reading inf
+    raised = {}
+    got = tabulate(NodeFn(lambda x: 1.0 / (x - 2.0), None), np.array([1.0, 2.0]), raised=raised)
+    assert got[0] == -1.0 and math.isnan(got[1])
+    assert list(raised) == [1] and isinstance(raised[1], ZeroDivisionError)
