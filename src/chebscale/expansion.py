@@ -21,41 +21,28 @@ Cache policy: these memos are all that is kept, each by one owner.
   highest order asked there, and the jet of the last node array.
 - Grid tables: the shared :class:`~chebscale.quadrature.WorkGrid` keeps
   each live evaluator's values on its nodes.
-- Scale values: a :class:`ScaleArtifacts` bundle builds on first read the
-  P-weight nest of (6.12) with its values on the grid nodes (through the
-  nest's array form), and W(phi_1..phi_n) on the grid nodes, which every
-  L[f] table divides by.
-  Each chain classifies its canonicity per endpoint, on first read
-  (:meth:`~chebscale.factorization.WeightChain.canonicity_at`; only
-  :func:`extract_operator`, which reads x0, and ``factorize``, which reads
-  both, ask).
+- Scale values: a bundle tabulates the P-weight of (6.12) on its grid
+  nodes (``p_weight_nodes``) once; each chain classifies its canonicity
+  per endpoint on first read
+  (:meth:`~chebscale.factorization.WeightChain.canonicity_at`).
 - Images: each chain keeps, per live target and point, the values and
   noises of every level of one chain pass run there to level n - 1
-  (:meth:`~chebscale.factorization.WeightChain.image`), so one pass serves
-  every weighted derivative read at that point, in any order.  A bundle
-  fills the scale members' images at the schedule points with one
-  node-array pass per (chain, member)
-  (:func:`~chebscale.operators.schedule_images`), which also leaves each
-  weight's and member's jets there in their memos.
-- Operator limits: the type-II chain keeps each live target's limits
-  under the scale, the level and the target's cut of the points
-  (:func:`_operator_limit`), so :meth:`ScaleArtifacts.limit` and
-  :func:`extract_operator` share them where their cuts agree; it keeps
-  the cut too, under the scale and the points it was taken of.
+  (:meth:`~chebscale.factorization.WeightChain.image`).  A bundle fills the
+  members' images at the schedule points with one node-array pass per
+  (chain, member) (:func:`~chebscale.operators.schedule_images`).
+- Operator limits: the type-II chain keeps each live target's limits, and
+  its cut of the points, under what they were computed of
+  (:func:`_operator_limit`), for :meth:`ScaleArtifacts.limit` and
+  :func:`extract_operator` alike.
 - Target values: the bundle's record of a live target keeps L[f] on the
   grid nodes and whether L[f] vanishes along the probes.  Records, images
-  and limits go with the target, so no later target is served its
-  results, and hold plain values, never a closure over f.  A
-  check given a source reads L[f] = q_n * source instead, and its L[f]
-  evaluator keeps the source on the grid nodes for the check's lifetime.
-
-- Nests: a :class:`ScaleArtifacts` bundle keeps the last
-  ``_NEST_MEMO_SIZE`` (64) nests built on its grid (:meth:`ScaleArtifacts.nest`,
-  least recently used out first), each under its weights, orientations and
-  density table, every input a build reads, or the message and
-  ``decisive`` of the DivergentTail the build raised.  Another source or
-  target gives another table, so no entry can serve a stale nest, and
-  entries hold no target (the weights are the bundle's own).
+  and limits go with the target and hold no closure over it.  A check
+  given a source reads L[f] = q_n * source instead, and keeps the source
+  on the grid nodes for its lifetime.
+- Nests: a bundle keeps the last ``_NEST_MEMO_SIZE`` nests built on its
+  grid (:meth:`ScaleArtifacts.nest`), each under every input a build reads
+  (weights, orientations, density table); no entry can serve a stale nest
+  or holds a target.
 
 Grid tables go through array forms, which keep no point in any jet memo.
 Outside these layers, ``scale.verified`` keeps the hierarchy verdict,
@@ -87,9 +74,9 @@ from .factorization import (
 )
 from .jet import JetMemo
 from .operators import operator_constants, schedule_images
-from .quadrature import NestedIntegral, NodeFn, WorkGrid, node_values, tabulate
+from .quadrature import UNIT, NestedIntegral, NodeFn, WorkGrid, node_values, tabulate
 from .scale import finite_prefix, ratio_decreases_to_zero, require_verified, scale_schedule
-from .wronskian import bordered_wronskian, wronskian_flags
+from .wronskian import bordered_wronskian
 
 _LIMIT_TOL = 1e-6  # "a limit exists" when confidence < tol * (1 + |value|)
 _NEST_MEMO_SIZE = 64  # nests a bundle keeps; every benchmark workload needs at most 35
@@ -135,17 +122,13 @@ class ScaleArtifacts:
     """Chains, constants and shared grid for one scale.
 
     The bundle owns the chains, constants and grid (whose value cache keeps
-    the weight tabulations, since the bundle holds the weights).  Its
-    target-independent values are cached properties, built on their first
-    read: the P-weight nest (``p_weight``), its values on the grid nodes
-    (``p_weight_nodes``) and W(phi_1..phi_n) on the grid nodes
-    (``_denominator``).  ``_targets`` maps each target, by weak
-    reference, to a record of its L[f] grid table and its L[f] = 0 test;
-    the chains keep its M/L images, and the type-II chain its operator
-    limits.  All go when the target goes, so a new target at a dead one's
-    address inherits none of its results.  ``_nests`` keeps the last
-    ``_NEST_MEMO_SIZE`` nests :meth:`nest` built, under their inputs, in
-    least recently used order; they hold no target.
+    the weight tabulations, since the bundle holds the weights).
+    ``_targets`` maps each target, by weak reference, to a record of its
+    L[f] grid table and its L[f] = 0 test; the chains keep its M/L images,
+    and the type-II chain its operator limits.  All go when the target
+    goes, so a new target at a dead one's address inherits none of its
+    results.  ``_nests`` keeps the nests :meth:`nest` built (the P-weight
+    nest of ``p_weight_nodes`` among them); they hold no target.
     """
 
     def __init__(self, scale, schedule):
@@ -266,16 +249,10 @@ class ScaleArtifacts:
             if xs is not self.grid.xnodes:
                 return apply_full_operator(scale, f, xs)
             if rec.lf_nodes is None:
-                rec.lf_nodes = apply_full_operator(scale, f, xs, den=self._denominator)
+                rec.lf_nodes = apply_full_operator(scale, f, xs)
             return rec.lf_nodes
 
         return NodeFn(lambda x: apply_full_operator(scale, f, x), lf_nodes)
-
-    @cached_property
-    def _denominator(self):
-        """W(phi_1..phi_n) on the grid nodes and the nodes where it vanishes
-        or overflows: every target's L[f] table divides by this one."""
-        return wronskian_flags(self.scale, range(1, self.n + 1), self.grid.xnodes)
 
     def lf_is_zero(self, f):
         """Constant-zero detection for L[f] along the schedule."""
@@ -295,22 +272,11 @@ class ScaleArtifacts:
         return rec.lf_zero
 
     @cached_property
-    def p_weight(self):
-        """The target-independent P-weight nest: P(t) by nested from-T
-        integration of the type-I chain."""
-        n = self.n
-        return self.nest(
-            [self.p_vals[j] for j in range(n - 1, 0, -1)],
-            ["from_T"] * (n - 1),
-            lambda x: 1.0,
-        )
-
-    @cached_property
     def p_weight_nodes(self):
         """P(t) on the grid nodes (NaN where the nest raises), tabulated
         once per bundle, through the nest's array form, for every target's
         (6.12) density."""
-        pnest = self.p_weight
+        pnest = self.nest(*_p_levels(self), UNIT)
         return node_values(NodeFn(lambda t: pnest.value(t, 0), pnest.values), self.grid.xnodes)
 
     def nest(self, weights, orientations, density):
@@ -403,10 +369,12 @@ def _kept_cut(chain, scale, f, points):
 def _operator_limit(chain, scale, f, k, points):
     """The limit of M_k[f] toward x0 as ``(status, value, confidence)``: the
     sequence :func:`_level_sequence` keeps along ``points``, deflated by the
-    chain's images M_k[phi_i](x) of the members i >= k+2.  A sequence
-    called divergent that spans no more than its largest noise estimate is
-    flat, not divergent: its median is the value and that noise the
-    confidence.
+    chain's images M_k[phi_i](x) of the members i >= k+2.  A sequence not
+    given a limit whose last 3 values lie within their noise
+    (:func:`_quiet_tail`) tends to 0, with the largest of those noises as
+    the confidence; one called divergent that spans no more than its
+    largest noise estimate is flat: its median is the value and that noise
+    the confidence.  A decisive claim stands as it is.
 
     The chain keeps the result in f's entry of ``chain.limits``, under the
     scale, the level and the target's cut of ``points`` (:func:`_kept_cut`):
@@ -421,7 +389,10 @@ def _operator_limit(chain, scale, f, k, points):
     basis = [[chain.image(scale.functions[i - 1], k, x)[0] for x in pts]
              for i in range(k + 2, scale.n + 1)]
     out = _deflated_limit_status(vals, basis)
-    if out[0] == "diverged" and vals and max(vals) - min(vals) <= max(noise):
+    if out[0] in ("diverged", "unstable") and _quiet_tail(vals, noise):
+        conf = max(noise[-3:])
+        out = _status_from_conf(0.0, conf), 0.0, conf
+    elif out[0] == "diverged" and vals and max(vals) - min(vals) <= max(noise):
         value, conf = _median(vals), max(noise)
         out = _status_from_conf(value, conf), value, conf
     memo[scale, k, cut] = out
@@ -845,15 +816,16 @@ def _without_coefficients(limits):
     return _v("inconclusive")
 
 
+def _quiet_tail(values, floors):
+    """The last 3 values (of at least 3) lie within their floors."""
+    return len(values) >= 3 and all(abs(v) <= fl for v, fl in zip(values[-3:], floors[-3:]))
+
+
 def _zero_limit_status(residuals, comparisons, floors):
     """Is residual = o(comparison)?  Ratio rule with an absolute noise floor."""
-    ratios, below = [], []
-    for r, c, fl in zip(residuals, comparisons, floors):
-        below.append(abs(r) <= fl)
-        if c != 0.0:
-            ratios.append(abs(r / c))
-    if len(below) >= 3 and all(below[-3:]):
+    if _quiet_tail(residuals, floors):
         return "holds", {"floor": True}
+    ratios = [abs(r / c) for r, c in zip(residuals, comparisons) if c != 0.0]
     ok, diag = ratio_decreases_to_zero(ratios)
     if ok:
         return "holds", diag
@@ -882,6 +854,13 @@ def _partial_levels(art, i):
     (5.24), (5.33) and (6.18): from T over q_i..q_n."""
     n = art.n
     return [art.q_vals[j] for j in range(i, n + 1)], ["from_T"] * (n - i + 1)
+
+
+def _p_levels(art):
+    """Weights and orientations of the P-weight nest of (6.12), whose
+    density is 1: from T over the type-I chain."""
+    n = art.n
+    return [art.p_vals[j] for j in range(n - 1, 0, -1)], ["from_T"] * (n - 1)
 
 
 def _type1_levels(art, i):
@@ -983,11 +962,12 @@ class _Check:
         """R_k(x) over the probes, from the exact remainder evaluator when
         one is supplied, and the floor below which each counts as
         numerically zero: the rounding floor plus the uncertainty each
-        coefficient carries into the subtraction."""
+        coefficient carries into the subtraction and, without a remainder,
+        the chain's noise estimate of the level-k image of f."""
         art = self.art
         upto = art.n if upto is None else upto
-        apply_k = art.M if chain == "M" else art.L
         phi_k = art.M_phi if chain == "M" else art.L_phi
+        image = (art.chain_q if chain == "M" else art.chain_p).image
         # M_k kills the first k scale members, L_k the last k: the expansion of
         # the level-k image starts at i = k+1 on the type-II side but at i = 1
         # on the type-I side
@@ -1002,15 +982,16 @@ class _Check:
                 c = self.confs[i - 1]
                 if math.isfinite(c):
                     uncertainty += c * abs(img)
+            fk, noise = image(self.f, k, x)
             if self.remainder is not None:
-                val = apply_k(k, self.remainder, x)
+                val, noise = image(self.remainder, k, x)[0], 0.0
             else:
-                val = apply_k(k, self.f, x)
+                val = fk
                 for t in terms:
                     val -= t
-            scale_mag = abs(apply_k(k, self.f, x)) + sum(abs(t) for t in terms)
+            scale_mag = abs(fk) + sum(abs(t) for t in terms)
             rows.append(val)
-            floors.append(1e-11 * (scale_mag + 1e-300) + 3.0 * uncertainty)
+            floors.append(1e-11 * (scale_mag + 1e-300) + 3.0 * uncertainty + noise)
         return rows, floors
 
     def residual_set(self, chain, levels):
@@ -1157,7 +1138,7 @@ def _remainder_identity(ck, nest):
                 continue  # below numerical resolution at this probe
             rel = abs(direct - rep) / scale_mag
             details.append((k, x, rel))
-            if rel < 1e-5:
+            if abs(direct - rep) <= 1e-5 * scale_mag + fl:
                 ok_probes += 1
             else:
                 bad += 1
@@ -1308,7 +1289,9 @@ def check_incomplete(f, i, artifacts, source=None, remainder=None, coefficients=
             ratios = []
             for x in art.probes:
                 ref = max(1.0, abs(nest.value(x, 0)))
-                ratios.append(art.M(k, f, x) / ref)
+                value, noise = art.chain_q.image(f, k, x)
+                # a value within its noise reads as 0
+                ratios.append((value if abs(value) > noise else 0.0) / ref)
             return is_bounded_tail(ratios)[0] is not False
 
         # a list, not a generator: every level runs, so its error surfaces
@@ -1383,7 +1366,7 @@ def check_absolute(f, artifacts, source=None):
 
     # (6.12): P(t) built by nested from-T integration of the type-I chain; no
     # density reads it when L[f] vanishes
-    pnest = None if ck.lf_zero else art.p_weight
+    pnest = None if ck.lf_zero else art.nest(*_p_levels(art), UNIT)
 
     def p_weighted_density(t):
         v = abs_lf(t)

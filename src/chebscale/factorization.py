@@ -37,11 +37,11 @@ from weakref import WeakKeyDictionary
 import numpy as np
 
 from .errors import EvaluationError, PivotVanishes, ToleranceNotMet, WronskianDegenerate
-from .jet import JetMemo, antiderivative, derivative, jet_constant, jet_derivative, truncate
-from .quadrature import (_SCALAR_ERRORS, NestedIntegral, NodeFn, WorkGrid, classify_toward,
-                         tabulate)
+from .jet import JetMemo, antiderivative, derivative, jet_constant, truncate
+from .quadrature import (_SCALAR_ERRORS, UNIT, NestedIntegral, NodeFn, WorkGrid,
+                         classify_toward, tabulate)
 from .scale import finite_prefix, make_schedule, require_verified
-from .wronskian import det_pivoted, wronskian, wronskian_flags, wronskian_jet
+from .wronskian import _bordered_matrix, det_pivoted, wronskian, wronskian_flags, wronskian_jet
 
 
 # -- jet-evaluator helpers --------------------------------------------------------
@@ -416,24 +416,19 @@ def _classify_endpoint(chain, endpoint):
 # -- the full operator -------------------------------------------------------------
 
 
-def apply_full_operator(scale, f, x, den=None):
+def apply_full_operator(scale, f, x):
     """W(phi_1..phi_n, u) / W(phi_1..phi_n) at x.
 
     ``x`` may be a node array (the array form): the bordered determinants
-    are eliminated as one stack, and ``den`` may supply the denominator's
-    :func:`~chebscale.wronskian.wronskian_flags` on those nodes (they depend
-    on the scale alone).  A node where the scalar call raises is NaN.
+    are eliminated as one stack, and a node where the scalar call raises is
+    NaN.
     """
     from .wronskian import bordered_wronskian
 
     idx = tuple(range(1, scale.n + 1))
     if isinstance(x, np.ndarray):
-        n = scale.n
-        value, flagged = wronskian_flags(scale, idx, x) if den is None else den
-        cols = [scale.phi_derivatives(i, x, n) for i in idx]
-        fj = f(x, n)
-        cols.append([jet_derivative(fj, r) for r in range(n + 1)])
-        num = det_pivoted([[cols[c][r] for c in range(n + 1)] for r in range(n + 1)])[0]
+        value, flagged = wronskian_flags(scale, idx, x)
+        num = det_pivoted(_bordered_matrix(scale, idx, f, x))[0]
         with np.errstate(all="ignore"):
             return np.where(flagged, np.nan, num / value)
     num, _, _ = bordered_wronskian(scale, idx, f, x)
@@ -644,10 +639,9 @@ def build_principal_system(scale, chain_p):
         return 1.0 / chain_p.weight_jet(0, x, order)
 
     P = [JetMemo(inv_p0, "P0")]
-    unit = lambda x: 1.0
     for i in range(1, n):
         weights = [NodeFn.of(chain_p.weights[l]) for l in range(1, i + 1)]
-        nest = NestedIntegral(grid, weights, ["from_T"] * i, unit)
+        nest = NestedIntegral(grid, weights, ["from_T"] * i, UNIT)
         wjets = [chain_p.weights[l] for l in range(1, i + 1)]
         P.append(
             _nest_jetfn(

@@ -207,6 +207,9 @@ class NodeFn:
         return self.scalar(x)
 
 
+UNIT = NodeFn(lambda x: 1.0, lambda xs: np.ones(np.shape(xs)))  # the unit density
+
+
 def array_form(fn, xs):
     """The array form of ``fn`` on the float64 array ``xs`` (non-finite at
     the nodes it flags), or None when ``fn`` has none or it fails."""

@@ -260,15 +260,19 @@ def wronskian_jet(scale, indices, x, order):
     return det_jet(matrix)
 
 
+def _bordered_matrix(scale, indices, f, x):
+    """The rows of W(phi_{i1}, ..., phi_{ik}, f) at x: floats, or node
+    arrays when ``x`` is one."""
+    k = len(indices) + 1
+    cols = [scale.phi_derivatives(i, x, k - 1) for i in indices]
+    fj = f(x, k - 1)
+    cols.append([jet_derivative(fj, r) for r in range(k)])
+    return [[cols[c][r] for c in range(k)] for r in range(k)]
+
+
 def bordered_wronskian(scale, indices, f, x):
     """Float value of W(phi_{i1}, ..., phi_{ik}, f) at x."""
-    indices = tuple(indices)
-    k = len(indices) + 1
-    matrix_cols = [scale.phi_derivatives(i, x, k - 1) for i in indices]
-    fj = f(x, k - 1)
-    matrix_cols.append([jet_derivative(fj, r) for r in range(k)])
-    matrix = [[matrix_cols[c][r] for c in range(k)] for r in range(k)]
-    value, conditioning, det_scale, _ = det_pivoted(matrix)
+    value, conditioning, det_scale, _ = det_pivoted(_bordered_matrix(scale, tuple(indices), f, x))
     return value, conditioning, det_scale
 
 

@@ -24,10 +24,10 @@ from chebscale import (
 )
 from chebscale import expansion
 from chebscale.errors import ChebscaleError, DivergentTail, LimitDiverged
-from chebscale.expansion import _abs, _guarded_ratio, _operator_limit, _type1_levels
+from chebscale.expansion import _abs, _guarded_ratio, _operator_limit, _p_levels, _type1_levels
 from chebscale.expr import ExpressionFunction
 from chebscale.factorization import apply_full_operator
-from chebscale.quadrature import NestedIntegral, NodeFn, tabulate
+from chebscale.quadrature import UNIT, NestedIntegral, NodeFn, tabulate
 
 
 def test_extract_recursive_f1_example():
@@ -201,6 +201,60 @@ def test_remainder_identity_and_bound(appendix_artifacts):
     assert rep.verdicts["(5.14)-(5.15) identity"]["status"] == "holds"
     assert rep.verdicts["(5.16) bound"]["status"] == "holds"
     assert rep.verdicts["(5.17) bound"]["status"] == "holds"
+
+
+@pytest.mark.parametrize("coefficients", [[1, 1, 1, 1], [1, -2, 0.5, 1], [2, 1, 1, 1]])
+def test_remainder_identity_holds_without_the_exact_remainder(appendix_artifacts,
+                                                              coefficients):
+    # the direct side M_k[f] - sum c_i M_k[phi_i] is as noisy as M_k[f]:
+    # e.g. it read 2.1 at k = 3, x = 29.9, where the truth is -1e-13
+    art = appendix_artifacts
+    psi = ExpressionFunction("exp(-x)")
+    g = construct_from_source(art, coefficients, psi, mode="tail")
+    src = lambda x: psi(x, 0).value
+    for kw in ({}, {"coefficients": coefficients}):
+        rep = check_complete(g, art, source=src, **kw)
+        assert rep.verdicts["(5.14)-(5.15) identity"]["status"] == "holds", kw
+        assert rep.consistent, kw
+
+
+@pytest.mark.parametrize("index, shift", [(3, 1e-6), (1, 1e-3)])
+def test_remainder_identity_fails_on_a_wrong_coefficient(appendix_artifacts, index, shift):
+    # the noise floors take the identity's rounding junk, not a real error
+    art = appendix_artifacts
+    psi = ExpressionFunction("exp(-x)")
+    g = construct_from_source(art, [1.0, 1.0, 1.0, 1.0], psi, mode="tail")
+    wrong = list(g.coefficients)
+    wrong[index] += shift
+    rep = check_complete(g, art, source=lambda x: psi(x, 0).value, coefficients=wrong)
+    assert rep.verdicts["(5.14)-(5.15) identity"]["status"] == "fails"
+    assert not rep.consistent
+
+
+def test_a_limit_lost_in_noise_reads_zero(appendix_artifacts):
+    # from x ~ 30 on, M_3[exp(-x) + x] lies within the chain's noise estimate
+    status, value, conf = appendix_artifacts.limit(ExpressionFunction("exp(-x) + x"), 3)
+    assert status == "stable" and value == 0.0
+    assert 0.0 < conf < 1e-6
+
+
+def test_a_decisive_limit_is_not_read_as_noise(appendix_scale):
+    # on the default schedule M_3[exp(x)] ends in rounding noise, but its
+    # limit is decisive (loose) and stands: no noise verdict replaces it
+    art = artifacts_for(appendix_scale)
+    res = extract_operator(ExpressionFunction("exp(x)"), art.scale, art.chain_q,
+                           art.constants, art.schedule)
+    assert all(s in ("stable", "loose") for s in res.statuses)
+    assert res.coefficients[0] == 1.0
+    assert all(abs(c) < 1e-15 for c in res.coefficients[1:])
+
+
+def test_incomplete_O_estimate_reads_noise_as_zero(appendix_scale):
+    # on the default schedule M_3[exp(-x) + x] ends in noise whose spread
+    # once read as an unbounded (6.18) ratio
+    art = artifacts_for(appendix_scale)
+    rep = check_incomplete(ExpressionFunction("exp(-x) + x"), 3, art)
+    assert rep.verdicts["(6.18) O-estimates"]["status"] == "holds"
 
 
 def test_term_loss_rule(appendix_artifacts):
@@ -408,7 +462,7 @@ def test_type1_nests_leave_shared_grid_alone(appendix_artifacts):
     check_absolute(g1, art, source=src1)
     # earlier nests: the bundle's P-weight nest and g1's (6.11) and (4.32) nests
     lf1, pn = art.lf_evaluator(g1, src1), art.p_vals[n]
-    earlier = [art.p_weight,
+    earlier = [art.nest(*_p_levels(art), UNIT),
                art.nest(*_type1_levels(art, n), _guarded_ratio(_abs(lf1), pn)),
                art.nest(*_type1_levels(art, n), _guarded_ratio(lf1, pn))]
     nodes = art.grid.nodes.copy()
