@@ -19,6 +19,7 @@ verification schedule, which the report names, and checks the Wronskians
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -247,7 +248,10 @@ def cmd_verify(scale, args):
     return report, 0 if consistent and not any_fail else 1
 
 
+@functools.cache
 def build_parser():
+    """The command-line parser, built once per process: ``parse_args``
+    returns a new namespace per call and keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="chebscale",
         description="Canonical factorizations and asymptotic expansions over "

@@ -18,7 +18,9 @@ Cache policy: these memos are all that is kept, each by one owner.
 - Jets: the :class:`~chebscale.jet.JetMemo` of each evaluator (scale
   members, expression targets, prefix Wronskians, chain weights, nest
   evaluators, constructed functions) keeps one jet per point, at the
-  highest order asked there, and the jet of the last node array.
+  highest order asked there, and the jets of the last
+  ``jet.KEPT_ARRAYS`` (4) node arrays, by identity: the grid's node table
+  and the node arrays of the bundle's point sets.
 - Grid tables: the shared :class:`~chebscale.quadrature.WorkGrid` keeps
   each live evaluator's values on its nodes.
 - Scale values: a bundle tabulates the P-weight of (6.12) on its grid
@@ -29,7 +31,14 @@ Cache policy: these memos are all that is kept, each by one owner.
   noises of every level of one chain pass run there to level n - 1
   (:meth:`~chebscale.factorization.WeightChain.image`).  A bundle fills the
   members' images at the schedule points with one node-array pass per
-  (chain, member) (:func:`~chebscale.operators.schedule_images`).
+  (chain, member) (:func:`~chebscale.operators.schedule_images`), and a
+  target's are filled before its first scalar read at a point set (the
+  classification points or the schedule: :func:`_kept_cut`; the probes:
+  ``_Check.residuals``) with one pass per (chain, target, point set)
+  (:meth:`~chebscale.factorization.WeightChain.images_on`).  The bundle's
+  two chains share one node array per point set
+  (``WeightChain.nodes``), built on its first read, so each weight and
+  each target is evaluated once on it.
 - Operator limits: the type-II chain keeps each live target's limits, and
   its cut of the points, under what they were computed of
   (:func:`_operator_limit`), for :meth:`ScaleArtifacts.limit` and
@@ -128,7 +137,9 @@ class ScaleArtifacts:
     and the type-II chain its operator limits.  All go when the target
     goes, so a new target at a dead one's address inherits none of its
     results.  ``_nests`` keeps the nests :meth:`nest` built (the P-weight
-    nest of ``p_weight_nodes`` among them); they hold no target.
+    nest of ``p_weight_nodes`` among them); they hold no target.  The two
+    chains share one table of node arrays (``chain_q.nodes``), one per
+    point set read, for the bundle's lifetime.
     """
 
     def __init__(self, scale, schedule):
@@ -138,6 +149,7 @@ class ScaleArtifacts:
         scan = {}  # the build's Wronskian evaluations, shared and then dropped
         self.chain_q = build_type2_chain(scale, schedule, scan)
         self.chain_p = build_type1_chain(scale, schedule, scan)
+        self.chain_p.nodes = self.chain_q.nodes  # one node array per point set
         # the constants' chain passes, run first: they evaluate every weight
         # once on the schedule's node array, and the probe cut reads the
         # values they leave in the weights' memos (nothing here raises)
@@ -315,10 +327,15 @@ def _target_cut(f, scale, points, members):
     1e-4 * |phi_n| no method can recover the deeper coefficients from f's
     double values, and such probes only inject rounding junk.  When fewer
     than 6 are left, the first 6 stay.  Each value is read once per point.
+
+    The reads have no array form: ``finite_prefix`` reads the points in
+    order up to the first where f is not finite.  A reader that ran f's
+    chain pass on the points first (:func:`_kept_cut`) finds each value in
+    f's jet memo, where that pass left it.
     """
     values = {}
 
-    def value(x):  # no array form: finite_prefix reads every point it keeps
+    def value(x):
         values[x] = out = f(x, 0).value
         return out
 
@@ -357,11 +374,15 @@ def _level_sequence(chain, f, k, pts):
 def _kept_cut(chain, scale, f, points):
     """The target's cut of ``points`` (:func:`_target_cut`), kept in f's
     entry of ``chain.limits`` under the scale and ``points``: a later call
-    on the same points, at any level and from any reader, cuts nothing."""
+    on the same points, at any level and from any reader, cuts nothing.
+    Before the first cut, f's images at ``points`` are read in one
+    node-array pass (:meth:`~chebscale.factorization.WeightChain.images_on`),
+    which leaves f's jets at the points in its memo for the cut's reads."""
     points = tuple(points)
     memo = chain.limits.setdefault(f, {})
     cut = memo.get((scale, points))
     if cut is None:
+        chain.images_on([f], points)  # f's levels, and its order-0 reads below
         cut = memo[scale, points] = tuple(_target_cut(f, scale, points, (scale.n,))[0])
     return cut
 
@@ -722,6 +743,15 @@ class ConstructedFunction:
     cancellation beyond the tabulated level values.  The nest comes from
     the bundle's memo (:meth:`ScaleArtifacts.nest`), so constructions from
     one source share it whatever their coefficients.
+
+    Like an :class:`~chebscale.expr.ExpressionFunction`, f and its
+    ``remainder`` are jet memos with an array form
+    (:class:`~chebscale.jet.JetMemo`; the remainder's is that of
+    :func:`~chebscale.factorization._nest_jetfn`): ``values`` reads f on a
+    node array and ``keep_nodes`` seeds its per-point jets, so a chain reads
+    f at a point set in one node-array pass
+    (:meth:`~chebscale.factorization.WeightChain.images_on`).  The source
+    needs an array form too, or every node goes to the scalar pass.
     """
 
     def __init__(self, artifacts, coefficients, source_jetfn, mode="tail"):
@@ -757,10 +787,16 @@ class ConstructedFunction:
                 out = out + c * scale.phi_jet(i, x, order)
             return out
 
-        self._memo = JetMemo(jet, "constructed")
+        self._memo = JetMemo(jet, "constructed", arrays=True)
 
     def __call__(self, x, order):
         return self._memo(x, order)
+
+    def values(self, xs):
+        return self._memo.values(xs)
+
+    def keep_nodes(self, points, j):
+        self._memo.keep_nodes(points, j)
 
 
 def construct_from_source(artifacts, coefficients, source_jetfn, mode="tail"):
@@ -967,11 +1003,15 @@ class _Check:
         art = self.art
         upto = art.n if upto is None else upto
         phi_k = art.M_phi if chain == "M" else art.L_phi
-        image = (art.chain_q if chain == "M" else art.chain_p).image
+        levels = art.chain_q if chain == "M" else art.chain_p
+        image = levels.image
         # M_k kills the first k scale members, L_k the last k: the expansion of
         # the level-k image starts at i = k+1 on the type-II side but at i = 1
         # on the type-I side
         start = k + 1 if chain == "M" else 1
+        # one node-array pass per target, before any read at a probe
+        levels.images_on([self.f] if self.remainder is None else [self.f, self.remainder],
+                         art.probes)
         rows, floors = [], []
         for x in art.probes:
             terms = []

@@ -15,7 +15,7 @@ A chain pass (:func:`chain_levels`) runs at a point or, in its array form,
 on a node array: the same jet recurrences on array coefficients, each
 node's levels and noises the scalar pass's bit for bit, or flagged (NaN)
 where the scalar pass raises.  :meth:`WeightChain.images_on` runs one such
-pass per target over a schedule and keeps each node's levels as the
+pass per target over a point set and keeps each node's levels as the
 per-point images; flagged nodes are left to the scalar pass.
 
 Weights are stored unsigned (positive) together with a sign word, read off
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import accumulate
 from weakref import WeakKeyDictionary
 
@@ -39,7 +39,7 @@ import numpy as np
 from .errors import EvaluationError, PivotVanishes, ToleranceNotMet, WronskianDegenerate
 from .jet import JetMemo, antiderivative, derivative, jet_constant, truncate
 from .quadrature import (_SCALAR_ERRORS, UNIT, NestedIntegral, NodeFn, WorkGrid,
-                         classify_toward, tabulate)
+                         classify_toward, node_values, tabulate)
 from .scale import finite_prefix, make_schedule, require_verified
 from .wronskian import _bordered_matrix, det_pivoted, wronskian, wronskian_flags, wronskian_jet
 
@@ -90,11 +90,11 @@ class WeightChain:
     nothing reads is never classified.  ``canonicity`` holds both
     endpoints' verdicts (:func:`classify_canonicity`).  :meth:`image`
     reads and keeps the chain's images, M_k[f] (type II) or L_k[f] (type I),
-    and :meth:`images_on` fills them over a node array in one pass per
-    target; ``limits`` keeps the operator limits of the type-II chain's
-    images and the target's cuts they are read on
-    (``expansion._operator_limit``).  Both memos hold floats only, one
-    entry per live target, gone with the target.
+    and :meth:`images_on` fills them over a point set's node array in one
+    pass per target; ``limits`` keeps the
+    operator limits of the type-II chain's images and the target's cuts
+    they are read on (``expansion._operator_limit``).  Both memos hold
+    floats only, one entry per live target, gone with the target.
     """
 
     weights: list  # jet-evaluators for |r_i|
@@ -111,6 +111,11 @@ class WeightChain:
     limits: WeakKeyDictionary = field(default_factory=WeakKeyDictionary, init=False, repr=False)
     # endpoint -> its canonicity verdict
     _verdicts: dict = field(default_factory=dict, init=False, repr=False)
+    # points (a tuple) -> their float64 node array; a bundle's two chains
+    # share one table, so each target is evaluated once per point set
+    nodes: dict = field(default_factory=dict, init=False, repr=False)
+    # the point sets whose nodes this chain's weight memos were seeded at
+    _seeded: set = field(default_factory=set, init=False, repr=False)
 
     @cached_property
     def canonicity(self):
@@ -151,48 +156,64 @@ class WeightChain:
                 memo[x] = levels
         return levels[0][k], levels[1][k]
 
-    def images_on(self, fs, xs):
-        """Keep, at every node of the float64 array ``xs``, the levels that
-        :meth:`image`'s pass to level n - 1 gives for each target of
-        ``fs``, run as one node-array pass per target (:func:`chain_levels`).
+    def images_on(self, fs, points):
+        """Keep, at every one of ``points``, the levels that :meth:`image`'s
+        pass to level n - 1 gives for each target of ``fs`` with an array
+        form (a ``keep_nodes`` method, as expressions, constructed functions
+        and jet memos have), run as one pass per target (:func:`chain_levels`)
+        on the point set's node array.  That array is built on the first
+        call for the points and kept in ``nodes``, so the jet memos, which
+        keep node arrays by identity, evaluate each weight and each target
+        once on it.
 
-        The weights are evaluated once on ``xs``, each at the order that
-        pass reads it (r_n, which it does not read, at order 0), and each
-        target once at order n - 1.  Their per-point memos keep those jets
-        at every node no array flags (:meth:`~chebscale.jet.JetMemo.keep_nodes`),
-        so a later scalar read there finds what a pass point by point
-        leaves.  A node where a target's pass is flagged is recorded
-        without levels: its first :meth:`image` read runs the scalar pass
-        there, in the order the reads come, so values and errors are those
-        of a point-by-point loop.  A target whose every node is recorded
-        already is skipped, and nothing raises here: an evaluator without
-        an array form leaves every node to the scalar pass."""
-        points = xs.tolist()
+        The weights are read on that array at the order the pass reads them
+        (r_n, which it does not read, at order 0): their memos keep those
+        jets (:class:`~chebscale.jet.JetMemo`), so they are evaluated once
+        per point set, and on the chain's first pass there their per-point
+        memos are seeded from them
+        (:meth:`~chebscale.jet.JetMemo.keep_nodes`).  Each target is
+        evaluated once at order n - 1 and seeded likewise, so a later
+        scalar read at a node finds what a pass point by point leaves.  A
+        node where a target's pass is flagged is recorded without levels:
+        its first :meth:`image` read runs the scalar pass there, in the
+        order the reads come, so values and errors are those of a
+        point-by-point loop.  A target whose every point is recorded
+        already is skipped, and nothing raises here: a target without an
+        array form, or whose pass on the array raises anything (a part
+        that takes floats only raises TypeError there), is left to the
+        scalar pass, which raises what a point-by-point loop raises."""
+        points = tuple(map(float, points))
         todo = []
         for f in fs:
+            keep = getattr(f, "keep_nodes", None)
+            if keep is None:
+                continue
             memo = self._images.get(f)
             if memo is None:
                 memo = self._images[f] = {}
             if any(x not in memo for x in points):
-                todo.append((f, memo))
+                todo.append((f, keep, memo))
         if not todo:
             return
+        xs = self.nodes.get(points)
+        if xs is None:
+            xs = self.nodes[points] = np.array(points, dtype=float)
         depth = self.n - 1
         with np.errstate(all="ignore"):
             try:
                 jets = [w(xs, max(depth - i, 0)) for i, w in enumerate(self.weights)]
             except _SCALAR_ERRORS:
                 return
-            for w, j in zip(self.weights, jets):
-                w.keep_nodes(points, j)
-            for f, memo in todo:
+            if points not in self._seeded:
+                self._seeded.add(points)
+                for w, j in zip(self.weights, jets):
+                    w.keep_nodes(points, j)
+            for f, keep, memo in todo:
                 try:
                     values, noises = chain_levels(self, f, xs, depth)
-                except _SCALAR_ERRORS:
+                except Exception:  # e.g. TypeError from a part that takes floats only
                     continue
-                keep = getattr(f, "keep_nodes", None)
-                if keep is not None:
-                    keep(points, f(xs, depth))
+                keep(points, f(xs, depth))
                 values, noises = np.array(values), np.array(noises)
                 flagged = (np.isnan(values).any(axis=0) | np.isnan(noises).any(axis=0)).tolist()
                 rows = zip(points, flagged, values.T.tolist(), noises.T.tolist())
@@ -597,13 +618,25 @@ def _nest_jetfn(nest, weight_jets, density_jet, prefactor_jet, name):
     supplied as a jet-evaluator.  The level values at x are read from the
     nest once per evaluation; the memo keeps one jet per point, at the
     highest order asked there.
+
+    ``x`` may be a node array (the array form): each level's values are
+    read through :func:`~chebscale.quadrature.node_values` of the nest's
+    :meth:`~chebscale.quadrature.NestedIntegral.values`, so nodes on log
+    cells are read point by point, and the density and weights through
+    their own array forms.  Each node's jet is the scalar evaluation's bit
+    for bit, or flagged (NaN) where that raises.
     """
     weight_jets = list(weight_jets)
+    levels = [NodeFn(partial(nest.value, level=l), partial(nest.values, level=l))
+              for l in range(nest.depth)]
 
     def fn(x, order):
         depth = nest.depth
         cur = density_jet(x, max(order - depth, 0))
-        level_values = [nest.value(x, l) for l in range(depth)]
+        if isinstance(x, np.ndarray):
+            level_values = [node_values(level, x) for level in levels]
+        else:
+            level_values = [level(x) for level in levels]
         for l in range(depth - 1, -1, -1):
             o = max(order - l - 1, 0)
             wj = weight_jets[l]
@@ -616,7 +649,7 @@ def _nest_jetfn(nest, weight_jets, density_jet, prefactor_jet, name):
         cur = truncate(cur, order)
         return prefactor_jet(x, order) * cur
 
-    return JetMemo(fn, name)
+    return JetMemo(fn, name, arrays=True)
 
 
 @dataclass

@@ -46,6 +46,10 @@ from .errors import (
     OrderExceeded,
 )
 
+# Node arrays whose jets a JetMemo keeps: a bundle's grid node table and
+# its three point sets (see JetMemo).
+KEPT_ARRAYS = 4
+
 # Below this magnitude a value coefficient counts as zero for division.  The
 # jet layer stays policy-free: near-zero values propagate and callers apply
 # their own degeneracy tolerances.
@@ -381,7 +385,8 @@ def derivative(j, times=1):
 def antiderivative(j, value=0.0):
     """The antiderivative of a jet with prescribed value at the anchor."""
     coeffs = [0.0] * (j.order + 2)
-    coeffs[0] = float(value)
+    # a node array's jet takes one value per node
+    coeffs[0] = value if isinstance(value, np.ndarray) else float(value)
     for k in range(j.order + 1):
         coeffs[k + 1] = j.coeffs[k] / (k + 1)
     return Jet(j.anchor, coeffs)
@@ -415,10 +420,16 @@ class JetMemo:
     per AST node, only the one jet it stores.
 
     With ``arrays`` the evaluator ``fn`` also takes a node array for ``x``
-    (its array form) and returns a jet with array coefficients.  Only the
-    last node array is kept, by identity: the evaluators of one tabulation
-    share their parts' jets on it.  Without ``arrays`` a node array raises
-    :class:`~chebscale.errors.NoArrayForm`.
+    (its array form) and returns a jet with array coefficients.  The jets of
+    the last ``KEPT_ARRAYS`` node arrays asked for are kept, by identity and
+    at the highest order asked on each, the most recently read first: a
+    bundle's grid node table and the node arrays of its three point sets
+    (schedule, probes, classification points) then stay, so a chain weight
+    is evaluated once per bundle on each, and the evaluators of one
+    tabulation share their parts' jets on it.  The node arrays of other
+    reads (a quadrature's refinement rounds) push them out; each is then
+    evaluated once more at its next read.  Without ``arrays`` a node array
+    raises :class:`~chebscale.errors.NoArrayForm`.
 
     :meth:`keep_nodes` seeds per-point jets from a jet of the array form:
     a node's coefficients of an array jet are its scalar jet's bit for bit
@@ -433,7 +444,7 @@ class JetMemo:
         self.name = name
         self.arrays = arrays
         self._jets = {}
-        self._nodes = None  # (node array, jet) of the last array asked for
+        self._nodes = []  # (node array, jet) of the kept arrays, latest read first
 
     def __call__(self, x, order):
         try:
@@ -447,11 +458,22 @@ class JetMemo:
     def _on_nodes(self, xs, order):
         if not self.arrays:
             raise NoArrayForm(f"{self.name or self.fn!r} has no array form")
-        last = self._nodes
-        if last is not None and last[0] is xs and len(last[1].coeffs) > order:
-            return truncate(last[1], order)
-        j = self.fn(xs, order)
-        self._nodes = (xs, j)
+        kept = self._nodes
+        stale = None  # the index of a jet of xs too short for this order
+        for i, pair in enumerate(kept):
+            if pair[0] is xs:
+                if len(pair[1].coeffs) <= order:
+                    stale = i
+                    break
+                if i:
+                    del kept[i]
+                    kept.insert(0, pair)
+                return truncate(pair[1], order)
+        j = self.fn(xs, order)  # which reads other memos, never this one
+        if stale is not None:
+            del kept[stale]
+        kept.insert(0, (xs, j))
+        del kept[KEPT_ARRAYS:]
         return j
 
     def keep_nodes(self, points, j):

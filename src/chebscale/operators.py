@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import EvaluationError, NotConstant
 from .wronskian import wronskian
 
@@ -56,16 +54,17 @@ def detect_constant(values):
 
 def schedule_images(scale, chain_q, chain_p, schedule):
     """The images of every scale member through both chains at every
-    schedule point, as one node-array chain pass per (chain, member) over
-    one shared node array of the points ordered toward x0
-    (:meth:`~chebscale.factorization.WeightChain.images_on`).  Each weight
-    and each member is evaluated once on that array, and the chains keep
-    the levels of every node the array pass does not flag; a second call
-    does no work.  Nothing raises here: a flagged node's first read runs
-    the scalar pass, where its error, if any, surfaces."""
-    xs = np.array(scale.toward_x0(schedule.points), dtype=float)
+    schedule point, as one node-array chain pass per (chain, member) on the
+    node array of the points ordered toward x0
+    (:meth:`~chebscale.factorization.WeightChain.images_on`), which a
+    bundle's chains share.  Each weight is evaluated once on that array,
+    each member once per array, and the chains keep the levels of every
+    node the array pass does not flag; a second call does no work.  Nothing
+    raises here: a flagged node's first read runs the scalar pass, where
+    its error, if any, surfaces."""
+    points = scale.toward_x0(schedule.points)
     for chain in (chain_q, chain_p):
-        chain.images_on(scale.functions, xs)
+        chain.images_on(scale.functions, points)
 
 
 def operator_constants(scale, chain_q, chain_p, schedule, scan=None):

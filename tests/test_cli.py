@@ -159,6 +159,23 @@ def test_endpoint_overrides_reach_the_report(capsys):
     assert scale["schedule"]["points"][0] == "6"  # max(T, 1) + 1
 
 
+def test_consecutive_runs_parse_independently(capsys):
+    # the parser is built once per process, and no option of one run
+    # reaches the next
+    assert cli.build_parser() is cli.build_parser()
+
+    def scale_of(argv):
+        assert cli.run(argv + ["--json"]) in (0, 1)
+        return json.loads(capsys.readouterr().out)["scale"]
+
+    plain = ["analyze", "--scale", APPENDIX]
+    before = scale_of(plain)
+    moved = scale_of(plain + ["--T", "5"] + PAPER)
+    assert moved["T"] == "5" and len(moved["schedule"]["points"]) == 10
+    assert moved != before
+    assert scale_of(plain) == before
+
+
 def test_module_entry_point_runs():
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")

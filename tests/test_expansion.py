@@ -2,6 +2,7 @@ import gc
 import importlib
 import json
 import math
+import struct
 import sys
 import weakref
 from pathlib import Path
@@ -846,3 +847,41 @@ def test_no_check_builds_the_principal_system(appendix_scale, appendix_schedule,
     check_O(f, 2, art)
     check_absolute(f, art)
     assert calls == []
+
+
+def _bits_or_nan(values):
+    return [None if math.isnan(v) else struct.pack("d", v) for v in values]
+
+
+@pytest.mark.parametrize("text,mode", [("exp(-x)", "tail"), ("x^-3", "tail"),
+                                       ("exp(-x)", "from_T"), ("x^-3", "from_T"),
+                                       ("1/x", "from_T")])
+def test_constructed_array_jets_are_the_scalar_jets(appendix_artifacts, text, mode):
+    # at the class points (the probes first), at every Kronrod node of the
+    # nest's log cells (read point by point inside the array form) and past
+    # the grid (flagged: the scalar evaluation raises there), f's and its
+    # remainder's array jets to order n - 1 are the scalar jets bit for bit
+    art = appendix_artifacts
+    n = art.n
+    coefficients = [1.0, -2.0, 0.5, 3.0]
+    g = construct_from_source(art, coefficients, ExpressionFunction(text), mode=mode)
+    h = construct_from_source(art, coefficients, ExpressionFunction(text), mode=mode)
+    assert art.probes == art.class_points[:len(art.probes)]
+    log_cells = [lev.log_cells for lev in g._nest.levels if lev.log_cells]
+    assert bool(log_cells) == (mode == "tail")
+    log_nodes = [x for cells in log_cells
+                 for x in (art.grid.sigma * art.grid.cellnodes[cells]).ravel().tolist()]
+    past = 2.0 * art.grid.sigma * art.grid.nodes[-1]
+    points = list(art.class_points) + log_nodes + [past]
+    xs = np.array(points)
+    for got, ref in ((g, h), (g.remainder, h.remainder)):
+        with np.errstate(all="ignore"):
+            jet = got(xs, n - 1)
+        for p, x in enumerate(points):
+            values = [c[p] for c in jet.coeffs]
+            try:
+                expected = ref(x, n - 1).coeffs
+            except ChebscaleError:
+                assert x == past and all(math.isnan(v) for v in values)
+                continue
+            assert _bits_or_nan(values) == _bits_or_nan(expected), (x, values, expected)

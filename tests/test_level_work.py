@@ -1,6 +1,7 @@
 """Work done once per target: the limit decision's lazy leave-one-out, the
-readers of several operator levels (one chain pass per point), the cut of
-the target's probes and the source tabulated once per check; and work done
+readers of several operator levels (one chain pass per point), a
+constructed target's images read in one node-array pass per point set, the
+cut of the target's probes and the source tabulated once per check; and work done
 once per bundle build: each Wronskian of the probe scan, each signed weight
 on the probes' node array (alone only where that array flags a node), and
 only the canonicity verdicts that are read.
@@ -208,17 +209,6 @@ def test_lazy_refit_matches_the_eager_rule_when_a_fit_raises(monkeypatch, failin
     assert run(_deflated_limit_status) == run(_eager_deflated_limit_status)
 
 
-def _count_scalar_calls(monkeypatch, memo, counts):
-    fn = memo.fn
-
-    def counted(x, order):
-        if not isinstance(x, np.ndarray):
-            counts[x] += 1
-        return fn(x, order)
-
-    monkeypatch.setattr(memo, "fn", counted)
-
-
 def _weight_evaluations(scale, schedule, monkeypatch):
     """The evaluations of every chain weight that ``operator_constants``
     makes on fresh chains: per (chain, weight), the node arrays with their
@@ -270,18 +260,101 @@ def test_operator_constants_evaluate_each_chain_weight_once_per_point(monkeypatc
         assert all(any(cnt[x] for cnt in scalar.values()) for x in flagged)
 
 
-def test_ladder_evaluates_a_constructed_target_twice_per_point(appendix_artifacts,
-                                                               monkeypatch):
+def _count_calls(monkeypatch, memo, scalar, arrays):
+    """Count ``memo.fn``'s evaluations: per point, and per node array with
+    its order."""
+    fn = memo.fn
+
+    def counted(x, order):
+        if isinstance(x, np.ndarray):
+            arrays.append((x.tolist(), order))
+        else:
+            scalar[x] += 1
+        return fn(x, order)
+
+    monkeypatch.setattr(memo, "fn", counted)
+
+
+def _kept_points(chain, f):
+    """The points where the chain keeps f's levels from a node-array pass."""
+    return {x for x, levels in chain._images.get(f, {}).items() if levels is not None}
+
+
+def test_ladder_reads_a_constructed_target_in_one_array_pass(appendix_artifacts, monkeypatch):
     art = appendix_artifacts
+    n = art.n
     psi = ExpressionFunction("exp(-x)")
     g = construct_from_source(art, [2.0, -1.0, 3.0, 5.0], psi, mode="tail")
-    counts = Counter()
-    _count_scalar_calls(monkeypatch, g._memo, counts)
-    ck = _Check(art, g, source=lambda x: psi(x, 0).value)
+    scalar, arrays = Counter(), []
+    _count_calls(monkeypatch, g._memo, scalar, arrays)
+
+    def source(x):
+        return psi(x, 0).value
+
+    ck = _Check(art, g, source=source)
     ck.ladder("(5.7)", art.n, None, last="(5.8)")
-    # order 0 for the reach, then the one chain pass to level n - 1
-    assert counts and max(counts.values()) <= 2, counts
-    assert set(counts) <= set(art.class_points)
+    # one pass on the classification points' node array, to level n - 1;
+    # the cut's order-0 reads and every level read there find its jets
+    class_points = list(art.class_points)
+    assert arrays == [(class_points, n - 1)]
+    kept = _kept_points(art.chain_q, g)
+    assert kept and not any(scalar[x] for x in kept), scalar
+    assert set(scalar) <= set(class_points) - kept
+    # the rest of the check reads the probes: one more array pass, which
+    # both chains share
+    check_complete(g, art, source=source, remainder=g.remainder, coefficients=g.coefficients)
+    assert arrays == [(class_points, n - 1), (list(art.probes), n - 1)]
+    kept |= _kept_points(art.chain_p, g)
+    assert not any(scalar[x] for x in kept), scalar
+
+
+def test_a_second_constructed_target_on_a_warm_bundle_runs_no_scalar_pass(appendix_scale,
+                                                                            appendix_schedule,
+                                                                            monkeypatch):
+    # the first target leaves the weights' jets on every point set's node
+    # array: the second evaluates no weight on a node array, and every
+    # level and value it reads comes from its own array passes
+    art = artifacts_for(appendix_scale, appendix_schedule)
+
+    def run(g, psi):
+        check_complete(g, art, source=lambda x: psi(x, 0).value, remainder=g.remainder,
+                       coefficients=g.coefficients)
+        extract_operator(g, art.scale, art.chain_q, art.constants, art.schedule)
+        extract_recursive(g, art.scale, art.schedule)
+
+    # canonicity is read first: its quadrature's node arrays are not the
+    # bundle's point sets
+    art.chain_q.canonicity_at("x0")
+    first = ExpressionFunction("exp(-x)")
+    run(construct_from_source(art, [1.0, 1.0, 1.0, 1.0], first, mode="tail"), first)
+    weight_arrays, ignored = [], Counter()
+    for chain in (art.chain_q, art.chain_p):
+        for weight in chain.weights:
+            _count_calls(monkeypatch, weight, ignored, weight_arrays)
+    real = factorization.chain_levels
+    passes = []
+    psi = ExpressionFunction("x^-3")
+    g = construct_from_source(art, [2.0, -1.0, 0.5, 3.0], psi, mode="tail")
+
+    def counted(chain, f, x, k):
+        if f is g or f is g.remainder:
+            assert isinstance(x, np.ndarray), (x, k)  # no scalar pass
+            passes.append((chain.provenance, "f" if f is g else "remainder", x.tolist(), k))
+        return real(chain, f, x, k)
+
+    monkeypatch.setattr(factorization, "chain_levels", counted)
+    run(g, psi)
+    assert weight_arrays == []
+    # one array pass per (chain, target, point set) to level n - 1: the
+    # classification points start with the probes, which here are the
+    # schedule's points, so f's pass there serves the type-II reads of all
+    n = art.n
+    class_points, probes = list(art.class_points), list(art.probes)
+    assert probes == art.scale.toward_x0(art.schedule.points) == class_points[:len(probes)]
+    assert passes == [("polya_q", "f", class_points, n - 1),
+                      ("polya_q", "remainder", probes, n - 1),
+                      ("polya_p", "f", probes, n - 1),
+                      ("polya_p", "remainder", probes, n - 1)]
 
 
 def test_a_check_sequence_runs_one_chain_pass_per_point(appendix_artifacts, monkeypatch):
