@@ -12,6 +12,10 @@ it builds ``--repeats`` cold ``ScaleArtifacts`` bundles, each on a freshly
 loaded scale, and prints the best time of each phase in milliseconds:
 
     verify     the hierarchy check of the fresh scale
+    scan       the table of the leading and reversed prefix Wronskians at
+               the schedule points (wronskian_table), which the chains'
+               probe scans and prefix checks, the bundle's probes and the
+               positivity test read
     type_II    the type-II (Polya) chain
     type_I     the type-I (Polya) chain
     probes     the bundle's well-conditioned probes
@@ -51,6 +55,7 @@ SCALES = {
 # a name ScaleArtifacts.__init__ calls -> the phase of the stretch it ends
 CALLS = {
     "require_verified": "verify",
+    "wronskian_table": "scan",
     "build_type2_chain": "type_II",
     "build_type1_chain": "type_I",
     "schedule_images": "constants",
@@ -58,7 +63,7 @@ CALLS = {
     "WorkGrid": "grid",
     "operator_constants": "constants",
 }
-PHASES = ["verify", "type_II", "type_I", "probes", "grid", "constants"]
+PHASES = ["verify", "scan", "type_II", "type_I", "probes", "grid", "constants"]
 COLUMNS = [*PHASES, "rest", "total"]
 
 

@@ -85,7 +85,7 @@ from .jet import JetMemo
 from .operators import operator_constants, schedule_images
 from .quadrature import UNIT, NestedIntegral, NodeFn, WorkGrid, node_values, tabulate
 from .scale import finite_prefix, ratio_decreases_to_zero, require_verified, scale_schedule
-from .wronskian import bordered_wronskian
+from .wronskian import bordered_wronskian, prefix_sets, wronskian_table
 
 _LIMIT_TOL = 1e-6  # "a limit exists" when confidence < tol * (1 + |value|)
 _NEST_MEMO_SIZE = 64  # nests a bundle keeps; every benchmark workload needs at most 35
@@ -140,15 +140,29 @@ class ScaleArtifacts:
     nest of ``p_weight_nodes`` among them); they hold no target.  The two
     chains share one table of node arrays (``chain_q.nodes``), one per
     point set read, for the bundle's lifetime.
+
+    The build's Wronskian scan is one
+    :func:`~chebscale.wronskian.wronskian_table` of the 2n leading and
+    reversed prefixes on the schedule's node array, which the chains' probe
+    scans and prefix checks, the probe cut and the positivity test of
+    ``operator_constants`` read; only the nodes it flags are evaluated
+    point by point.  That node array is the chains' schedule array too.
     """
 
     def __init__(self, scale, schedule):
         require_verified(scale)
         self.scale = scale
         self.schedule = schedule
-        scan = {}  # the build's Wronskian evaluations, shared and then dropped
+        # the build's Wronskian evaluations: one table of the leading and
+        # reversed prefixes at the schedule points, shared and then dropped.
+        # Its node array is the chains' for the schedule, so the members'
+        # jets it reads serve the chain passes below.
+        points = tuple(map(float, scale.toward_x0(schedule.points)))
+        nodes = np.array(points)
+        scan = wronskian_table(scale, prefix_sets(scale.n), nodes)
         self.chain_q = build_type2_chain(scale, schedule, scan)
         self.chain_p = build_type1_chain(scale, schedule, scan)
+        self.chain_q.nodes[points] = nodes
         self.chain_p.nodes = self.chain_q.nodes  # one node array per point set
         # the constants' chain passes, run first: they evaluate every weight
         # once on the schedule's node array, and the probe cut reads the

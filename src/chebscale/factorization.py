@@ -41,7 +41,8 @@ from .jet import JetMemo, antiderivative, derivative, jet_constant, truncate
 from .quadrature import (_SCALAR_ERRORS, UNIT, NestedIntegral, NodeFn, WorkGrid,
                          classify_toward, node_values, tabulate)
 from .scale import finite_prefix, make_schedule, require_verified
-from .wronskian import _bordered_matrix, det_pivoted, wronskian, wronskian_flags, wronskian_jet
+from .wronskian import (_bordered_matrix, det_pivoted, wronskian, wronskian_flags, wronskian_jet,
+                        wronskian_table)
 
 
 # -- jet-evaluator helpers --------------------------------------------------------
@@ -304,11 +305,13 @@ def well_conditioned_probes(scale, points, minimum=4, scan=None):
     the probe is skipped.  Operator-limit sequences are not cut
     here: they have their own cut (``expansion._level_sequence``).
 
-    The scan is shared within a build: a bundle passes its ``scan`` (see
-    :func:`~chebscale.wronskian.wronskian`) here, to both chain builds and
-    to ``operator_constants``, so W(phi_1..phi_n) is computed once per
-    point in the build, and the chains' prefix checks and the positivity
-    test read the same evaluations.  Nothing is kept after the build.
+    The scan is shared within a build: a bundle passes its ``scan``, one
+    :func:`~chebscale.wronskian.wronskian_table` of the prefix Wronskians
+    built on the schedule's node array, here, to both chain builds and to
+    ``operator_constants``, so the chains' prefix checks and the positivity
+    test read the same evaluations, and only the nodes the table flagged
+    are evaluated point by point, each once in the build.  Without a scan
+    every point is evaluated alone.  Nothing is kept after the build.
     """
     idx = tuple(range(1, scale.n + 1))
     kept = []
@@ -329,8 +332,17 @@ def _polya_chain(scale, prefixes, provenance, schedule, scan):
 
     Signed weights: r_0 = 1/W_1, r_i = W_i^2/(W_{i-1} W_{i+1}) for
     1 <= i <= n-1, r_n = W_n/W_{n-1}; the product telescopes to 1.
+
+    The probe scan and the prefix checks read ``scan``; without one the
+    chain builds its own :func:`~chebscale.wronskian.wronskian_table` of
+    the family's prefixes and W(phi_1..phi_n) on the schedule's node
+    array, and only the nodes it flags are evaluated point by point.
     """
     n = scale.n
+    if scan is None:
+        full = tuple(range(1, n + 1))
+        scan = wronskian_table(scale, [full, *map(prefixes.indices, range(1, n + 1))],
+                               schedule.points)
     probes = well_conditioned_probes(scale, schedule.points, scan=scan)
     for x in probes:
         for i in range(1, n + 1):

@@ -295,16 +295,22 @@ def verify_tas(scale, grid):
     are positive near x0 the observed signs of the leading Wronskians are
     compared against the alternating pattern ``(-1)^(i(i-1)/2)`` and
     reported (not enforced).
+
+    The 2n Wronskians are read from one ``wronskian.wronskian_table`` built
+    on the grid's node array; only the nodes it leaves out are evaluated
+    point by point, so the cut and its errors are those of a point-by-point
+    loop.
     """
-    from .wronskian import wronskian  # local import to avoid a module cycle
+    from .wronskian import prefix_sets, wronskian, wronskian_table  # avoids a module cycle
 
     n = scale.n
-    sets = [ix for i in range(1, n + 1)
-            for ix in (tuple(range(1, i + 1)), tuple(range(n, i - 1, -1)))]
+    sets = prefix_sets(n)
+    points = scale.toward_x0(grid)
+    table = wronskian_table(scale, sets, points)
     rows = []  # the Wronskians of ``sets`` at each point of the reach
-    for x in scale.toward_x0(grid):
+    for x in points:
         try:
-            rows.append([wronskian(scale, indices, x) for indices in sets])
+            rows.append([wronskian(scale, indices, x, table) for indices in sets])
         except (ArithmeticError, EvaluationError):
             break
     if not rows:

@@ -249,8 +249,8 @@ def test_bundle_cost_times_every_phase_of_a_build(capsys):
     spec.loader.exec_module(cost)
     assert cost.main(["--repeats", "1", "--scales", "appendix"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[1].split() == ["scale", "verify", "type_II", "type_I", "probes", "grid",
-                                "constants", "rest", "total"]
+    assert lines[1].split() == ["scale", "verify", "scan", "type_II", "type_I", "probes",
+                                "grid", "constants", "rest", "total"]
     name, *cells = lines[2].split()
     ms = [float(c) for c in cells]
     assert name == "appendix" and len(lines) == 3

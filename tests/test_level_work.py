@@ -48,6 +48,7 @@ from chebscale.expr import ExpressionFunction
 from chebscale.factorization import build_type1_chain, build_type2_chain
 from chebscale.operators import operator_constants
 from chebscale.scale import require_verified, scale_schedule
+from chebscale.wronskian import prefix_sets
 
 GOLDEN = Path(__file__).parent / "data" / "extrapolate_golden.json"
 
@@ -454,43 +455,96 @@ def _cold_appendix():
     return scale, make_schedule(4.0, math.inf, 10, 1.22)
 
 
-def test_a_cold_bundle_evaluates_each_wronskian_once(monkeypatch):
-    scale, schedule = _cold_appendix()
+def _scan_work(monkeypatch):
+    """Watch a build's Wronskian scan: each ``wronskian_table`` call (its
+    sets, points, table and the shapes of the stacks it eliminated) and the
+    scalar ``_derivative_matrix`` calls per (indices, point)."""
     module = importlib.import_module("chebscale.wronskian")
-    real = module._derivative_matrix
-    counts = Counter()
+    real_table, real_stack = module.wronskian_table, module._det_pivoted_nodes
+    real_matrix = module._derivative_matrix
+    tables, stacks, scalar = [], [], Counter()
 
-    def counted(scale, indices, x, rows):
-        counts[tuple(indices), x] += 1
-        return real(scale, indices, x, rows)
+    def table(scale, sets, points):
+        start = len(stacks)
+        out = real_table(scale, sets, points)
+        # a copy: the build's readers add their own evaluations to the scan
+        tables.append((sorted(map(tuple, sets)), list(points), dict(out), stacks[start:]))
+        return out
 
-    monkeypatch.setattr(module, "_derivative_matrix", counted)
-    artifacts_for(scale, schedule)
+    def stack(a):
+        stacks.append(a.shape)
+        return real_stack(a)
+
+    def matrix(scale, indices, x, rows):
+        if not isinstance(x, np.ndarray):
+            scalar[tuple(indices), x] += 1
+        return real_matrix(scale, indices, x, rows)
+
+    for mod in (module, expansion, factorization):
+        monkeypatch.setattr(mod, "wronskian_table", table)
+    monkeypatch.setattr(module, "_det_pivoted_nodes", stack)
+    monkeypatch.setattr(module, "_derivative_matrix", matrix)
+    return tables, scalar
+
+
+def _assert_one_prefix_table(scale, points, tables, scalar, flagged):
+    """One table of the 2n prefix sets at ``points``, one stacked
+    elimination per set size; no scalar evaluation at a node the table
+    kept, and each flagged node (left out of the table) that the build
+    reads evaluated alone, once: ``flagged`` maps each flagged node to
+    whether it is read."""
+    n = scale.n
+    assert len(tables) == 1
+    sets, pts, table, stacks = tables[0]
+    assert sets == sorted(prefix_sets(n)) and len(sets) == 2 * n
+    assert pts == scale.toward_x0(points)
+    assert stacks == [(2 * len(pts), k, k) for k in range(1, n + 1)]
+    assert sorted(key for key in ((s, x) for s in sets for x in pts) if key not in table) \
+        == sorted(flagged)
+    assert not any(key in table for key in scalar)
+    assert scalar == Counter(key for key, read in flagged.items() if read), scalar
+
+
+# the nodes the table leaves out toward T = 3: x = 703.69 keeps exp(x)
+# finite, but the elimination overflows there from W(exp(x), x) on.  The
+# chains' probe scans read W(1..4) there, and the positivity test stops
+# at W(1, 2), which raises
+_T3_EDGE = 703.6874417766404
+_T3_FLAGGED = {((1, 2), _T3_EDGE): True, ((1, 2, 3), _T3_EDGE): False,
+               ((1, 2, 3, 4), _T3_EDGE): True}
+
+
+def test_a_cold_bundle_evaluates_each_wronskian_once(monkeypatch):
     # the probe scan, both chains' prefix checks and the positivity test
-    # share one evaluation of each (indices, point)
-    assert len(counts) == 80, len(counts)
-    assert max(counts.values()) == 1, counts.most_common(3)
+    # read one table of the prefix Wronskians at the schedule points
+    scale, schedule = _cold_appendix()
+    tables, scalar = _scan_work(monkeypatch)
+    artifacts_for(scale, schedule)
+    _assert_one_prefix_table(scale, schedule.points, tables, scalar, {})
+    # on the default schedule toward T = 3 the last node is flagged
+    scale = ChebyshevScale.from_exprs(["exp(x)", "x", "log(x)", "1"], T=3.0, x0=math.inf)
+    require_verified(scale)
+    schedule = scale_schedule(scale)
+    assert schedule.points[-1] == _T3_EDGE
+    tables.clear()
+    scalar.clear()
+    artifacts_for(scale, schedule)
+    _assert_one_prefix_table(scale, schedule.points, tables, scalar, _T3_FLAGGED)
 
 
 def test_factorize_evaluates_each_wronskian_once(monkeypatch, capsys):
-    # the bundle's scan, then divide-and-differentiate on the probes the
+    # the bundle's table, then divide-and-differentiate on the probes the
     # bundle's chains chose
-    module = importlib.import_module("chebscale.wronskian")
-    real = module._derivative_matrix
-    counts = Counter()
-
-    def counted(scale, indices, x, rows):
-        if not isinstance(x, np.ndarray):
-            counts[tuple(indices), x] += 1
-        return real(scale, indices, x, rows)
-
-    monkeypatch.setattr(module, "_derivative_matrix", counted)
     appendix = str(Path(__file__).parent / "data" / "appendix.scale")
-    assert cli.run(["factorize", "--scale", appendix, "--ratio", "1.22", "--probes", "10",
-                    "--json"]) == 0
-    capsys.readouterr()
-    assert len(counts) == 80, len(counts)
-    assert max(counts.values()) == 1, counts.most_common(3)
+    for T, probes, flagged in ((4.0, ["--ratio", "1.22", "--probes", "10"], {}),
+                               (3.0, [], _T3_FLAGGED)):
+        scale = ChebyshevScale.from_exprs(["exp(x)", "x", "log(x)", "1"], T=T, x0=math.inf)
+        schedule = scale_schedule(scale, *([10, 1.22] if probes else []))
+        tables, scalar = _scan_work(monkeypatch)
+        assert cli.run(["factorize", "--scale", appendix, "--T", str(T), *probes, "--json"]) == 0
+        capsys.readouterr()
+        _assert_one_prefix_table(scale, schedule.points, tables, scalar, flagged)
+        monkeypatch.undo()
 
 
 def test_a_repeat_limit_cuts_the_target_once(appendix_artifacts, monkeypatch):

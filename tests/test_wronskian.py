@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chebscale import (
     ChebyshevScale,
@@ -12,8 +14,10 @@ from chebscale import (
     wronskian,
     wronskian_jet,
 )
-from chebscale.errors import IndexConditionViolated
-from chebscale.wronskian import det_pivoted
+from chebscale.errors import EvaluationError, IndexConditionViolated, WronskianDegenerate
+from chebscale.factorization import _polya_chain, _PrefixWronskians
+from chebscale.wronskian import (_NODE_BLOCK, _derivative_matrix, det_pivoted, prefix_sets,
+                                 wronskian_table)
 from chebscale.jet import derivative, jet_derivative
 from chebscale.expr import ExpressionFunction
 
@@ -209,11 +213,101 @@ def test_stacked_elimination_is_the_scalar_one(k):
     a[::7, :, k - 1] = a[::7, :, 0]  # exactly singular
     a[1::11, 0, :] = 0.0  # a zero row
     a[2::13, k - 1, 0] = np.inf
+    # small integers: exact pivot ties in every column (the first largest
+    # wins) and multipliers that are exactly 0
+    a[3::5] = rng.integers(-2, 3, size=a[3::5].shape)
+    a[4::19, 1:, 0] = 0.0  # every multiplier of the first column is 0
+    if k > 1:
+        # column 1 a copy of column 0 in exact arithmetic: the pivot of
+        # column 1 is 0 after the first elimination step
+        a[6::23] = rng.integers(-2, 3, size=a[6::23].shape)
+        a[6::23, :, 1] = a[6::23, :, 0]
     rows = [[a[:, r, c] for c in range(k)] for r in range(k)]
     stacked = det_pivoted(rows)
+    late_zero_pivots = ties = 0
     for i in range(len(a)):
         scalar = det_pivoted(a[i].tolist())
         if np.isfinite(a[i]).all():
-            assert tuple(s[i] for s in stacked) == scalar
+            assert [float(s[i]).hex() for s in stacked] == [v.hex() for v in map(float, scalar)]
+            col0 = np.abs(a[i, :, 0])
+            ties += col0.max() > 0 and (col0 == col0.max()).sum() > 1
+            late_zero_pivots += scalar[0] == 0.0 and col0.max() > 0
         else:
             assert math.isnan(stacked[0][i])
+    if k > 1:
+        assert ties and late_zero_pivots
+    # a stack longer than one block of nodes: each node's results as alone
+    tiled = det_pivoted([[np.tile(a[:, r, c], 3) for c in range(k)] for r in range(k)])
+    assert len(tiled[0]) > _NODE_BLOCK
+    assert all(np.array_equal(np.tile(s, 3), t, equal_nan=True) for s, t in zip(stacked, tiled))
+
+
+# the four benchmark scales, the appendix from T = 2 (W(phi_1, phi_2,
+# phi_3) vanishes near x = 3.351) and two exactly singular scales, each
+# with points that sit on its edges: exp(x) overflows past x = 709.78
+_EXP_EDGE = [709.0, 709.78, 709.79, 710.0, 750.0]
+_TABLE_SCALES = [
+    (["exp(x)", "x", "log(x)", "1"], 4.0, math.inf, _EXP_EDGE),
+    (["exp(x)", "x", "log(x)", "1"], 2.0, math.inf, [3.35, 3.351, 3.3512, 703.6874417766404]),
+    (["1", "x", "x^2", "x^3"], -1.0, 0.0, [-1e-300, -1e-160]),
+    (["x^3", "x^2", "x", "1"], 1.0, math.inf, [1e100, 1e103]),
+    (["1", "1-x", "(1-x)^2", "(1-x)^3"], 0.0, 1.0, [1.0 - 1e-16]),
+    (["exp(x)", "2*exp(x)"], 1.0, math.inf, _EXP_EDGE),
+    (["x^3", "x", "2*x^3"], 1.0, math.inf, [1e100]),
+]
+
+
+def _bits(ev):
+    return ev.point, ev.value.hex(), ev.conditioning.hex(), ev.floor.hex()
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_wronskian_table_is_the_scalar_wronskian(data):
+    # each entry the scalar evaluation bit for bit; left out exactly where
+    # the scalar evaluation raises or a derivative entry overflows (x^3 at
+    # 1e103: the scalar elimination then returns a value of no meaning,
+    # which the caller's scalar evaluation still gives)
+    exprs, T, x0, edges = data.draw(st.sampled_from(_TABLE_SCALES))
+    n = len(exprs)
+    lo, hi = (T, 800.0) if math.isinf(x0) else sorted((T, x0))
+    inside = st.floats(lo, hi, exclude_min=True, exclude_max=True)
+    points = data.draw(st.lists(st.one_of(inside, st.sampled_from(edges)), min_size=1,
+                                max_size=12))
+    drawn = st.permutations(range(1, n + 1)).flatmap(
+        lambda p: st.integers(1, n).map(lambda k: tuple(p[:k])))
+    sets = prefix_sets(n) + data.draw(st.lists(drawn, max_size=6))
+    table = wronskian_table(ChebyshevScale.from_exprs(exprs, T, x0), sets, points)
+    scale = ChebyshevScale.from_exprs(exprs, T, x0)  # fresh: no memo shared
+    for indices in sets:
+        for x in points:
+            try:
+                ev = wronskian(scale, indices, x)
+            except (ArithmeticError, EvaluationError):
+                assert (indices, x) not in table
+            else:
+                matrix = _derivative_matrix(scale, indices, x, len(indices))
+                overflows = not np.isfinite(matrix).all()
+                assert ((indices, x) in table) != overflows
+                if not overflows:
+                    assert _bits(table[indices, x]) == _bits(ev)
+
+
+@pytest.mark.parametrize("exprs", [["exp(x)", "2*exp(x)"], ["x^3", "x", "2*x^3"]])
+@pytest.mark.parametrize("reverse", [False, True], ids=["leading", "reversed"])
+def test_a_vanishing_table_entry_raises_the_scalar_message(exprs, reverse):
+    schedule = make_schedule(1.0, math.inf, 8, 2.0)
+    full = tuple(range(1, len(exprs) + 1))
+    scale = ChebyshevScale.from_exprs(exprs, 1.0, math.inf)
+    table = wronskian_table(scale, [full, full[::-1]], schedule.points)
+    assert all(table[s, x].vanishes for s in (full, full[::-1]) for x in schedule.points)
+
+    def message(scan):
+        scale = ChebyshevScale.from_exprs(exprs, 1.0, math.inf)
+        with pytest.raises(WronskianDegenerate) as err:
+            _polya_chain(scale, _PrefixWronskians(scale, reverse), "polya", schedule, scan)
+        return str(err.value)
+
+    # the chain's own table, and the scalar evaluations an empty scan leaves
+    assert message(None) == message({})
+    assert "~ 0 at x=" in message(None)
