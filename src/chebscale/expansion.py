@@ -15,9 +15,9 @@ checkers share.
 
 Cache policy: these memos are all that is kept, each by one owner.
 
-- Jets: the :class:`~chebscale.jet.JetMemo` of each evaluator (scale
-  members, expression targets, prefix Wronskians, chain weights, nest
-  evaluators, constructed functions) keeps one jet per point, at the
+- Jets: each evaluator (scale members, expression and constructed
+  targets, prefix Wronskians, chain weights, nest evaluators) is a
+  :class:`~chebscale.jet.JetMemo`, which keeps one jet per point, at the
   highest order asked there, and the jets of the last
   ``jet.KEPT_ARRAYS`` (4) node arrays, by identity: the grid's node table
   and the node arrays of the bundle's point sets.
@@ -84,7 +84,8 @@ from .factorization import (
 from .jet import JetMemo
 from .operators import operator_constants, schedule_images
 from .quadrature import UNIT, NestedIntegral, NodeFn, WorkGrid, node_values, tabulate
-from .scale import finite_prefix, ratio_decreases_to_zero, require_verified, scale_schedule
+from .scale import (finite_prefix, finite_schedule, ratio_decreases_to_zero, require_verified,
+                    scale_schedule)
 from .wronskian import bordered_wronskian, prefix_sets, wronskian_table
 
 _LIMIT_TOL = 1e-6  # "a limit exists" when confidence < tol * (1 + |value|)
@@ -139,7 +140,8 @@ class ScaleArtifacts:
     results.  ``_nests`` keeps the nests :meth:`nest` built (the P-weight
     nest of ``p_weight_nodes`` among them); they hold no target.  The two
     chains share one table of node arrays (``chain_q.nodes``), one per
-    point set read, for the bundle's lifetime.
+    point set read, for the bundle's lifetime.  The schedule is cut at the
+    members' finite reach (:func:`~chebscale.scale.finite_schedule`).
 
     The build's Wronskian scan is one
     :func:`~chebscale.wronskian.wronskian_table` of the 2n leading and
@@ -152,7 +154,7 @@ class ScaleArtifacts:
     def __init__(self, scale, schedule):
         require_verified(scale)
         self.scale = scale
-        self.schedule = schedule
+        self.schedule = schedule = finite_schedule(scale, schedule)
         # the build's Wronskian evaluations: one table of the leading and
         # reversed prefixes at the schedule points, shared and then dropped.
         # Its node array is the chains' for the schedule, so the members'
@@ -746,7 +748,7 @@ def extract_operator(f, scale, chain, constants, schedule):
 # -- constructed test functions -----------------------------------------------------
 
 
-class ConstructedFunction:
+class ConstructedFunction(JetMemo):
     """f = sum c_i phi_i + nested integral of a prescribed source density.
 
     ``mode="tail"`` uses the representation by iterated tails (requires a
@@ -758,15 +760,15 @@ class ConstructedFunction:
     the bundle's memo (:meth:`ScaleArtifacts.nest`), so constructions from
     one source share it whatever their coefficients.
 
-    Like an :class:`~chebscale.expr.ExpressionFunction`, f and its
-    ``remainder`` are jet memos with an array form
-    (:class:`~chebscale.jet.JetMemo`; the remainder's is that of
-    :func:`~chebscale.factorization._nest_jetfn`): ``values`` reads f on a
-    node array and ``keep_nodes`` seeds its per-point jets, so a chain reads
-    f at a point set in one node-array pass
+    Like an :class:`~chebscale.expr.ExpressionFunction`, f is a
+    :class:`~chebscale.jet.JetMemo` with an array form, and so is its
+    ``remainder`` (:func:`~chebscale.factorization._nest_jetfn`), so a chain
+    reads f at a point set in one node-array pass
     (:meth:`~chebscale.factorization.WeightChain.images_on`).  The source
     needs an array form too, or every node goes to the scalar pass.
     """
+
+    __slots__ = ("coefficients", "remainder", "_nest")
 
     def __init__(self, artifacts, coefficients, source_jetfn, mode="tail"):
         art = artifacts
@@ -782,7 +784,7 @@ class ConstructedFunction:
         sign = (-1) ** n if mode == "tail" else 1.0
 
         def prefactor(x, order):
-            return sign / art.chain_q.weight_jet(0, x, order)
+            return sign / art.chain_q.weights[0](x, order)
 
         weight_jets = [art.chain_q.weights[i] for i in range(1, n)] + [None]
         self.remainder = remainder = _nest_jetfn(
@@ -801,16 +803,7 @@ class ConstructedFunction:
                 out = out + c * scale.phi_jet(i, x, order)
             return out
 
-        self._memo = JetMemo(jet, "constructed", arrays=True)
-
-    def __call__(self, x, order):
-        return self._memo(x, order)
-
-    def values(self, xs):
-        return self._memo.values(xs)
-
-    def keep_nodes(self, points, j):
-        self._memo.keep_nodes(points, j)
+        super().__init__(jet, "constructed", arrays=True)
 
 
 def construct_from_source(artifacts, coefficients, source_jetfn, mode="tail"):

@@ -440,30 +440,20 @@ class _Evaluator:
         return jetmod.Jet(x, (self.compiled(x),))
 
 
-class ExpressionFunction:
-    """A parsed expression as a memoized jet-evaluator ``(x, order) -> Jet``;
-    ``x`` may be a node array (see :class:`~chebscale.jet.JetMemo`)."""
+class ExpressionFunction(jetmod.JetMemo):
+    """A parsed expression as a memoized jet-evaluator ``(x, order) -> Jet``
+    with an array form: a :class:`~chebscale.jet.JetMemo` of its AST."""
+
+    __slots__ = ("ast",)
+
+    # an entry of this class's own, which a tracer rebinds for expressions only
+    __call__ = jetmod.JetMemo.__call__
 
     def __init__(self, text_or_ast):
-        if isinstance(text_or_ast, str):
-            self.ast = parse(text_or_ast)
-            self.name = text_or_ast.strip()
-        else:
-            self.ast = text_or_ast
-            self.name = render(text_or_ast)
-        self._memo = jetmod.JetMemo(_Evaluator(self.ast), self.name, arrays=True)
-
-    def __call__(self, x, order):
-        return self._memo(x, order)
-
-    def value(self, x):
-        return self(x, 0).value
-
-    def values(self, xs):
-        return self._memo.values(xs)
-
-    def keep_nodes(self, points, j):
-        self._memo.keep_nodes(points, j)
+        text = isinstance(text_or_ast, str)
+        self.ast = parse(text_or_ast) if text else text_or_ast
+        name = text_or_ast.strip() if text else render(self.ast)
+        super().__init__(_Evaluator(self.ast), name, arrays=True)
 
     def __repr__(self):
         return f"ExpressionFunction({self.name!r})"

@@ -160,8 +160,9 @@ class WeightChain:
     def images_on(self, fs, points):
         """Keep, at every one of ``points``, the levels that :meth:`image`'s
         pass to level n - 1 gives for each target of ``fs`` with an array
-        form (a ``keep_nodes`` method, as expressions, constructed functions
-        and jet memos have), run as one pass per target (:func:`chain_levels`)
+        form (a ``keep_nodes`` method: a :class:`~chebscale.jet.JetMemo`,
+        as expressions and constructed functions are), run as one pass per
+        target (:func:`chain_levels`)
         on the point set's node array.  That array is built on the first
         call for the points and kept in ``nodes``, so the jet memos, which
         keep node arrays by identity, evaluate each weight and each target
@@ -222,17 +223,11 @@ class WeightChain:
                     if x not in memo:
                         memo[x] = None if bad else (tuple(vals), tuple(noise))
 
-    def weight_jet(self, i, x, order):
-        return self.weights[i](x, order)
-
-    def weight_value(self, i, x):
-        return self.weights[i](x, 0).value
-
     def report(self, schedule):
         """Weights sampled on the schedule's finite prefix plus canonicity,
         JSON-friendly."""
         pts = finite_prefix(schedule.points, [w.value for w in self.weights])
-        samples = {f"r{i}": [(x, self.weight_value(i, x)) for x in pts] for i in range(self.n + 1)}
+        samples = {f"r{i}": [(x, w.value(x)) for x in pts] for i, w in enumerate(self.weights)}
         return {
             "provenance": self.provenance,
             "n": self.n,
@@ -474,6 +469,13 @@ def apply_full_operator(scale, f, x):
 # -- divide and differentiate -------------------------------------------------------
 
 
+def _nonvanishing(p, x):
+    """``p``, a pivot image's jet at x, unless its value is ~0 against its coefficients."""
+    if abs(p.value) <= 1e-13 * max(abs(c) for c in p.coeffs):
+        raise PivotVanishes(f"pivot image ~ 0 at x={x}")
+    return p
+
+
 class _DDImage:
     """One divide-and-differentiate step applied to a tracked term (always
     called through the JetMemo that wraps it)."""
@@ -486,10 +488,7 @@ class _DDImage:
 
     def __call__(self, x, order):
         m = self.member(x, order + 1)
-        p = self.pivot(x, order + 1)
-        if abs(p.value) <= 1e-13 * max(abs(c) for c in p.coeffs):
-            raise PivotVanishes(f"pivot image ~ 0 at x={x}")
-        return derivative(m / p)
+        return derivative(m / _nonvanishing(self.pivot(x, order + 1), x))
 
 
 class _Reciprocal:
@@ -499,10 +498,7 @@ class _Reciprocal:
         self.fn = fn
 
     def __call__(self, x, order):
-        p = self.fn(x, order)
-        if abs(p.value) <= 1e-13 * max(abs(c) for c in p.coeffs):
-            raise PivotVanishes(f"pivot image ~ 0 at x={x}")
-        return 1.0 / p
+        return 1.0 / _nonvanishing(self.fn(x, order), x)
 
 
 class _Product:
@@ -576,12 +572,12 @@ def chain_levels(chain, f, x, k):
     else:
         def prefix_max(coeffs):
             return list(accumulate(map(abs, coeffs), max))
-    w = chain.weight_jet
-    cur = w(0, x, k) * truncate(f(x, k), k)
+    w = chain.weights
+    cur = w[0](x, k) * truncate(f(x, k), k)
     steps = [cur.coeffs]  # coefficients of each intermediate
     weights = [None]  # coefficients of each weight past r_0
     for i in range(1, k + 1):
-        wj = w(i, x, k - i)
+        wj = w[i](x, k - i)
         cur = wj * derivative(cur)
         steps.append(cur.coeffs)
         weights.append(wj.coeffs)
@@ -681,7 +677,7 @@ def build_principal_system(scale, chain_p):
     n = scale.n
 
     def inv_p0(x, order):
-        return 1.0 / chain_p.weight_jet(0, x, order)
+        return 1.0 / chain_p.weights[0](x, order)
 
     P = [JetMemo(inv_p0, "P0")]
     for i in range(1, n):

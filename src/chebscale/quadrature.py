@@ -198,8 +198,8 @@ class NodeFn:
     @classmethod
     def of(cls, jetfn):
         """The values of a jet evaluator; the array form is its ``values``
-        (a :class:`~chebscale.jet.JetMemo` or an expression), and there is
-        none for other evaluators."""
+        (a :class:`~chebscale.jet.JetMemo`, as expressions and constructed
+        functions are), and there is none for other evaluators."""
         values = getattr(jetfn, "values", None)
         return cls(lambda x: jetfn(x, 0).value, values)
 

@@ -38,9 +38,9 @@ class VerificationRecord:
 class ChebyshevScale:
     """Ordered scale functions with interval of validity.
 
-    Every member is a memoized jet evaluator ``(x, order) -> Jet`` with a
-    ``name``: text becomes an :class:`ExpressionFunction`, and any other
-    callable that is not one already is wrapped once in a :class:`JetMemo`.
+    Every member is a :class:`JetMemo` with a ``name``, a memoized jet
+    evaluator ``(x, order) -> Jet``: text becomes an :class:`ExpressionFunction`,
+    and any other callable that is not a JetMemo is wrapped once in one.
     Members hash by identity, so they can key the per-target caches of an
     artifacts bundle.
     """
@@ -50,7 +50,7 @@ class ChebyshevScale:
         for i, f in enumerate(functions):
             if isinstance(f, str):
                 f = ExpressionFunction(f)
-            elif not isinstance(f, (ExpressionFunction, JetMemo)):
+            elif not isinstance(f, JetMemo):
                 f = JetMemo(f, getattr(f, "name", f"phi_{i + 1}"))
             funcs.append(f)
         self.functions = funcs
@@ -179,17 +179,23 @@ def finite_prefix(points, fns):
     return good
 
 
-def scale_schedule(scale, count=12, ratio=None):
-    """:func:`make_schedule` toward the scale's x0 (ratio 1.6 toward +inf,
-    0.5 toward a finite x0 by default), cut at the scale's finite reach."""
-    if ratio is None:
-        ratio = 1.6 if scale.infinite else 0.5
-    sched = make_schedule(scale.T, scale.x0, count, ratio)
+def finite_schedule(scale, schedule):
+    """``schedule`` cut at the scale's finite reach (the :func:`finite_prefix`
+    of its points over the members); under 6 points left raise BadScheduleParams."""
     members = [lambda x, i=i: scale.phi_value(i, x) for i in range(1, scale.n + 1)]
-    pts = finite_prefix(sched.points, members)
+    pts = finite_prefix(schedule.points, members)
     if len(pts) < 6:
         raise BadScheduleParams(f"only {len(pts)} schedule points keep the scale finite")
-    return ProbeSchedule(tuple(pts), sched.kind)
+    return ProbeSchedule(tuple(pts), schedule.kind)
+
+
+def scale_schedule(scale, count=12, ratio=None):
+    """:func:`make_schedule` toward the scale's x0 (ratio 1.6 toward +inf,
+    0.5 toward a finite x0 by default), cut at the scale's finite reach
+    (:func:`finite_schedule`)."""
+    if ratio is None:
+        ratio = 1.6 if scale.infinite else 0.5
+    return finite_schedule(scale, make_schedule(scale.T, scale.x0, count, ratio))
 
 
 # -- hierarchy rule -----------------------------------------------------------

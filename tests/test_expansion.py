@@ -21,10 +21,11 @@ from chebscale import (
     extract_operator,
     extract_recursive,
     make_schedule,
+    scale_schedule,
     verify_hierarchy,
 )
 from chebscale import expansion
-from chebscale.errors import ChebscaleError, DivergentTail, LimitDiverged
+from chebscale.errors import BadScheduleParams, ChebscaleError, DivergentTail, LimitDiverged
 from chebscale.expansion import _abs, _guarded_ratio, _operator_limit, _p_levels, _type1_levels
 from chebscale.expr import ExpressionFunction
 from chebscale.factorization import apply_full_operator
@@ -237,6 +238,17 @@ def test_a_limit_lost_in_noise_reads_zero(appendix_artifacts):
     status, value, conf = appendix_artifacts.limit(ExpressionFunction("exp(-x) + x"), 3)
     assert status == "stable" and value == 0.0
     assert 0.0 < conf < 1e-6
+
+
+def test_a_bundle_cuts_its_schedule_at_the_members_reach(appendix_scale):
+    # the last of these 12 points, 879.6, overflows exp(x): the bundle keeps
+    # the 11 points before it, where scale_schedule cuts
+    art = artifacts_for(appendix_scale, make_schedule(4.0, math.inf, 12, 1.6))
+    assert art.schedule.points == scale_schedule(appendix_scale).points
+    assert len(art.schedule.points) == 11
+    # only 5.0 and 100.0 of these keep exp(x) finite
+    with pytest.raises(BadScheduleParams):
+        artifacts_for(appendix_scale, make_schedule(4.0, math.inf, 8, 20.0))
 
 
 def test_a_decisive_limit_is_not_read_as_noise(appendix_scale):

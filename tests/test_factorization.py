@@ -81,7 +81,7 @@ def test_unit_chain_for_pair_scale():
     sc = ChebyshevScale.from_exprs(["x", "1"], T=1.0, x0=math.inf)
     chain = build_type2_chain(sc, make_schedule(1.0, math.inf, 8, 2.0))
     for i in range(3):
-        vals = [chain.weight_value(i, x) for x in (2.0, 5.0, 9.0)]
+        vals = [chain.weights[i].value(x) for x in (2.0, 5.0, 9.0)]
         ref = [1 / x for x in (2.0, 5.0, 9.0)] if i in (0, 2) else [x * x for x in (2.0, 5.0, 9.0)]
         for v, r in zip(vals, ref):
             assert abs(v - r) < 1e-12 * r
@@ -94,7 +94,7 @@ def test_quadratic_scale_chain_matches_hand_determinants():
     closed = [lambda x: 1 / x**2, lambda x: x**2, lambda x: x**2 / 2, lambda x: 2 / x**2]
     for x in (2.0, 5.0, 10.0):
         for i, ref in enumerate(closed):
-            assert abs(chain.weight_value(i, x) - ref(x)) < 1e-11 * ref(x)
+            assert abs(chain.weights[i].value(x) - ref(x)) < 1e-11 * ref(x)
 
 
 def test_misordered_scale_rejected():
@@ -361,15 +361,15 @@ def test_a_chain_whose_weights_change_sign_is_refused(capsys):
 def _level_pass(chain, f, x, k):
     """The reference: one chain pass per level, as ``apply_chain`` ran before
     a pass served every shallower level."""
-    w = chain.weight_jet
+    w = chain.weights
     fj = truncate(f(x, k), k)
-    cur = w(0, x, k) * fj
+    cur = w[0](x, k) * fj
     eps = 2.2e-16
     noise = eps * max(abs(c) for c in cur.coeffs)
     for i in range(1, k + 1):
         noise *= max(1.0, float(cur.order))
         cur = derivative(cur)
-        wj = w(i, x, k - i)
+        wj = w[i](x, k - i)
         cur = wj * cur
         wmax = max(abs(c) for c in wj.coeffs)
         cmax = max(abs(c) for c in cur.coeffs)

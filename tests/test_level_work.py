@@ -287,7 +287,7 @@ def test_ladder_reads_a_constructed_target_in_one_array_pass(appendix_artifacts,
     psi = ExpressionFunction("exp(-x)")
     g = construct_from_source(art, [2.0, -1.0, 3.0, 5.0], psi, mode="tail")
     scalar, arrays = Counter(), []
-    _count_calls(monkeypatch, g._memo, scalar, arrays)
+    _count_calls(monkeypatch, g, scalar, arrays)
 
     def source(x):
         return psi(x, 0).value

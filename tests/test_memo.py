@@ -14,7 +14,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from chebscale import ChebyshevScale, artifacts_for, check_complete, expr, make_schedule
+from chebscale import (ChebyshevScale, artifacts_for, check_complete, construct_from_source, expr,
+                       make_schedule)
 from chebscale.errors import EvaluationError
 from chebscale.expr import FUNCTIONS, BinOp, Call, Const, ExpressionFunction, Neg, Var, eval_jet
 from chebscale.factorization import _PrefixWronskians, _endpoint_schedule
@@ -167,7 +168,7 @@ def test_bundle_memos_hold_no_grid_node(monkeypatch):
     nodes = set((art.grid.sigma * art.grid.cellnodes).ravel().tolist()) - asked
     names = {m.name for m in memos}
     assert {"W(1, 2, 3, 4)", "polya_q:r2", "exp(x)"} <= names
-    for memo in memos + [f._memo]:
+    for memo in memos + [f]:
         assert not nodes & set(memo._jets), memo.name
 
 
@@ -216,6 +217,14 @@ def test_a_read_target_is_freed_without_the_collector():
         assert freed() is None
     finally:
         gc.enable()
+
+
+def test_targets_are_jet_memos_without_an_instance_dict(appendix_artifacts):
+    psi = ExpressionFunction("exp(-x)")
+    g = construct_from_source(appendix_artifacts, [1.0, 0.0, 2.0, 1.0], psi)
+    for target in (psi, g, g.remainder):
+        assert isinstance(target, JetMemo)
+        assert not hasattr(target, "__dict__")
 
 
 def test_order0_compiles_once_at_the_first_scalar_read(monkeypatch):

@@ -37,7 +37,7 @@ def test_order_zero_operator(appendix_artifacts):
     art = appendix_artifacts
     f = ExpressionFunction("x^2")
     for x in (5.0, 9.0):
-        expect = x * x * art.chain_q.weight_value(0, x)
+        expect = x * x * art.chain_q.weights[0].value(x)
         assert abs(apply_chain(art.chain_q, f, x, level=0) - expect) < 1e-12 * abs(expect)
 
 
@@ -180,7 +180,7 @@ def test_composition_consistency(appendix_artifacts):
         lo = art.M(k - 1, f, x - h)
         hi = art.M(k - 1, f, x + h)
         fd = (hi - lo) / (2 * h)
-        expect = art.chain_q.weight_value(k, x) * fd
+        expect = art.chain_q.weights[k].value(x) * fd
         got = art.M(k, f, x)
         assert abs(got - expect) < 1e-5 * max(abs(got), 1.0)
 
