@@ -283,17 +283,18 @@ class ScaleArtifacts:
         return NodeFn(lambda x: apply_full_operator(scale, f, x), lf_nodes)
 
     def lf_is_zero(self, f):
-        """Constant-zero detection for L[f] along the schedule."""
+        """L[f] vanishes identically: W(phi_1..phi_n, f) lies within its
+        elimination floor at each probe, read up to the first where not."""
         rec = self._record(f)
         if rec.lf_zero is None:
             idx = tuple(range(1, self.n + 1))
             zero = True
             for x in self.probes:
                 try:
-                    num, _, det_scale = bordered_wronskian(self.scale, idx, f, x)
+                    num, _, floor = bordered_wronskian(self.scale, idx, f, x)
                 except ArithmeticError as exc:
                     raise EvaluationError(f"W(phi_1..phi_n, f) fails at x={x}: {exc}") from exc
-                if abs(num) > 1e-8 * det_scale:
+                if abs(num) > floor:
                     zero = False
                     break
             rec.lf_zero = zero
@@ -1239,9 +1240,9 @@ def _term_loss(art, i):
         if not 1 <= target <= n or k < 1:
             continue
         for x in art.probes[:: max(1, len(art.probes) // 4)]:
-            img = abs(art.L_phi(k, target, x))
-            biggest = max(abs(art.L_phi(k, j, x)) for j in range(1, n - k + 1))
-            if img > 1e-7 * (biggest + 1e-300):
+            # an image within its chain noise reads as 0
+            value, noise = art.chain_p.image(art.scale.functions[target - 1], k, x)
+            if abs(value) > noise:
                 return False
     return True
 

@@ -376,7 +376,7 @@ def _power0(node):
         c = constant_value(node.right)
         if c is not None:
             c = float(c)
-            integral = abs(c - round(c)) < 1e-12 and abs(c) <= 1024
+            n = jetmod.integral_exponent(c)
     except (ArithmeticError, ValueError, EvaluationError):
         # no constant exponent to compile: the jet raises where it is read
         return lambda x: eval_jet(node, x, 0).coeffs[0]
@@ -390,9 +390,8 @@ def _power0(node):
             return math.exp(e * math.log(_positive(b, "log")))
 
         return power
-    if not integral:
+    if n is None:
         return lambda x: math.exp(c * math.log(_positive(base(x), "real power")))
-    n = int(round(c))
     if n == 0:
 
         def one(x):

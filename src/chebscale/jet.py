@@ -335,6 +335,11 @@ def _sincos(j):
     return j._like(s), j._like(c)
 
 
+def integral_exponent(c):
+    """``c`` as the integer exponent of :func:`jpow` and ``expr.order0``, or None."""
+    return round(c) if abs(c - round(c)) < 1e-12 and abs(c) <= 1024 else None
+
+
 def jpow(j, exponent):
     """j**exponent for a constant real exponent.
 
@@ -342,8 +347,8 @@ def jpow(j, exponent):
     real exponents go through exp(c*log(.)) and need a positive value.
     """
     c = float(exponent)
-    if abs(c - round(c)) < 1e-12 and abs(c) <= 1024:
-        n = int(round(c))
+    n = integral_exponent(c)
+    if n is not None:
         if n == 0:
             one = jet_constant(1.0, j.anchor, j.order)
             # the base is not read, but its flagged elements stay flagged

@@ -634,13 +634,13 @@ class NestedIntegral:
         cells = lev.cell_ints
         cum = lev.cum
         backbone = self.grid.backbone
-        res = classify_sequence(list(cum[backbone][-12:]), tol=_NEST_TOL)
+        res = classify_sequence(cum[backbone][-12:].tolist(), tol=_NEST_TOL)
         if res["kind"].startswith("diverged") or res["kind"] == "oscillatory":
             m = lev.reliable_cells
             shown = res["kind"]
             if m < self.grid.cells:
                 resolved = cum[backbone[backbone <= m]]
-                shown = classify_sequence(list(resolved[-12:]), tol=_NEST_TOL)["kind"]
+                shown = classify_sequence(resolved[-12:].tolist(), tol=_NEST_TOL)["kind"]
             if shown.startswith("diverged") or shown == "oscillatory":
                 raise DivergentTail(
                     f"to_x0 level {level} fails convergence ({shown})", decisive=True

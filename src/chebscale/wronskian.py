@@ -70,16 +70,16 @@ class WronskianEvaluation:
 def det_pivoted(matrix):
     """Determinant by Gaussian elimination with partial pivoting.
 
-    Returns ``(value, conditioning, det_scale, floor)``.  ``conditioning`` is
-    the ratio of largest to smallest row scale (diagnostic); ``det_scale`` is
-    the product of column infinity-norms.  ``floor`` is ``ZERO_MARGIN`` times
-    the value's rounding noise: each entry carries a noise bound, one
-    roundoff of its magnitude to start with, to which every elimination
-    update adds the noise it carries over and one roundoff of the
-    magnitudes it combines; the value's relative noise is the sum of the
-    pivots' relative noises.  A pivot left by cancellation (the rest of an
-    exactly singular matrix) is all noise, so the value falls within its
-    floor; a matrix whose columns merely differ in scale does not.
+    Returns ``(value, conditioning, floor)``.  ``conditioning`` is the ratio
+    of largest to smallest row scale (diagnostic).  ``floor``, within which
+    the value is zero, is ``ZERO_MARGIN`` times its rounding noise: each
+    entry carries a noise bound, one roundoff of its magnitude to start
+    with, to which every elimination update adds the noise it carries over
+    and one roundoff of the magnitudes it combines; the value's relative
+    noise is the sum of the pivots' relative noises.  A pivot left by
+    cancellation (the rest of an exactly singular matrix) is all noise, so
+    the value falls within its floor; a matrix whose columns merely differ
+    in scale does not.
 
     ``matrix`` is a list of rows of floats, or of equal-length float64
     arrays: a stack of matrices, one per node, eliminated at once with the
@@ -95,16 +95,12 @@ def det_pivoted(matrix):
     norms = [max(abs(v) for v in row) for row in a]
     finite = [s for s in norms if s > 0.0]
     conditioning = math.inf if len(finite) < k else max(finite) / min(finite)
-    det_scale = 1.0
-    for c in range(k):
-        s = max(abs(a[r][c]) for r in range(k))
-        det_scale *= s if s > 0.0 else 1.0
     det = 1.0
     rel = 0.0
     for col in range(k):
         piv = max(range(col, k), key=lambda r: abs(a[r][col]))
         if abs(a[piv][col]) == 0.0:
-            return 0.0, conditioning, det_scale, 0.0
+            return 0.0, conditioning, 0.0
         if piv != col:
             a[col], a[piv] = a[piv], a[col]
             noise[col], noise[piv] = noise[piv], noise[col]
@@ -119,7 +115,7 @@ def det_pivoted(matrix):
                     step = f * a[col][c]
                     noise[r][c] += abs(f) * noise[col][c] + _ROUNDOFF * (abs(a[r][c]) + abs(step))
                     a[r][c] = a[r][c] - step
-    return det, conditioning, det_scale, ZERO_MARGIN * abs(det) * rel
+    return det, conditioning, ZERO_MARGIN * abs(det) * rel
 
 
 def _det_pivoted_nodes(a):
@@ -140,10 +136,6 @@ def _det_pivoted_nodes(a):
         conditioning = np.where(
             (norms > 0.0).all(axis=1), norms.max(axis=1) / norms.min(axis=1), math.inf
         )
-    colmax = mag.max(axis=1)
-    det_scale = np.ones(m)
-    for s in np.where(colmax > 0.0, colmax, 1.0).T:  # column by column, as the scalar loop
-        det_scale = det_scale * s
     det = np.ones(m)
     rel = np.zeros(m)
     zero = np.zeros(m, dtype=bool)
@@ -175,7 +167,7 @@ def _det_pivoted_nodes(a):
             np.copyto(below, below - step, where=live)
         floor = ZERO_MARGIN * np.abs(det) * rel
     det = np.where(bad, np.nan, np.where(zero, 0.0, det))
-    return det, conditioning, det_scale, np.where(zero, 0.0, floor)
+    return det, conditioning, np.where(zero, 0.0, floor)
 
 
 def _minor(matrix, memo, cols, row):
@@ -245,7 +237,7 @@ def wronskian(scale, indices, x, scan=None):
 def _wronskian(scale, indices, x):
     if not indices:
         raise EvaluationError("empty index set")
-    value, conditioning, _, floor = det_pivoted(_derivative_matrix(scale, indices, x, len(indices)))
+    value, conditioning, floor = det_pivoted(_derivative_matrix(scale, indices, x, len(indices)))
     if not math.isfinite(value):
         raise EvaluationError(f"Wronskian overflow at x={x} for {indices}")
     return WronskianEvaluation(x, value, conditioning, floor)
@@ -292,7 +284,7 @@ def wronskian_table(scale, sets, points):
             # (set, point, row, column): one k-by-k matrix per (set, point)
             blocks = stack[:, :k, [[col[i] for i in s] for s in group]].transpose(2, 0, 1, 3)
             out = _det_pivoted_nodes(blocks.reshape(-1, k, k))
-            value, conditioning, _, floor = (v.reshape(len(group), -1).tolist() for v in out)
+            value, conditioning, floor = (v.reshape(len(group), -1).tolist() for v in out)
             for s, vs, cs, fs in zip(group, value, conditioning, floor):
                 for x, v, c, f in zip(xs, vs, cs, fs):
                     if math.isfinite(v):
@@ -305,7 +297,7 @@ def wronskian_flags(scale, indices, xs):
     values, and the nodes where ``wronskian`` raises or its value vanishes
     (flagged)."""
     indices = tuple(indices)
-    value, _, _, floor = det_pivoted(_derivative_matrix(scale, indices, xs, len(indices)))
+    value, _, floor = det_pivoted(_derivative_matrix(scale, indices, xs, len(indices)))
     return value, ~np.isfinite(value) | (np.abs(value) <= floor)
 
 
@@ -343,9 +335,10 @@ def _bordered_matrix(scale, indices, f, x):
 
 
 def bordered_wronskian(scale, indices, f, x):
-    """Float value of W(phi_{i1}, ..., phi_{ik}, f) at x."""
-    value, conditioning, det_scale, _ = det_pivoted(_bordered_matrix(scale, tuple(indices), f, x))
-    return value, conditioning, det_scale
+    """W(phi_{i1}, ..., phi_{ik}, f) at x as :func:`det_pivoted`'s
+    ``(value, conditioning, floor)``: the value is zero within the
+    elimination's rounding when ``|value| <= floor``."""
+    return det_pivoted(_bordered_matrix(scale, tuple(indices), f, x))
 
 
 def _levin_violation(scale, iset, jset):

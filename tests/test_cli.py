@@ -50,6 +50,14 @@ def test_overflow_is_an_input_error(capsys):
         assert err.startswith("error: ") and "Traceback" not in err, target
 
 
+def test_verify_of_an_oscillating_target_warns_nothing(capsys):
+    # the tail extrapolation of sin(exp(x))'s nests overflows: in Python
+    # floats, silently to inf, as it must
+    code = cli.run(["verify", "--scale", APPENDIX, "--f", "exp(x)+x+sin(exp(x))"])
+    assert code == 1
+    assert capsys.readouterr().err == ""
+
+
 def test_long_schedule_is_cut_where_it_overflows(capsys):
     # 1.6**j leaves double range from j = 1510 on
     code = cli.run(["analyze", "--scale", APPENDIX, "--probes", "2000", "--json"])

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chebscale import (
     ChebyshevScale,
@@ -25,7 +27,8 @@ from chebscale import (
     verify_hierarchy,
 )
 from chebscale import expansion
-from chebscale.errors import BadScheduleParams, ChebscaleError, DivergentTail, LimitDiverged
+from chebscale.errors import (BadScheduleParams, ChebscaleError, DivergentTail, EvaluationError,
+                              LimitDiverged)
 from chebscale.expansion import _abs, _guarded_ratio, _operator_limit, _p_levels, _type1_levels
 from chebscale.expr import ExpressionFunction
 from chebscale.factorization import apply_full_operator
@@ -277,6 +280,55 @@ def test_term_loss_rule(appendix_artifacts):
 
     assert _term_loss(appendix_artifacts, appendix_artifacts.n)
     assert _term_loss(appendix_artifacts, 2)
+
+
+# outside the span of the appendix scale, though |W(phi_1..phi_4, f)| lies
+# below 1e-8 times the product of its matrix's column norms at every probe
+_NEAR_KERNEL = ["x + 1e-3*x^(-3)", "x + 1e-6*sqrt(x)", "exp(x) + 1e-6*x^2"]
+
+
+def test_a_target_near_the_span_is_not_in_it(appendix_artifacts):
+    for text in _NEAR_KERNEL:
+        assert not appendix_artifacts.lf_is_zero(ExpressionFunction(text)), text
+    rep = check_complete(ExpressionFunction("exp(x) + 1e-6*x^2"), appendix_artifacts)
+    assert not any(v.get("zero") for v in rep.verdicts.values())
+
+
+def test_a_near_kernel_target_has_no_complete_expansion(appendix_scale):
+    # sqrt(x) >> log(x) and x^2 >> x: no expansion in the scale is complete
+    art = artifacts_for(appendix_scale)
+    for text in _NEAR_KERNEL[1:]:
+        rep = check_complete(ExpressionFunction(text), art)
+        assert rep.verdicts["(5.9) integral"]["status"] == "fails", text
+
+
+@pytest.fixture(scope="module")
+def four_bundles(appendix_artifacts, cubic_artifacts, poly_artifacts, taylor_artifacts):
+    return [appendix_artifacts, cubic_artifacts, poly_artifacts, taylor_artifacts]
+
+
+_COEFFICIENT = st.one_of(
+    st.just(0.0),
+    st.integers(-3, 3).map(float),
+    *(st.floats(-b, b, allow_subnormal=False) for b in (5.0, 1e3, 1e-3)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 3), st.lists(_COEFFICIENT, min_size=4, max_size=4))
+def test_a_kernel_combination_reads_zero(four_bundles, which, coefficients):
+    art = four_bundles[which]
+    text = " + ".join(f"({c!r})*({phi.name})"
+                      for c, phi in zip(coefficients, art.scale.functions))
+    assert art.lf_is_zero(ExpressionFunction(text))
+
+
+def test_lf_is_zero_stops_at_the_first_nonzero_probe(appendix_artifacts):
+    # exp(x^2) overflows from the probe x ~ 29.9 on, after a non-zero probe
+    assert not appendix_artifacts.lf_is_zero(ExpressionFunction("exp(x^2)"))
+    # a zero probe reads on, to the one that overflows
+    with pytest.raises(EvaluationError, match=r"W\(phi_1\.\.phi_n, f\) fails at x="):
+        appendix_artifacts.lf_is_zero(ExpressionFunction("x + 0*exp(x^2)"))
 
 
 def _corpus(art, cubic_art, taylor_art):

@@ -206,8 +206,8 @@ def test_zero_rule_reads_the_elimination_noise():
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
 def test_stacked_elimination_is_the_scalar_one(k):
-    # each matrix of a stack: value, conditioning, column-norm product and
-    # floor of the scalar elimination bit for bit, NaN at a non-finite entry
+    # each matrix of a stack: value, conditioning and floor of the scalar
+    # elimination bit for bit, NaN at a non-finite entry
     rng = np.random.default_rng(k)
     a = rng.normal(size=(400, k, k)) * 10.0 ** rng.integers(-6, 6, size=(400, 1, k))
     a[::7, :, k - 1] = a[::7, :, 0]  # exactly singular
